@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 memory-budget error,
-4 LP solver stall. The POWERGAMES_LOG environment variable sets the log
-level (e.g. DEBUG, INFO); there is no logging flag.
+4 LP solve without a certified answer (``SolverStallError``). The
+POWERGAMES_LOG environment variable sets the log level (e.g. DEBUG, INFO);
+there is no logging flag.
 """
 from __future__ import annotations
 

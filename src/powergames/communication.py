@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, SolverStallError
 from .model import ChannelMatrix, GameInstance, PayoffTensor, PowerGrid, build_payoff_tensor
 from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
 
@@ -255,16 +255,19 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
 
 
 def build_commeq_lp(space: TypeSpace, family: GameFamily,
-                    formulation: str = "literal") -> LpProblem:
+                    formulation: str = "literal",
+                    tensors: list[PayoffTensor] | None = None) -> LpProblem:
     """LP whose optimum is the welfare-maximal communication equilibrium.
 
     Variables are p(a|t) for every joint type and profile (type-major), plus
     one free auxiliary per (player, true type, reported type, recommendation)
-    in the canonical formulation.
+    in the canonical formulation. ``tensors`` is ``per_type_tensors(space,
+    family)`` when the caller already has it.
     """
     if formulation not in ("literal", "canonical"):
         raise ValueError("formulation must be 'literal' or 'canonical'")
-    tensors = per_type_tensors(space, family)
+    if tensors is None:
+        tensors = per_type_tensors(space, family)
     dims = family.dims
     s = int(np.prod(dims))
     nt = space.joint_count
@@ -352,29 +355,39 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
 
 def solve_commeq(space: TypeSpace, family: GameFamily,
                  formulation: str = "literal",
-                 options: SimplexOptions | None = None) -> CommEqResult:
-    """Welfare-optimal communication equilibrium for the given deviation set."""
-    prob = build_commeq_lp(space, family, formulation)
+                 options: SimplexOptions | None = None,
+                 tensors: list[PayoffTensor] | None = None) -> CommEqResult:
+    """Welfare-optimal communication equilibrium for the given deviation set.
+
+    ``tensors`` is ``per_type_tensors(space, family)`` when the caller
+    already has it; it is built once here otherwise.
+    """
+    if tensors is None:
+        tensors = per_type_tensors(space, family)
+    prob = build_commeq_lp(space, family, formulation, tensors)
     sol = solve_lp(prob, options)
     if sol.status != "optimal":
         # the polytope is nonempty (Bayes-Nash devices are feasible) and bounded
-        raise RuntimeError(f"communication LP reported {sol.status}")
+        raise SolverStallError(f"communication LP reported {sol.status}")
     s = int(np.prod(family.dims))
     nt = space.joint_count
     raw = sol.x[: nt * s].reshape(nt, s)
     device = CommDevice.from_raw(space, family.dims, raw)
-    violation = commeq_violation(device, family, formulation)
+    violation = commeq_violation(device, family, formulation, tensors)
     if violation > ACCEPT_VIOLATION:
-        raise RuntimeError(f"communication device failed verification ({violation:.3e})")
+        raise SolverStallError(
+            f"communication device failed verification ({violation:.3e})")
     return CommEqResult(device, float(sol.objective_value), violation, sol.iterations)
 
 
 def commeq_violation(device: CommDevice, family: GameFamily,
-                     formulation: str = "literal") -> float:
+                     formulation: str = "literal",
+                     tensors: list[PayoffTensor] | None = None) -> float:
     """Worst truth-telling/obedience gap of a device, floored at zero.
 
-    Recomputes expected payoffs directly from the device and per-type games;
-    shares no code with the LP row builder.
+    Recomputes expected payoffs directly from the device and per-type games
+    (``tensors``, built here when not given); shares no code with the LP row
+    builder.
     """
     if formulation not in ("literal", "canonical"):
         raise ValueError("formulation must be 'literal' or 'canonical'")
@@ -382,22 +395,33 @@ def commeq_violation(device: CommDevice, family: GameFamily,
     dims = device.action_dims
     if dims != family.dims:
         raise ValueError("device and game family disagree on action dims")
-    tensors = per_type_tensors(space, family)
+    if tensors is None:
+        tensors = per_type_tensors(space, family)
     k = space.players
+
+    def joint(i, rest, t):
+        """Joint type index: player i has type t, the others ``rest``."""
+        return space.encode(rest[:i] + (t,) + rest[i:])
+
     worst = 0.0
     for i in range(k):
         mi = dims[i]
         for t_i in range(space.type_dims[i]):
+            cond = conditional_prior(space, i, t_i)
+            others = [rest for rest in np.ndindex(cond.shape) if cond[rest] != 0.0]
             truth = 0.0
-            for w, ft, _, u in _incentive_terms(space, tensors, i, t_i, t_i):
-                truth += w * float(device.conditionals[ft] @ u.reshape(-1))
+            for rest in others:
+                ft = joint(i, rest, t_i)
+                u = tensors[ft].player_payoffs(i)
+                truth += float(cond[rest]) * float(device.conditionals[ft] @ u.reshape(-1))
             for t_rep in range(space.type_dims[i]):
                 dmat = np.zeros((mi, mi))
-                for w, ft, fr, u in _incentive_terms(space, tensors, i, t_i, t_rep):
-                    p = device.conditionals[fr].reshape(dims)
+                for rest in others:
+                    u = tensors[joint(i, rest, t_i)].player_payoffs(i)
+                    p = device.conditionals[joint(i, rest, t_rep)].reshape(dims)
                     pm = np.moveaxis(p, i, 0).reshape(mi, -1)
                     um = np.moveaxis(u, i, 0).reshape(mi, -1)
-                    dmat += w * (pm @ um.T)  # dmat[a, b]: told a, play b
+                    dmat += float(cond[rest]) * (pm @ um.T)  # dmat[a, b]: told a, play b
                 if formulation == "literal":
                     gap = float(dmat.sum(axis=0).max()) - truth
                 else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import PayoffTensor
 from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
@@ -118,7 +119,12 @@ class CePolytopeSolver:
 
     Generated rows describe the game, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
-    first few solves). Not safe for concurrent use; make one per worker.
+    first few solves). The last optimal master basis is kept too and warm
+    starts every master solve: after a round adds rows the dual simplex
+    repairs it, after a change of objective primal phase 2 does. When a warm
+    start is abandoned, ``solve_lp`` falls back to its cold two-phase solve,
+    so the answers never depend on it. Not safe for concurrent use; make one
+    per worker.
     """
 
     def __init__(self, tensor: PayoffTensor, options: SimplexOptions | None = None):
@@ -126,6 +132,7 @@ class CePolytopeSolver:
         self.options = options or SimplexOptions()
         self._rows: list[np.ndarray] = []
         self._row_ids: set[tuple[int, int, int]] = set()
+        self._basis = None
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Maximize a linear objective over the CE polytope.
@@ -138,15 +145,16 @@ class CePolytopeSolver:
         for _ in range(10 * n + 100):
             rows = [(r, 0.0) for r in self._rows]
             prob = make_problem(objective, ineq_rows=rows, eq_rows=eq, name="ce-master")
-            sol = solve_lp(prob, self.options)
+            sol = solve_lp(prob, self.options, start=self._basis)
             total_iters += sol.iterations
             if sol.status != "optimal":
                 # the CE polytope is nonempty and bounded, so this is internal
-                raise RuntimeError(f"CE master LP reported {sol.status}")
+                raise SolverStallError(f"CE master LP reported {sol.status}")
+            self._basis = sol.basis
             x = sol.x
             if self._add_violated_rows(x) == 0:
                 return x, float(sol.objective_value), total_iters
-        raise RuntimeError("row generation failed to converge")
+        raise SolverStallError("row generation failed to converge")
 
     def _add_violated_rows(self, flat_probs: np.ndarray) -> int:
         added = 0
@@ -158,7 +166,11 @@ class CePolytopeSolver:
                 if a == b or gains[a, b] <= ROW_GEN_TOL or (i, a, b) in self._row_ids:
                     continue
                 self._row_ids.add((i, a, b))
-                self._rows.append(_ce_row(self.tensor, i, a, b))
+                # the same constraint scaled to unit max coefficient: payoff
+                # differences span orders of magnitude, and unscaled rows give
+                # bases ill-conditioned enough that pricing cycles on noise
+                row = _ce_row(self.tensor, i, a, b)
+                self._rows.append(row / np.abs(row).max())
                 added += 1
         return added
 
@@ -168,7 +180,7 @@ def _report(tensor: PayoffTensor, flat: np.ndarray, iters: int) -> EquilibriumRe
     values = tuple(float(dist.probs @ tensor.flat(i)) for i in range(tensor.players))
     violation = ce_violation(tensor, dist)
     if violation > ACCEPT_VIOLATION:
-        raise RuntimeError(f"CE solution failed verification ({violation:.3e})")
+        raise SolverStallError(f"CE solution failed verification ({violation:.3e})")
     return EquilibriumReport(dist, values, float(sum(values)), violation, iters)
 
 

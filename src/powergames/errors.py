@@ -14,4 +14,7 @@ class BudgetError(PowergamesError):
 
 
 class SolverStallError(PowergamesError):
-    """The LP solver hit its iteration cap without certifying a verdict."""
+    """An LP-based solve produced no certified answer: the simplex hit its
+    iteration cap or failed to certify a verdict, an LP known to have an
+    optimum reported another status, row generation did not converge, or an
+    answer failed its independent verification."""

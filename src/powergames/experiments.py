@@ -47,6 +47,7 @@ from .model import (
 )
 from .nash import enumerate_pure_nash, mixed_nash_2x2
 from .regret import rm_run
+from .simplex import SimplexOptions
 
 
 def _fmt(v: float) -> str:
@@ -66,6 +67,11 @@ def power_grids(cfg: ExperimentConfig, levels: int | None = None,
     else:
         grid = build_power_grid(p.min_db, p.max_db, m)
     return (grid,) * cfg.players
+
+
+def simplex_options(cfg: ExperimentConfig) -> SimplexOptions:
+    """The configured solver tolerances."""
+    return SimplexOptions(feas_tol=cfg.solver.feas_tol, opt_tol=cfg.solver.opt_tol)
 
 
 def game_from_config(cfg: ExperimentConfig, gains) -> GameInstance:
@@ -189,12 +195,13 @@ def run_nash(cfg: ExperimentConfig) -> dict:
 
 def run_ce(cfg: ExperimentConfig, direction: float | None = None) -> dict:
     tensor = single_game_tensor(cfg)
+    options = simplex_options(cfg)
     if direction is None:
-        rep = solve_welfare_ce(tensor)
+        rep = solve_welfare_ce(tensor, options)
         objective = "welfare"
     else:
         weights = (math.cos(direction), math.sin(direction))
-        rep = solve_directional_ce(tensor, weights)
+        rep = solve_directional_ce(tensor, weights, options)
         objective = f"direction {direction!r} rad"
     return {
         "meta": metadata(cfg),
@@ -224,7 +231,7 @@ def run_commeq(cfg: ExperimentConfig, formulation: str | None = None) -> dict:
     space = types_from_config(cfg)
     family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
     form = formulation or cfg.solver.formulation
-    res = solve_commeq(space, family, form)
+    res = solve_commeq(space, family, form, simplex_options(cfg))
     return {
         "meta": metadata(cfg),
         "formulation": form,
@@ -264,7 +271,7 @@ def _state_result(args):
     ne_payoffs = [[tensor.payoff(i, p) for i in range(tensor.players)]
                   for p in profiles]
     best_ne = max((sum(u) for u in ne_payoffs), default=None)
-    rep = solve_welfare_ce(tensor)
+    rep = solve_welfare_ce(tensor, simplex_options(cfg))
     row = {
         "state": idx,
         "gains": [list(r) for r in gains],
@@ -328,6 +335,7 @@ def run_action_sweep(cfg: ExperimentConfig) -> dict:
     equilibria as the action-set size grows."""
     space = types_from_config(cfg)
     levels = cfg.sweep.action_levels or (cfg.power.levels,)
+    options = simplex_options(cfg)
     rows = []
     for m in levels:
         grids = power_grids(cfg, levels=m, nested=cfg.sweep.nested_grids)
@@ -337,12 +345,12 @@ def run_action_sweep(cfg: ExperimentConfig) -> dict:
         per_state = 0.0
         for q, tensor in zip(prior_flat, tensors):
             if q > 0:
-                per_state += q * solve_welfare_ce(tensor).welfare
+                per_state += q * solve_welfare_ce(tensor, options).welfare
         avg_values = sum(q * t.values for q, t in zip(prior_flat, tensors))
         avg_tensor = PayoffTensor(family.dims, np.ascontiguousarray(avg_values))
-        avg_game_ce = solve_welfare_ce(avg_tensor).welfare
-        lit = solve_commeq(space, family, "literal")
-        can = solve_commeq(space, family, "canonical")
+        avg_game_ce = solve_welfare_ce(avg_tensor, options).welfare
+        lit = solve_commeq(space, family, "literal", options, tensors)
+        can = solve_commeq(space, family, "canonical", options, tensors)
         rows.append({
             "levels": m,
             "ce_per_state_avg": float(per_state),
@@ -412,7 +420,7 @@ def export_regions(cfg: ExperimentConfig, out_dir=None,
     feasible = convex_hull_ccw(
         dedup_points(zip(tensor.flat(0).tolist(), tensor.flat(1).tolist()), tol=0.0)
     )
-    region = ce_payoff_region(tensor, directions=d)
+    region = ce_payoff_region(tensor, directions=d, options=simplex_options(cfg))
     ne_rows = []
     for prof in enumerate_pure_nash(tensor):
         ne_rows.append((tensor.payoff(0, prof), tensor.payoff(1, prof), "pure"))

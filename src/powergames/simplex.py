@@ -9,13 +9,26 @@ Pivoting: steepest-edge pricing with a Harris-style ratio test (largest pivot
 among near-tied rows, relative pivot floor). Long runs of degenerate pivots
 trigger a deterministic right-hand-side perturbation in the current basis
 frame and, as a last resort, Bland's rule. The tableau is refactorized from
-the original data periodically and before any verdict is accepted; dropping
-the perturbation is followed by a dual-simplex cleanup. Identical inputs take
-identical pivot sequences.
+the original data periodically and before any verdict is accepted (a
+refactorization is skipped when neither the basis nor the right-hand side
+changed since the last one); dropping the perturbation is followed by a
+dual-simplex cleanup. Identical inputs take identical pivot sequences.
+
+Warm start: an optimal solution names its basic columns (``LpSolution.basis``)
+in the problem's own terms, and ``solve_lp(problem, start=basis)`` begins from
+that basis. Inequality rows appended to the problem since the basis was found
+enter with their surplus columns basic, so an optimal basis of the previous
+problem stays dual feasible; dual simplex pivots restore primal feasibility
+after such cuts, primal phase 2 then handles a changed objective, and a last
+dual pass lifts basic values left within ``feas_tol`` below zero. The attempt
+is abandoned for the cold two-phase solve when the start does not fit the
+problem, its basis matrix is singular, it spends more than
+``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
+certification. A start is only a hint: no answer depends on it being good.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,6 +36,12 @@ import numpy as np
 from .errors import SolverStallError
 
 INF = float("inf")
+# a warm start is abandoned after (rows + this many) pivots
+WARM_PIVOT_SLACK = 100
+# the last dual pass of a warm start lifts basic values below -WARM_CLEAN_TOL:
+# clipping values within feas_tol to zero could break an equality row by
+# more than feas_tol in sum
+WARM_CLEAN_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -95,10 +114,18 @@ def make_problem(objective, ineq_rows=(), eq_rows=(), bounds=None, name="lp") ->
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``basis`` (present iff optimal) names the basic columns, one per row:
+    ``("x", j)`` structural column j (``j >= n`` is the negative part of free
+    variable number ``j - n``, counting from 0 in index order), ``("s", r)``
+    surplus of inequality row r, ``("b", j)`` surplus of the row that holds
+    variable j at its finite upper bound, ``("a", r)`` and ``("e", r)``
+    artificials of inequality row r and equality row r."""
+
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]          # present iff optimal
     objective_value: Optional[float]
     iterations: int
+    basis: Optional[tuple[tuple[str, int], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -167,6 +194,8 @@ class _Standardized:
             row[j] = -1.0
             extra.append(row)
             extra_rhs.append(0.0)
+        self.m_ge_prob = prob.ineq_coeffs.shape[0]
+        self.bound_vars = ranged + fixed
         if extra:
             a_ge = np.vstack([a_ge, np.asarray(extra)])
             b_ge = np.concatenate([b_ge, np.asarray(extra_rhs)])
@@ -227,6 +256,7 @@ class _Tableau:
                 art_of_row[r] = k
                 k += 1
         self.n_art = k
+        self.art_of_row = art_of_row
         N = n + m_ge + k
         self.n_struct = n
         self.N = N
@@ -251,13 +281,23 @@ class _Tableau:
         self.iters = 0
         self.max_iter = opts.max_iter if opts.max_iter is not None else 50 * (N + m)
         self.pert_u = (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
+        # T is exactly the factorization of the basis against _factored_b
+        # until the next pivot or perturbation
+        self._clean = False
+        self._factored_b = self.b_active
 
-    def refactor(self) -> float:
+    def refactor(self, exact: bool = False) -> float:
+        """Recompute T from the original data; ``exact`` lets a singular
+        basis raise LinAlgError instead of falling back to least squares."""
+        if self._clean and np.array_equal(self.b_active, self._factored_b):
+            return float(self.T[:, -1].min()) if self.m else 0.0
         B = self.A_all[:, self.basis]
         try:
             binv_a = np.linalg.solve(B, self.A_all)
             xb = np.linalg.solve(B, self.b_active)
         except np.linalg.LinAlgError:
+            if exact:
+                raise
             binv_a, *_ = np.linalg.lstsq(B, self.A_all, rcond=None)
             xb, *_ = np.linalg.lstsq(B, self.b_active, rcond=None)
         self.T[:, : self.N] = binv_a
@@ -268,6 +308,8 @@ class _Tableau:
             self.obj[j, : self.N] = d - dB @ binv_a
             self.obj[j, -1] = -(dB @ xb)
             self.obj[j, self.basis] = 0.0
+        self._clean = True
+        self._factored_b = self.b_active
         return float(xb.min()) if self.m else 0.0
 
     def pivot_at(self, r: int, q: int):
@@ -285,6 +327,7 @@ class _Tableau:
                 self.obj[j, :] -= f * T[r, :]
                 self.obj[j, q] = 0.0
         self.basis[r] = q
+        self._clean = False
         rhs = T[:, -1]
         np.copyto(rhs, 0.0, where=np.abs(rhs) < 1e-12)
         self.iters += 1
@@ -338,6 +381,7 @@ class _Tableau:
         eps = 1e-8 * (1.0 + float(np.abs(self.b_true).max(initial=0.0))) * self.pert_u
         self.b_active = self.b_active + self.A_all[:, self.basis] @ eps
         self.T[:, -1] += eps
+        self._clean = False
 
     def drop_perturbation(self) -> float:
         self.b_active = self.b_true.copy()
@@ -398,6 +442,37 @@ class _Tableau:
             self.pivot_at(r, q)
         return False
 
+    def dual_simplex(self, tol: float) -> bool:
+        """Phase-2 dual simplex from a dual-feasible basis until every basic
+        value is at least ``-tol``. The leaving row has the largest
+        infeasibility relative to its norm (steepest edge in the dual); the
+        entering column passes a Harris ratio test (the largest pivot among
+        columns whose step is within ``opt_tol`` of the shortest). True once
+        primal feasible; False when a row blocks every column. Only
+        ``pivot_at``'s cap ends a run that does neither."""
+        since_refactor = 0
+        while True:
+            rhs = self.T[:, -1]
+            if rhs.min() >= -tol:
+                return True
+            bad = np.where(rhs < -tol)[0]
+            rows = self.T[bad, : self.N]
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            r = int(bad[np.argmin(rhs[bad] / norms)])
+            row = self.T[r, : self.N]
+            floor = max(self.opts.piv_abs, self.opts.piv_rel * float(np.abs(row).max()))
+            cand = np.where(self.allowed & (row < -floor))[0]
+            if cand.size == 0:
+                return False
+            alpha = -row[cand]
+            rc = np.maximum(self.obj[0, cand], 0.0)
+            within = rc / alpha <= ((rc + self.opts.opt_tol) / alpha).min()
+            self.pivot_at(r, int(cand[within][np.argmax(alpha[within])]))
+            since_refactor += 1
+            if since_refactor >= self.opts.refactor_every:
+                self.refactor()
+                since_refactor = 0
+
     def run_phase(self, phase: int) -> str:
         jo = 0 if phase == 2 else 1
         for _ in range(6):
@@ -432,14 +507,31 @@ class _Tableau:
             self.pivot_at(r, q)
 
 
-def solve_lp(problem: LpProblem, options: SimplexOptions | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, options: SimplexOptions | None = None,
+             start: tuple[tuple[str, int], ...] | None = None) -> LpSolution:
     """Solve an LpProblem; deterministic for identical inputs.
+
+    ``start`` is the ``basis`` of an optimal solution of this problem, or of
+    one that lacked some trailing inequality rows, under any objective. It
+    is tried first; when the attempt is abandoned (see the module docstring)
+    the cold two-phase solve runs and the abandoned pivots are counted in
+    ``iterations``.
 
     Raises SolverStallError when the iteration cap is exceeded or the final
     basis cannot be certified; that is distinct from the three statuses.
     """
     opts = options or SimplexOptions()
     std = _Standardized(problem)
+    spent = 0
+    if start is not None:
+        sol, spent = _solve_warm(problem, std, opts, start)
+        if sol is not None:
+            return sol
+    sol = _solve_cold(problem, std, opts)
+    return replace(sol, iterations=sol.iterations + spent) if spent else sol
+
+
+def _solve_cold(problem: LpProblem, std: _Standardized, opts: SimplexOptions) -> LpSolution:
     tab = _Tableau(std, opts)
 
     if tab.m == 0:
@@ -448,7 +540,7 @@ def solve_lp(problem: LpProblem, options: SimplexOptions | None = None) -> LpSol
             return LpSolution("unbounded", None, None, 0)
         y = np.zeros(std.n_std)
         x = std.map_back(y)
-        return LpSolution("optimal", x, float(problem.objective @ x), 0)
+        return LpSolution("optimal", x, float(problem.objective @ x), 0, ())
 
     tab.refactor()
     if tab.n_art:
@@ -467,12 +559,88 @@ def solve_lp(problem: LpProblem, options: SimplexOptions | None = None) -> LpSol
     st = tab.run_phase(2)
     if st == "unbounded":
         return LpSolution("unbounded", None, None, tab.iters)
+    return _optimal(problem, std, tab, opts)
 
+
+def _solve_warm(problem: LpProblem, std: _Standardized, opts: SimplexOptions,
+                start) -> tuple[LpSolution | None, int]:
+    """One attempt from ``start``: (certified optimum or None, pivots spent)."""
+    tab = _Tableau(std, opts)
+    cols = _start_columns(std, tab, start)
+    if cols is None or tab.m == 0:
+        return None, 0
+    tab.basis[:] = cols
+    tab.allowed[tab.n_struct + tab.m_ge:] = False
+    tab.max_iter = tab.m + WARM_PIVOT_SLACK
+    try:
+        tab.refactor(exact=True)
+        if tab.dual_simplex(opts.feas_tol) and tab.run_phase(2) == "optimal":
+            tab.dual_simplex(WARM_CLEAN_TOL)  # best effort; certification judges
+            tab.refactor()
+            return _optimal(problem, std, tab, opts), tab.iters
+    except (np.linalg.LinAlgError, SolverStallError):
+        pass
+    return None, tab.iters
+
+
+def _optimal(problem: LpProblem, std: _Standardized, tab: _Tableau,
+             opts: SimplexOptions) -> LpSolution:
     y = np.zeros(tab.N)
     y[tab.basis] = np.maximum(tab.T[:, -1], 0.0)
     x = std.map_back(y[: std.n_std])
     _certify(problem, x, opts.feas_tol)
-    return LpSolution("optimal", x, float(problem.objective @ x), tab.iters)
+    return LpSolution("optimal", x, float(problem.objective @ x), tab.iters,
+                      _basis_labels(std, tab))
+
+
+def _basis_labels(std: _Standardized, tab: _Tableau) -> tuple[tuple[str, int], ...]:
+    n, m_ge = std.n_std, tab.m_ge
+    row_of_art = {k: r for r, k in tab.art_of_row.items()}
+    labels = []
+    for col in tab.basis.tolist():
+        if col < n:
+            labels.append(("x", col))
+        elif col < n + m_ge:
+            r = col - n
+            labels.append(("s", r) if r < std.m_ge_prob
+                          else ("b", std.bound_vars[r - std.m_ge_prob]))
+        else:
+            # bound rows have rhs <= 0, so their surplus is basic and they
+            # never carry an artificial
+            r = row_of_art[col - n - m_ge]
+            labels.append(("a", r) if r < m_ge else ("e", r - m_ge))
+    return tuple(labels)
+
+
+def _start_columns(std: _Standardized, tab: _Tableau, start) -> np.ndarray | None:
+    """Tableau columns of ``start`` plus the surplus column of every
+    inequality row appended since; None when the start does not fit."""
+    m_eq = tab.m - tab.m_ge
+    n, m_ge_prob = std.n_std, std.m_ge_prob
+    old_ge = len(start) - m_eq - len(std.bound_vars)
+    if not 0 <= old_ge <= m_ge_prob:
+        return None
+    bound_pos = {j: k for k, j in enumerate(std.bound_vars)}
+    art_base = n + tab.m_ge
+    cols = []
+    for kind, i in start:
+        if kind == "x" and 0 <= i < n:
+            col = i
+        elif kind == "s" and 0 <= i < old_ge:
+            col = n + i
+        elif kind == "b" and i in bound_pos:
+            col = n + m_ge_prob + bound_pos[i]
+        elif kind == "a" and 0 <= i < old_ge and i in tab.art_of_row:
+            col = art_base + tab.art_of_row[i]
+        elif kind == "e" and 0 <= i < m_eq and tab.m_ge + i in tab.art_of_row:
+            col = art_base + tab.art_of_row[tab.m_ge + i]
+        else:
+            return None
+        cols.append(col)
+    cols.extend(n + r for r in range(old_ge, m_ge_prob))
+    if len(set(cols)) != len(cols):
+        return None
+    return np.asarray(cols, dtype=int)
 
 
 def _certify(prob: LpProblem, x: np.ndarray, tol: float):

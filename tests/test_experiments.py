@@ -273,6 +273,57 @@ class TestCli:
         assert cli.main(["-c", cfg, "nash"]) == 4
         assert "solver stall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("module, command", [
+        ("correlated", ["ce"]),
+        ("communication", ["commeq"]),
+    ])
+    def test_non_optimal_lp_exit_4(self, tmp_path, capsys, monkeypatch, module, command):
+        import importlib
+
+        from powergames.simplex import LpSolution
+
+        monkeypatch.setattr(importlib.import_module(f"powergames.{module}"), "solve_lp",
+                            lambda *args, **kwargs: LpSolution("infeasible", None, None, 0))
+        cfg = self.write_cfg(tmp_path, types={"mode": "diagonal", "points": 2,
+                                              "min": 0.5, "max": 1.0})
+        assert cli.main(["-c", cfg] + command) == 4
+        err = capsys.readouterr().err
+        assert "solver stall" in err and "infeasible" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("module, command", [
+        ("correlated", ["ce"]),
+        ("correlated", ["region", "--directions", "4"]),
+        ("communication", ["commeq"]),
+        ("correlated", ["sweep"]),
+        ("communication", ["sweep"]),
+    ])
+    def test_tolerances_reach_solver(self, tmp_path, monkeypatch, module, command):
+        import importlib
+
+        home = importlib.import_module(f"powergames.{module}")
+        real = home.solve_lp
+        seen = []
+
+        def spy(problem, options=None, **kwargs):
+            seen.append(options)
+            return real(problem, options, **kwargs)
+
+        monkeypatch.setattr(home, "solve_lp", spy)
+        cfg = self.write_cfg(
+            tmp_path, solver={"feas_tol": 2e-9, "opt_tol": 3e-9},
+            types={"mode": "diagonal", "points": 2, "min": 0.5, "max": 1.0})
+        if command == ["sweep"]:
+            raw = json.loads(Path(cfg).read_text())
+            raw["channel"] = {"grid": {"min": 0.5, "max": 1.0, "points": 2},
+                              "sweep": {"mode": "sample", "count": 2, "seed": 1}}
+            raw["sweep"] = {"workers": 1}
+            Path(cfg).write_text(json.dumps(raw))
+        out = ["--out-dir", str(tmp_path / "out")] if command[0] in ("region", "sweep") else []
+        assert cli.main(["-c", cfg] + command + out) == 0
+        assert seen
+        assert all(o.feas_tol == 2e-9 and o.opt_tol == 3e-9 for o in seen)
+
     def test_out_file(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "nash.json"

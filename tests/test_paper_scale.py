@@ -1,0 +1,53 @@
+"""Paper-scale cases that once failed certification or stalled, pinned to reference
+optima computed with scipy's HiGHS (hard-coded: scipy is not a dependency)."""
+import math
+from pathlib import Path
+
+import pytest
+
+from powergames.config import load_config
+from powergames.correlated import ce_payoff_region, solve_welfare_ce
+from powergames.experiments import channel_states, game_from_config
+from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
+
+PAPER_CONFIG = Path(__file__).parent.parent / "configs" / "paper_setup.json"
+
+
+@pytest.mark.parametrize("state, welfare", [
+    (6, 0.8910084200876),     # gains [[2.33556, 0.67444], [3.0, 1.33889]]
+    (56, 0.6244583887857),    # gains [[3.0, 0.34222], [1.33889, 3.0]]
+    (134, 0.8450802155264),   # gains [[2.66778, 1.00667], [2.33556, 2.66778]]
+])
+def test_sweep_state_welfare(state, welfare):
+    cfg = load_config(PAPER_CONFIG)
+    states, _ = channel_states(cfg)
+    rep = solve_welfare_ce(build_payoff_tensor(game_from_config(cfg, states[state])))
+    assert rep.max_violation <= 1e-8
+    assert abs(rep.welfare - welfare) <= 1e-7
+
+
+def test_six_level_region_is_one_vertex():
+    grid = build_power_grid(-20.0, 20.0, 6)
+    tensor = build_payoff_tensor(GameInstance(
+        ChannelMatrix.from_array([[1.33889, 1.67111], [2.33556, 3.0]]),
+        (grid, grid), 0.01, 1.0, 100))
+    region = ce_payoff_region(tensor, 64)
+    assert len(region) == 1
+    assert region[0] == pytest.approx((0.8415106, -0.0001), abs=1e-7)
+
+
+def test_25_level_region_support():
+    # criterion 2's first 25-level channel; its region once stalled after
+    # 65,350 pivots. HiGHS optimum of every eighth of the 64 directions:
+    reference = {0: 0.8435804826306, 8: 0.6100982542293, 16: 0.7020168759656,
+                 24: 0.4749182728775, 32: -0.0133325241148, 40: -0.0101958619148,
+                 48: 0.0001000000000, 56: 0.5832235356097}
+    grid = build_power_grid(-20.0, 20.0, 25)
+    tensor = build_payoff_tensor(GameInstance(
+        ChannelMatrix.from_array([[2.98931, 1.92230], [1.26254, 1.68242]]),
+        (grid, grid), 0.01, 1.0, 100))
+    region = ce_payoff_region(tensor, 64)
+    for k, value in reference.items():
+        theta = 2.0 * math.pi * k / 64
+        support = max(math.cos(theta) * u1 + math.sin(theta) * u2 for u1, u2 in region)
+        assert abs(support - value) <= 1e-9, f"direction {k}"
