@@ -12,7 +12,17 @@ frame and, as a last resort, Bland's rule. The tableau is refactorized from
 the original data periodically and before any verdict is accepted (a
 refactorization is skipped when neither the basis nor the right-hand side
 changed since the last one); dropping the perturbation is followed by a
-dual-simplex cleanup. Identical inputs take identical pivot sequences.
+dual simplex repair, the same dual simplex that warm starts use. Identical
+inputs take identical pivot sequences.
+
+Refactorization is slack-aware. Every surplus and artificial column is a
++-1 unit vector on one row, and in CE masters most basic columns are of that
+kind, so B is a permuted block triangle: only the square kernel of the other
+basic columns against the rows no basic unit column covers is factorized,
+in one solve for the whole of ``[A | b]``, and each unit row follows by
+substitution. That costs about 2m|P|N flops for |P| kernel columns against
+2m^2 N for a dense solve. Two basic unit columns on one row, or a singular
+kernel, mean a singular basis.
 
 Warm start: an optimal solution names its basic columns (``LpSolution.basis``)
 in the problem's own terms, and ``solve_lp(problem, start=basis)`` begins from
@@ -145,24 +155,15 @@ class _Standardized:
     def __init__(self, prob: LpProblem):
         n = prob.n
         lo, hi = prob.lo, prob.hi
+        has_lo, has_hi = lo > -INF, hi < INF
         # per-variable transform: 0 shift (x = lo + y), 1 mirror (x = hi - y),
         # 2 split (x = y - y_extra)
-        self.kind = np.empty(n, dtype=int)
-        self.offset = np.zeros(n)
-        free = []
-        for j in range(n):
-            if lo[j] > -INF:
-                self.kind[j] = 0
-                self.offset[j] = lo[j]
-            elif hi[j] < INF:
-                self.kind[j] = 1
-                self.offset[j] = hi[j]
-            else:
-                self.kind[j] = 2
-                free.append(j)
+        self.kind = np.where(has_lo, 0, np.where(has_hi, 1, 2))
+        self.offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        free = np.flatnonzero(self.kind == 2)
         self.free = free
         self.n = n
-        self.n_std = n + len(free)
+        self.n_std = n + free.size
 
         def transform_rows(coeffs, rhs):
             if coeffs.shape[0] == 0:
@@ -173,53 +174,39 @@ class _Standardized:
             mirror = self.kind == 1
             if mirror.any():
                 out[:, :n][:, mirror] *= -1.0
-            for k, j in enumerate(free):
-                out[:, n + k] = -coeffs[:, j]
+            out[:, n:] = -coeffs[:, free]
             return out, new_rhs
 
         a_ge, b_ge = transform_rows(prob.ineq_coeffs, prob.ineq_rhs)
         a_eq, b_eq = transform_rows(prob.eq_coeffs, prob.eq_rhs)
         # residual finite ranges become -y_j >= -(hi - lo)
-        ranged = [j for j in range(n) if lo[j] > -INF and hi[j] < INF and hi[j] > lo[j]]
-        fixed = [j for j in range(n) if lo[j] > -INF and hi[j] == lo[j]]
-        extra = []
-        extra_rhs = []
-        for j in ranged:
-            row = np.zeros(self.n_std)
-            row[j] = -1.0
-            extra.append(row)
-            extra_rhs.append(-(hi[j] - lo[j]))
-        for j in fixed:
-            row = np.zeros(self.n_std)
-            row[j] = -1.0
-            extra.append(row)
-            extra_rhs.append(0.0)
+        ranged = np.flatnonzero(has_lo & has_hi & (hi > lo))
+        fixed = np.flatnonzero(has_lo & (hi == lo))
+        bound_vars = np.concatenate([ranged, fixed])
         self.m_ge_prob = prob.ineq_coeffs.shape[0]
-        self.bound_vars = ranged + fixed
-        if extra:
-            a_ge = np.vstack([a_ge, np.asarray(extra)])
-            b_ge = np.concatenate([b_ge, np.asarray(extra_rhs)])
+        self.bound_vars = bound_vars.tolist()
+        if bound_vars.size:
+            extra = np.zeros((bound_vars.size, self.n_std))
+            extra[np.arange(bound_vars.size), bound_vars] = -1.0
+            extra_rhs = np.concatenate([-(hi[ranged] - lo[ranged]), np.zeros(fixed.size)])
+            a_ge = np.vstack([a_ge, extra])
+            b_ge = np.concatenate([b_ge, extra_rhs])
         self.a_ge, self.b_ge = a_ge, b_ge
         self.a_eq, self.b_eq = a_eq, b_eq
 
         c = np.zeros(self.n_std)
         c[:n] = prob.objective
         c[:n][self.kind == 1] *= -1.0
-        for k, j in enumerate(free):
-            c[n + k] = -prob.objective[j]
+        c[n:] = -prob.objective[free]
         self.c = c
 
     def map_back(self, y: np.ndarray) -> np.ndarray:
-        x = np.empty(self.n)
-        for j in range(self.n):
-            if self.kind[j] == 0:
-                x[j] = self.offset[j] + y[j]
-            elif self.kind[j] == 1:
-                x[j] = self.offset[j] - y[j]
-            else:
-                x[j] = y[j]
-        for k, j in enumerate(self.free):
-            x[j] -= y[self.n + k]
+        x = y[: self.n].copy()
+        shift, mirror = self.kind == 0, self.kind == 1
+        x[shift] = self.offset[shift] + x[shift]
+        x[mirror] = self.offset[mirror] - x[mirror]
+        # a free variable is exactly y[j] - y[n + k], so -0.0 stays -0.0
+        x[self.free] -= y[self.n:self.n_std]
         return x
 
 
@@ -236,39 +223,39 @@ class _Tableau:
         b = np.concatenate([std.b_ge, std.b_eq])
         sur_sign = np.zeros(m)
         sur_sign[:m_ge] = -1.0
-        flip = np.zeros(m, dtype=bool)
-        for r in range(m):
-            if b[r] < 0 or (r < m_ge and b[r] <= 0):
-                flip[r] = True
+        flip = b < 0
+        flip[:m_ge] |= b[:m_ge] == 0
         rows[flip] *= -1.0
         b[flip] = -b[flip]
         sur_sign[flip] *= -1.0
 
         self.m, self.m_ge = m, m_ge
+        # rows whose surplus column starts basic; every other row gets an
+        # artificial, numbered in row order
+        slack = np.zeros(m, dtype=bool)
+        slack[:m_ge] = sur_sign[:m_ge] > 0
+        art_rows = np.flatnonzero(~slack)
+        k = art_rows.size
         basis = np.empty(m, dtype=int)
-        art_of_row = {}
-        k = 0
-        for r in range(m):
-            if r < m_ge and sur_sign[r] > 0:
-                basis[r] = n + r
-            else:
-                basis[r] = n + m_ge + k
-                art_of_row[r] = k
-                k += 1
+        basis[slack] = n + np.flatnonzero(slack)
+        basis[art_rows] = n + m_ge + np.arange(k)
         self.n_art = k
-        self.art_of_row = art_of_row
+        self.art_of_row = dict(zip(art_rows.tolist(), range(k)))
         N = n + m_ge + k
         self.n_struct = n
         self.N = N
         self.basis = basis
 
-        A_all = np.zeros((m, N))
+        # [A_all | b_active], the right-hand side filled in by refactor
+        self._ab = np.zeros((m, N + 1))
+        A_all = self._ab[:, :N]
         A_all[:, :n] = rows
-        if m_ge:
-            A_all[np.arange(m_ge), n + np.arange(m_ge)] = sur_sign[:m_ge]
-        for r, kk in art_of_row.items():
-            A_all[r, n + m_ge + kk] = 1.0
+        A_all[np.arange(m_ge), n + np.arange(m_ge)] = sur_sign[:m_ge]
+        A_all[art_rows, n + m_ge + np.arange(k)] = 1.0
         self.A_all = A_all
+        # the one row of each surplus or artificial (unit) column; -1 for
+        # structural columns
+        self.unit_row = np.concatenate([np.full(n, -1), np.arange(m_ge), art_rows])
         self.b_true = b
         self.b_active = b.copy()
         self.d2 = np.zeros(N)
@@ -287,22 +274,37 @@ class _Tableau:
         self._factored_b = self.b_active
 
     def refactor(self, exact: bool = False) -> float:
-        """Recompute T from the original data; ``exact`` lets a singular
-        basis raise LinAlgError instead of falling back to least squares."""
+        """Recompute T = B^-1 [A_all | b_active] from the original data by
+        one solve of the non-unit kernel (see the module docstring);
+        ``exact`` lets a singular basis raise LinAlgError instead of falling
+        back to least squares on the full B."""
         if self._clean and np.array_equal(self.b_active, self._factored_b):
             return float(self.T[:, -1].min()) if self.m else 0.0
-        B = self.A_all[:, self.basis]
+        ab, T = self._ab, self.T
+        ab[:, -1] = self.b_active
+        unit_row = self.unit_row[self.basis]
+        unit = np.flatnonzero(unit_row >= 0)
+        kernel = np.flatnonzero(unit_row < 0)
+        s = unit_row[unit]
+        free_rows = np.ones(self.m, dtype=bool)
+        free_rows[s] = False
         try:
-            binv_a = np.linalg.solve(B, self.A_all)
-            xb = np.linalg.solve(B, self.b_active)
+            if np.count_nonzero(free_rows) != kernel.size:
+                raise np.linalg.LinAlgError("two basic unit columns on one row")
+            kcols = self.basis[kernel]
+            y = np.linalg.solve(self.A_all[np.ix_(free_rows, kcols)], ab[free_rows])
+            T[kernel] = y
+            rest = ab[s]
+            rest -= self.A_all[np.ix_(s, kcols)] @ y
+            rest *= self.A_all[s, self.basis[unit]][:, None]  # the unit's sign
+            T[unit] = rest
         except np.linalg.LinAlgError:
             if exact:
                 raise
-            binv_a, *_ = np.linalg.lstsq(B, self.A_all, rcond=None)
-            xb, *_ = np.linalg.lstsq(B, self.b_active, rcond=None)
-        self.T[:, : self.N] = binv_a
+            T[:], *_ = np.linalg.lstsq(self.A_all[:, self.basis], ab, rcond=None)
+        xb = T[:, -1]
         xb[np.abs(xb) < 1e-11] = 0.0
-        self.T[:, -1] = xb
+        binv_a = T[:, : self.N]
         for j, d in ((0, self.d2), (1, self.d1)):
             dB = d[self.basis]
             self.obj[j, : self.N] = d - dB @ binv_a
@@ -424,31 +426,13 @@ class _Tableau:
                 self.refactor()
                 since_refactor = 0
 
-    def dual_cleanup(self, jo: int, limit: int = 4000) -> bool:
-        """From a dual-feasible basis, pivot negative basics out."""
-        for _ in range(limit):
-            rhs = self.T[:, -1]
-            r = int(np.argmin(rhs))
-            if rhs[r] >= -self.opts.feas_tol:
-                return True
-            row = self.T[r, : self.N]
-            cand = np.where(self.allowed & (row < -self.opts.piv_abs))[0]
-            if cand.size == 0:
-                return False
-            rc = self.obj[jo, : self.N]
-            ratios = rc[cand] / (-row[cand])
-            near = cand[ratios <= ratios.min() + 1e-12]
-            q = int(near[np.argmax(-row[near])])
-            self.pivot_at(r, q)
-        return False
-
-    def dual_simplex(self, tol: float) -> bool:
-        """Phase-2 dual simplex from a dual-feasible basis until every basic
-        value is at least ``-tol``. The leaving row has the largest
-        infeasibility relative to its norm (steepest edge in the dual); the
-        entering column passes a Harris ratio test (the largest pivot among
-        columns whose step is within ``opt_tol`` of the shortest). True once
-        primal feasible; False when a row blocks every column. Only
+    def dual_simplex(self, tol: float, jo: int = 0) -> bool:
+        """Dual simplex from a basis that is dual feasible for objective row
+        ``jo`` (0 phase 2, 1 phase 1) until every basic value is at least
+        ``-tol``. The leaving row has the largest infeasibility relative to
+        its norm (steepest edge in the dual); the entering column passes a
+        Harris ratio test (the largest pivot among columns whose step is
+        within ``opt_tol`` of the shortest). True once primal feasible; False when a row blocks every column. Only
         ``pivot_at``'s cap ends a run that does neither."""
         since_refactor = 0
         while True:
@@ -465,7 +449,7 @@ class _Tableau:
             if cand.size == 0:
                 return False
             alpha = -row[cand]
-            rc = np.maximum(self.obj[0, cand], 0.0)
+            rc = np.maximum(self.obj[jo, cand], 0.0)
             within = rc / alpha <= ((rc + self.opts.opt_tol) / alpha).min()
             self.pivot_at(r, int(cand[within][np.argmax(alpha[within])]))
             since_refactor += 1
@@ -481,7 +465,7 @@ class _Tableau:
                 return "unbounded"
             worst = self.drop_perturbation()
             if worst < -self.opts.feas_tol:
-                self.dual_cleanup(jo)
+                self.dual_simplex(self.opts.feas_tol, jo)
                 worst = float(self.T[:, -1].min()) if self.m else 0.0
             if worst >= -self.opts.feas_tol and self.entering(jo, False, phase) < 0:
                 return "optimal"
@@ -595,7 +579,6 @@ def _optimal(problem: LpProblem, std: _Standardized, tab: _Tableau,
 
 def _basis_labels(std: _Standardized, tab: _Tableau) -> tuple[tuple[str, int], ...]:
     n, m_ge = std.n_std, tab.m_ge
-    row_of_art = {k: r for r, k in tab.art_of_row.items()}
     labels = []
     for col in tab.basis.tolist():
         if col < n:
@@ -607,7 +590,7 @@ def _basis_labels(std: _Standardized, tab: _Tableau) -> tuple[tuple[str, int], .
         else:
             # bound rows have rhs <= 0, so their surplus is basic and they
             # never carry an artificial
-            r = row_of_art[col - n - m_ge]
+            r = int(tab.unit_row[col])
             labels.append(("a", r) if r < m_ge else ("e", r - m_ge))
     return tuple(labels)
 

@@ -1,0 +1,307 @@
+"""Tableau internals: slack-aware refactorization, the dual-simplex repair
+after a dropped perturbation, and the vectorized standard-form set-up,
+each against a direct dense or loop reference written here."""
+import numpy as np
+import pytest
+
+from powergames import simplex
+from powergames.correlated import build_ce_constraints
+from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
+from powergames.simplex import INF, SimplexOptions, make_problem, solve_lp
+
+OPTS = SimplexOptions()
+
+
+def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):
+    """Inequality rows of both signs of rhs, equality rows, and one variable
+    of each bound kind: ranged, fixed, mirrored (upper bound only), free."""
+    a = rng.normal(size=(m_ge, n))
+    b = rng.normal(size=m_ge)
+    b[:1] = 0.0
+    eq = rng.normal(size=(m_eq, n))
+    eb = rng.normal(size=m_eq)
+    if zero_col is not None:
+        a[:, zero_col] = 0.0
+        eq[:, zero_col] = 0.0
+    bounds = [(0.0, None)] * n
+    bounds[1] = (-1.0, 2.0)     # ranged
+    bounds[2] = (0.5, 0.5)      # fixed
+    bounds[3] = (None, 3.0)     # mirrored
+    bounds[4] = (None, None)    # free
+    return make_problem(rng.normal(size=n), [(a[r], b[r]) for r in range(m_ge)],
+                        [(eq[r], eb[r]) for r in range(m_eq)], bounds)
+
+
+def tableau(prob):
+    return simplex._Tableau(simplex._Standardized(prob), OPTS)
+
+
+def unit_columns(tab):
+    return np.flatnonzero(tab.unit_row >= 0)
+
+
+def refactored(tab, basis, exact=True):
+    tab.basis[:] = basis
+    tab._clean = False
+    tab.refactor(exact=exact)
+    return tab
+
+
+def dense_reference(tab):
+    """T and both objective rows from one dense solve of the full basis."""
+    ab = np.column_stack([tab.A_all, tab.b_active])
+    t = np.linalg.solve(tab.A_all[:, tab.basis], ab)
+    obj = np.empty((2, tab.N + 1))
+    for j, d in ((0, tab.d2), (1, tab.d1)):
+        d_ext = np.append(d, 0.0)
+        obj[j] = d_ext - d[tab.basis] @ t
+        obj[j, tab.basis] = 0.0
+    return t, obj
+
+
+def assert_close(got, want):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e-10 * scale
+
+
+def random_basis(rng, tab, unit_share):
+    """A well-conditioned basis with about ``unit_share`` of its positions
+    held by unit columns, each on a distinct row."""
+    m, n = tab.m, tab.n_struct
+    for _ in range(200):
+        units = []
+        taken = set()
+        for col in rng.permutation(unit_columns(tab)):
+            row = int(tab.unit_row[col])
+            if len(units) < round(unit_share * m) and row not in taken:
+                units.append(int(col))
+                taken.add(row)
+        structural = rng.choice(n, m - len(units), replace=False).tolist()
+        basis = np.asarray(units + structural)[rng.permutation(m)]
+        if np.linalg.cond(tab.A_all[:, basis]) < 1e6:
+            return basis
+    raise AssertionError("no well-conditioned basis found")
+
+
+class TestSlackAwareRefactor:
+    @pytest.mark.parametrize("unit_share", [0.0, 0.4, 0.7, 1.0])
+    def test_matches_dense_solve(self, unit_share):
+        rng = np.random.default_rng(int(unit_share * 10) + 3)
+        for _ in range(10):
+            tab = tableau(mixed_problem(rng, n=14))
+            basis = random_basis(rng, tab, unit_share)
+            unit_count = int(np.count_nonzero(tab.unit_row[basis] >= 0))
+            assert unit_count == round(unit_share * tab.m)
+            tab.b_active = tab.b_active + rng.normal(scale=1e-3, size=tab.m)
+            refactored(tab, basis)
+            t, obj = dense_reference(tab)
+            t[:, -1][np.abs(t[:, -1]) < 1e-11] = 0.0
+            assert_close(tab.T, t)
+            assert_close(tab.obj, obj)
+
+    def test_starting_basis_is_all_unit(self):
+        tab = tableau(mixed_problem(np.random.default_rng(1)))
+        assert (tab.unit_row[tab.basis] >= 0).all()
+        tab.refactor(exact=True)
+        t, obj = dense_reference(tab)
+        assert_close(tab.T, t)
+        assert_close(tab.obj, obj)
+
+    def test_one_solve_of_kernel_size(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        tab = tableau(mixed_problem(rng, n=14))
+        basis = random_basis(rng, tab, 0.4)
+        sizes = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            sizes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        refactored(tab, basis)
+        kernel = int(np.count_nonzero(tab.unit_row[basis] < 0))
+        assert sizes == [(kernel, kernel)]
+        tab.refactor()  # nothing changed: skipped
+        assert len(sizes) == 1
+
+    def test_singular_kernel(self):
+        rng = np.random.default_rng(4)
+        # column 6 is zero, so a basis holding it is singular
+        tab = tableau(mixed_problem(rng, zero_col=6))
+        basis = tab.basis.copy()
+        basis[0], basis[1] = 5, 6
+        with pytest.raises(np.linalg.LinAlgError):
+            refactored(tab, basis, exact=True)
+        self.assert_least_squares(refactored(tab, basis, exact=False))
+
+    def test_surplus_and_artificial_of_one_row(self):
+        # row 0 (x0 + x1 >= 1) starts on its artificial; adding its surplus
+        # puts two unit columns on one row
+        prob = make_problem([1.0, 1.0], [([1.0, 1.0], 1.0), ([1.0, -1.0], -2.0)],
+                            [([1.0, 2.0], 3.0)])
+        tab = tableau(prob)
+        art = tab.n_struct + tab.m_ge + tab.art_of_row[0]
+        assert tab.basis[0] == art
+        basis = np.array([art, tab.n_struct + 0, 0])
+        with pytest.raises(np.linalg.LinAlgError):
+            refactored(tab, basis, exact=True)
+        self.assert_least_squares(refactored(tab, basis, exact=False))
+
+    @staticmethod
+    def assert_least_squares(tab):
+        ab = np.column_stack([tab.A_all, tab.b_active])
+        want, *_ = np.linalg.lstsq(tab.A_all[:, tab.basis], ab, rcond=None)
+        want[:, -1][np.abs(want[:, -1]) < 1e-11] = 0.0
+        assert_close(tab.T, want)
+
+
+class TestDualRepair:
+    def test_dropped_perturbation_repair(self, monkeypatch):
+        """With a perturbation after every degenerate pivot, dropping it
+        leaves some basic values negative; the dual simplex repair restores
+        feasibility without moving the optimum."""
+        calls = []
+        dual_simplex = simplex._Tableau.dual_simplex
+
+        def counted(self, tol, jo=0):
+            calls.append(jo)
+            return dual_simplex(self, tol, jo)
+
+        monkeypatch.setattr(simplex._Tableau, "dual_simplex", counted)
+        rng = np.random.default_rng(5)
+        for k in range(30):
+            grid = build_power_grid(-20.0, 20.0, int(rng.integers(3, 7)))
+            gains = rng.uniform(0.01, 3.0, size=(2, 2))
+            prob = build_ce_constraints(build_payoff_tensor(GameInstance(
+                ChannelMatrix.from_array(gains), (grid, grid), 0.01, 1.0, 100)))
+            default = solve_lp(prob)
+            stalled = solve_lp(prob, SimplexOptions(stall_threshold=1))
+            assert stalled.status == default.status == "optimal", f"game {k}"
+            assert stalled.objective_value == pytest.approx(default.objective_value, abs=1e-9)
+        assert len(calls) >= 1
+
+
+def standardized_reference(prob):
+    """The per-variable loops the vectorized set-up replaced."""
+    n, lo, hi = prob.n, prob.lo, prob.hi
+    kind, offset, free = np.empty(n, dtype=int), np.zeros(n), []
+    for j in range(n):
+        if lo[j] > -INF:
+            kind[j], offset[j] = 0, lo[j]
+        elif hi[j] < INF:
+            kind[j], offset[j] = 1, hi[j]
+        else:
+            kind[j] = 2
+            free.append(j)
+    ranged = [j for j in range(n) if lo[j] > -INF and hi[j] < INF and hi[j] > lo[j]]
+    fixed = [j for j in range(n) if lo[j] > -INF and hi[j] == lo[j]]
+    n_std = n + len(free)
+    c = np.zeros(n_std)
+    for j in range(n):
+        c[j] = -prob.objective[j] if kind[j] == 1 else prob.objective[j]
+    for k, j in enumerate(free):
+        c[n + k] = -prob.objective[j]
+    extra = np.zeros((len(ranged) + len(fixed), n_std))
+    extra_rhs = []
+    for k, j in enumerate(ranged + fixed):
+        extra[k, j] = -1.0
+        extra_rhs.append(-(hi[j] - lo[j]) if j in ranged else 0.0)
+    return kind, offset, free, ranged + fixed, c, extra, np.asarray(extra_rhs)
+
+
+def map_back_reference(std, y):
+    x = np.empty(std.n)
+    for j in range(std.n):
+        if std.kind[j] == 0:
+            x[j] = std.offset[j] + y[j]
+        elif std.kind[j] == 1:
+            x[j] = std.offset[j] - y[j]
+        else:
+            x[j] = y[j]
+    for k, j in enumerate(std.free):
+        x[j] -= y[std.n + k]
+    return x
+
+
+def tableau_reference(std):
+    """Row flips, starting basis and artificial columns, one row at a time."""
+    a = np.vstack([std.a_ge, std.a_eq])
+    b = np.concatenate([std.b_ge, std.b_eq])
+    m, m_ge, n = a.shape[0], std.a_ge.shape[0], std.n_std
+    sur_sign = np.where(np.arange(m) < m_ge, -1.0, 0.0)
+    for r in range(m):
+        if b[r] < 0 or (r < m_ge and b[r] <= 0):
+            a[r] *= -1.0
+            b[r] = -b[r]
+            sur_sign[r] *= -1.0
+    basis, art_of_row = np.empty(m, dtype=int), {}
+    for r in range(m):
+        if r < m_ge and sur_sign[r] > 0:
+            basis[r] = n + r
+        else:
+            basis[r] = n + m_ge + len(art_of_row)
+            art_of_row[r] = len(art_of_row)
+    a_all = np.zeros((m, n + m_ge + len(art_of_row)))
+    a_all[:, :n] = a
+    for r in range(m_ge):
+        a_all[r, n + r] = sur_sign[r]
+    for r, k in art_of_row.items():
+        a_all[r, n + m_ge + k] = 1.0
+    return a_all, b, basis, art_of_row
+
+
+def same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestVectorizedSetUp:
+    def problems(self):
+        rng = np.random.default_rng(12)
+        yield mixed_problem(rng)
+        yield mixed_problem(rng, m_eq=0)
+        yield mixed_problem(rng, m_ge=0)
+        # bounds only, in every kind, and a negative zero bound
+        yield make_problem([1.0, -2.0, 0.5, 3.0], bounds=[(-0.0, 1.0), (None, -0.0),
+                                                          (None, None), (2.0, 2.0)])
+        for _ in range(20):
+            yield mixed_problem(rng, n=int(rng.integers(5, 12)), m_ge=int(rng.integers(0, 6)),
+                                m_eq=int(rng.integers(0, 3)))
+
+    def test_standardized_matches_loops(self):
+        for prob in self.problems():
+            std = simplex._Standardized(prob)
+            kind, offset, free, bound_vars, c, extra, extra_rhs = standardized_reference(prob)
+            assert same_bytes(std.kind, kind) and same_bytes(std.offset, offset)
+            assert std.free.tolist() == free and std.bound_vars == bound_vars
+            assert all(type(j) is int for j in std.bound_vars)
+            assert same_bytes(std.c, c)
+            m_prob = prob.ineq_coeffs.shape[0]
+            assert same_bytes(std.a_ge[m_prob:], extra)
+            assert same_bytes(std.b_ge[m_prob:], extra_rhs.reshape(-1))
+
+    def test_map_back_matches_loop(self):
+        rng = np.random.default_rng(3)
+        for prob in self.problems():
+            std = simplex._Standardized(prob)
+            for y in (rng.normal(size=std.n_std), np.full(std.n_std, -0.0),
+                      np.zeros(std.n_std)):
+                assert same_bytes(std.map_back(y), map_back_reference(std, y))
+        # a free variable maps back to y[j] - y[n + k]: -0.0 - 0.0 stays -0.0
+        std = simplex._Standardized(make_problem([1.0], bounds=[(None, None)]))
+        assert np.signbit(std.map_back(np.array([-0.0, 0.0]))[0])
+
+    def test_tableau_matches_loops(self):
+        for prob in self.problems():
+            std = simplex._Standardized(prob)
+            tab = simplex._Tableau(std, OPTS)
+            a_all, b, basis, art_of_row = tableau_reference(std)
+            assert same_bytes(tab.A_all, a_all) and same_bytes(tab.b_true, b)
+            assert same_bytes(tab.basis, basis) and tab.art_of_row == art_of_row
+            for col in range(tab.N):
+                rows = np.flatnonzero(a_all[:, col])
+                if col < std.n_std:
+                    assert tab.unit_row[col] == -1
+                else:
+                    assert rows.tolist() == [tab.unit_row[col]]
