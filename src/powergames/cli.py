@@ -18,8 +18,6 @@ from .config import load_config
 from .errors import BudgetError, ConfigError, SolverStallError
 from . import experiments
 
-log = logging.getLogger("powergames")
-
 
 def _write_or_print(payload: dict, out_path: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True)

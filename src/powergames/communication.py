@@ -14,6 +14,13 @@ Two incentive-constraint families are supported:
   with one auxiliary variable per (player, true type, reported type,
   recommendation). Constant maps are a subset, so the canonical optimum
   never exceeds the literal one.
+
+With one joint type the canonical LP is the CE LP once its auxiliaries are
+projected out. The literal LP is then the coarse-CE LP (no constant action
+pays more than obeying), which equals the CE LP only for binary actions. So
+CE and both families share their rows, not their builder: every deviation
+payoff is placed by ``correlated._told``, which also builds the CE
+obedience rows.
 """
 from __future__ import annotations
 
@@ -24,14 +31,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correlated import ACCEPT_VIOLATION, _draw, _told
 from .errors import BudgetError, SolverStallError
-from .model import ChannelMatrix, GameInstance, PayoffTensor, PowerGrid, build_payoff_tensor
+from .model import (
+    ChannelMatrix,
+    GameInstance,
+    PayoffTensor,
+    PowerGrid,
+    _decode,
+    build_payoff_tensor,
+)
 from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
 
-COMMEQ_VAR_BUDGET = 10**6
 # rows * (vars + rows) cap: beyond this a dense tableau solve is hours-scale
 COMMEQ_TABLEAU_BUDGET = 12 * 10**6
-ACCEPT_VIOLATION = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,11 +123,7 @@ class TypeSpace:
         return idx
 
     def decode(self, index: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.type_dims):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
+        return _decode(index, self.type_dims)
 
     def channel_for(self, joint) -> ChannelMatrix:
         k = self.players
@@ -237,7 +246,7 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
                      t_i: int, t_rep: int):
     """Per-(t_-i) data for player i's incentive rows: posterior weight, the
     true-type flat index, the reported-type flat index, and the player's
-    payoff array at the true type."""
+    payoff array at the true type with its own action as axis 0."""
     cond = conditional_prior(space, i, t_i)
     others_axes = [range(d) for j, d in enumerate(space.type_dims) if j != i]
     out = []
@@ -249,8 +258,9 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
         w = float(cond[tuple(rest)]) if cond.ndim else float(cond)
         if w == 0.0:
             continue
-        out.append((w, space.encode(joint_true), space.encode(joint_rep),
-                    tensors[space.encode(joint_true)].player_payoffs(i)))
+        ft = space.encode(joint_true)
+        out.append((w, ft, space.encode(joint_rep),
+                    np.moveaxis(tensors[ft].player_payoffs(i), i, 0)))
     return out
 
 
@@ -273,25 +283,16 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
     nt = space.joint_count
     n_x = nt * s
     k = space.players
+    # one block per (player, true type, reported type) of M_i literal rows, or of
+    # 1 + M_i^2 canonical rows and M_i auxiliaries
+    blocks = [space.type_dims[i] ** 2 for i in range(k)]
 
-    z_index: dict[tuple[int, int, int, int], int] = {}
-    if formulation == "canonical":
-        pos = n_x
-        for i in range(k):
-            for t_i in range(space.type_dims[i]):
-                for t_rep in range(space.type_dims[i]):
-                    for a in range(dims[i]):
-                        z_index[(i, t_i, t_rep, a)] = pos
-                        pos += 1
-    n_vars = n_x + len(z_index)
-    if n_vars > COMMEQ_VAR_BUDGET:
-        raise BudgetError(
-            f"communication LP needs {n_vars} variables, budget is {COMMEQ_VAR_BUDGET}"
-        )
     if formulation == "literal":
-        n_rows = sum(space.type_dims[i] ** 2 * dims[i] for i in range(k)) + nt
+        n_vars = n_x
+        n_rows = sum(blocks[i] * dims[i] for i in range(k)) + nt
     else:
-        n_rows = sum(space.type_dims[i] ** 2 * (1 + dims[i] ** 2) for i in range(k)) + nt
+        n_vars = n_x + sum(blocks[i] * dims[i] for i in range(k))
+        n_rows = sum(blocks[i] * (1 + dims[i] ** 2) for i in range(k)) + nt
     work = n_rows * (n_vars + n_rows)
     if work > COMMEQ_TABLEAU_BUDGET:
         raise BudgetError(
@@ -312,43 +313,35 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
         eq_rows.append((row, 1.0))
 
     ineq_rows = []
+    z = n_x  # canonical: column of the next (i, t_i, t_rep) block of auxiliaries
     for i in range(k):
         for t_i in range(space.type_dims[i]):
             for t_rep in range(space.type_dims[i]):
                 terms = _incentive_terms(space, tensors, i, t_i, t_rep)
+                truth = np.zeros(n_vars)
+                for w, ft, _, _ in terms:
+                    truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
                 if formulation == "literal":
+                    # reporting t_rep and then playing a_dev whatever it is told
+                    for a_dev in range(dims[i]):
+                        row = truth.copy()
+                        for w, _, fr, u in terms:
+                            row[fr * s:(fr + 1) * s] -= w * _told(u[a_dev], dims, i)
+                        ineq_rows.append((row, 0.0))
+                    continue
+                # truth >= sum_a z_a, and z_a >= the payoff of a_dev when told a
+                truth[z:z + dims[i]] = -1.0
+                ineq_rows.append((truth, 0.0))
+                for a in range(dims[i]):
                     for a_dev in range(dims[i]):
                         row = np.zeros(n_vars)
-                        for w, ft, fr, u in terms:
-                            row[ft * s:(ft + 1) * s] += w * u.reshape(-1)
-                            dev = np.moveaxis(u, i, 0)[a_dev]
-                            dev_full = np.broadcast_to(
-                                dev[None, ...], (dims[i],) + dev.shape)
-                            dev_flat = np.moveaxis(
-                                dev_full, 0, i).reshape(-1)
-                            row[fr * s:(fr + 1) * s] -= w * dev_flat
+                        row[z + a] = 1.0
+                        for w, _, fr, u in terms:
+                            row[fr * s:(fr + 1) * s] -= w * _told(u[a_dev], dims, i, a)
                         ineq_rows.append((row, 0.0))
-                else:
-                    head = np.zeros(n_vars)
-                    for w, ft, fr, u in terms:
-                        head[ft * s:(ft + 1) * s] += w * u.reshape(-1)
-                    for a in range(dims[i]):
-                        head[z_index[(i, t_i, t_rep, a)]] = -1.0
-                    ineq_rows.append((head, 0.0))
-                    for a in range(dims[i]):
-                        for a_dev in range(dims[i]):
-                            row = np.zeros(n_vars)
-                            row[z_index[(i, t_i, t_rep, a)]] = 1.0
-                            for w, ft, fr, u in terms:
-                                um = np.moveaxis(u, i, 0)
-                                segment = np.zeros(dims)
-                                sl = [slice(None)] * k
-                                sl[i] = a
-                                segment[tuple(sl)] = um[a_dev]
-                                row[fr * s:(fr + 1) * s] -= w * segment.reshape(-1)
-                            ineq_rows.append((row, 0.0))
+                z += dims[i]
 
-    bounds = [(0.0, None)] * n_x + [(None, None)] * len(z_index)
+    bounds = [(0.0, None)] * n_x + [(None, None)] * (n_vars - n_x)
     return make_problem(objective, ineq_rows=ineq_rows, eq_rows=eq_rows,
                         bounds=bounds, name=f"commeq-{formulation}")
 
@@ -437,12 +430,7 @@ def run_mediator_session(device: CommDevice, reported_types=None,
     samples a profile from the reported type's conditional."""
     rng = np.random.default_rng(seed)
     space = device.space
-    prior_flat = space.prior.reshape(-1)
-    if prior_flat.sum() <= 0:
-        raise ValueError("prior has no mass")
-    u = rng.random() * prior_flat.sum()
-    drawn = min(int(np.searchsorted(np.cumsum(prior_flat), u, side="left")),
-                prior_flat.size - 1)
+    drawn = _draw(rng, space.prior.reshape(-1))
     if reported_types is None:
         reported = space.decode(drawn)
     else:
@@ -453,15 +441,7 @@ def run_mediator_session(device: CommDevice, reported_types=None,
             if not 0 <= t < space.type_dims[i]:
                 raise ValueError("reported type index out of range")
     row = device.conditionals[space.encode(reported)]
-    if row.sum() <= 0:
-        raise ValueError("conditional row has no mass")
-    v = rng.random() * row.sum()
-    idx = min(int(np.searchsorted(np.cumsum(row), v, side="left")), row.size - 1)
-    out = []
-    for d in reversed(device.action_dims):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
+    return _decode(_draw(rng, row), device.action_dims)
 
 
 def device_to_json(device: CommDevice) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
-from .model import PayoffTensor
+from .model import PayoffTensor, _decode
 from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
 
 # a freshly solved report must verify at least this cleanly
@@ -94,11 +94,20 @@ def build_ce_constraints(tensor: PayoffTensor, objective: np.ndarray | None = No
 def _ce_row(tensor: PayoffTensor, i: int, a: int, b: int) -> np.ndarray:
     """Coefficients of the (i, a -> b) obedience row over flat profiles."""
     u = np.moveaxis(tensor.player_payoffs(i), i, 0)
-    coeffs = np.zeros(tensor.dims)
-    sl = [slice(None)] * tensor.players
-    sl[i] = a
-    coeffs[tuple(sl)] = u[a] - u[b]
-    return coeffs.reshape(-1)
+    return _told(u[a] - u[b], tensor.dims, i, a)
+
+
+def _told(values: np.ndarray, dims: tuple[int, ...], i: int,
+          a: int | None = None) -> np.ndarray:
+    """Flat coefficients over the profiles of ``dims``: ``values`` (an array
+    over the other players' actions, e.g. u_i(b, a_-i)) on the profiles where
+    player i is told ``a``, or on every profile when ``a`` is None; zero
+    elsewhere. Every obedience and deviation row places its payoffs here."""
+    out = np.zeros(dims)
+    # index tuples, not np.moveaxis views: this runs once per LP row
+    lead = (slice(None),) * i
+    out[lead + (slice(None) if a is None else slice(a, a + 1),)] = values[lead + (None,)]
+    return out.reshape(-1)
 
 
 def _deviation_gains(tensor: PayoffTensor, flat_probs: np.ndarray) -> list[np.ndarray]:
@@ -270,16 +279,14 @@ def mediator_sample(dist: JointDistribution, seed: int) -> tuple[int, ...]:
 
     The same seed always returns the same draw.
     """
-    probs = dist.probs
+    return _decode(_draw(np.random.default_rng(seed), dist.probs), dist.dims)
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """Index drawn by inverse CDF from nonnegative weights ``probs`` (one
+    ``rng.random()`` call)."""
     total = probs.sum()
     if total <= 0:
         raise ValueError("cannot sample from an all-zero distribution")
-    rng = np.random.default_rng(seed)
     u = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="left"))
-    idx = min(idx, probs.shape[0] - 1)
-    out = []
-    for d in reversed(dist.dims):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
+    return min(int(np.searchsorted(np.cumsum(probs), u, side="left")), probs.size - 1)

@@ -40,6 +40,7 @@ from .model import (
     ChannelMatrix,
     GameInstance,
     PayoffTensor,
+    _pinned_linspace,
     build_payoff_tensor,
     build_power_grid,
     grid_from_levels,
@@ -96,30 +97,19 @@ def channel_states(cfg: ExperimentConfig, force_enumerate: bool = False):
         if ch.matrix is None:
             raise ConfigError("channel: needs either 'matrix' or 'grid'")
         return [ch.matrix], "explicit"
-    if ch.grid.points == 1:
-        values = [ch.grid.min]
-    else:
-        step = (ch.grid.max - ch.grid.min) / (ch.grid.points - 1)
-        values = [ch.grid.min + i * step for i in range(ch.grid.points)]
-        values[-1] = ch.grid.max
+    values = _pinned_linspace(ch.grid.min, ch.grid.max, ch.grid.points)
     n_links = k * k
     if force_enumerate or ch.sweep.mode == "enumerate":
-        states = []
-        for combo in itertools.product(range(len(values)), repeat=n_links):
-            flat = [values[c] for c in combo]
-            states.append(tuple(
-                tuple(flat[j * k + i] for i in range(k)) for j in range(k)
-            ))
-        return states, "enumerate"
-    rng = np.random.default_rng(ch.sweep.seed)
-    idx = rng.integers(0, len(values), size=(ch.sweep.count, n_links))
-    states = []
-    for row in idx:
-        flat = [values[c] for c in row]
-        states.append(tuple(
-            tuple(flat[j * k + i] for i in range(k)) for j in range(k)
-        ))
-    return states, "sample"
+        mode = "enumerate"
+        combos = itertools.product(range(len(values)), repeat=n_links)
+    else:
+        mode = "sample"
+        rng = np.random.default_rng(ch.sweep.seed)
+        combos = rng.integers(0, len(values), size=(ch.sweep.count, n_links))
+    # combo lists grid indices of g[0][0], g[0][1], ..., g[k-1][k-1]
+    states = [tuple(tuple(values[combo[j * k + i]] for i in range(k)) for j in range(k))
+              for combo in combos]
+    return states, mode
 
 
 def metadata(cfg: ExperimentConfig, **extra) -> dict:
@@ -217,12 +207,7 @@ def run_ce(cfg: ExperimentConfig, direction: float | None = None) -> dict:
 def types_from_config(cfg: ExperimentConfig):
     if not cfg.types.enabled:
         raise ConfigError("this command needs a 'types' section in the config")
-    if cfg.types.points == 1:
-        values = [cfg.types.min]
-    else:
-        step = (cfg.types.max - cfg.types.min) / (cfg.types.points - 1)
-        values = [cfg.types.min + i * step for i in range(cfg.types.points)]
-        values[-1] = cfg.types.max
+    values = _pinned_linspace(cfg.types.min, cfg.types.max, cfg.types.points)
     return build_type_space(values, cfg.players, mode=cfg.types.mode,
                             prior=cfg.types.prior)
 

@@ -53,15 +53,21 @@ def build_power_grid(min_db: float, max_db: float, levels: int) -> PowerGrid:
         raise ValueError("levels must be >= 1")
     if min_db > max_db:
         raise ValueError("min_db must not exceed max_db")
-    if levels == 1:
-        if min_db != max_db:
-            raise ValueError("a single-level grid needs min_db == max_db")
-        dbs = [min_db]
-    else:
-        step = (max_db - min_db) / (levels - 1)
-        dbs = [min_db + k * step for k in range(levels)]
-        dbs[-1] = max_db
+    if levels == 1 and min_db != max_db:
+        raise ValueError("a single-level grid needs min_db == max_db")
+    dbs = _pinned_linspace(min_db, max_db, levels)
     return PowerGrid(min_db, max_db, levels, tuple(db_to_linear(d) for d in dbs))
+
+
+def _pinned_linspace(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced values from ``lo`` to ``hi``; the last one is
+    exactly ``hi`` (not ``lo`` plus a rounded multiple of the step)."""
+    if points == 1:
+        return [lo]
+    step = (hi - lo) / (points - 1)
+    values = [lo + k * step for k in range(points)]
+    values[-1] = hi
+    return values
 
 
 def grid_from_levels(values_linear: Sequence[float]) -> PowerGrid:
@@ -236,11 +242,17 @@ class PayoffTensor:
     def decode(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.profile_count:
             raise ValueError("profile index out of range")
-        out = []
-        for d in reversed(self.dims):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
+        return _decode(index, self.dims)
+
+
+def _decode(index: int, dims: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix digits of ``index``, the first digit most significant
+    (the C-order layout of profiles and joint types)."""
+    out = []
+    for d in reversed(dims):
+        index, digit = divmod(index, d)
+        out.append(digit)
+    return tuple(reversed(out))
 
 
 def build_payoff_tensor(game: GameInstance) -> PayoffTensor:

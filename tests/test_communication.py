@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from powergames.communication import (
 )
 from powergames.correlated import JointDistribution, ce_violation, solve_welfare_ce
 from powergames.errors import BudgetError
-from powergames.model import build_power_grid, grid_from_levels, nested_db_levels
+from powergames.model import PayoffTensor, build_power_grid, grid_from_levels, nested_db_levels
 
 
 def family(levels=(1.0, 10.0), players=2, alpha=0.01, packet_len=10):
@@ -94,7 +95,102 @@ class TestConditionalPrior:
             conditional_prior(space, 0, 1)
 
 
+def reference_commeq_lp(space, tensors, formulation):
+    """(objective, incentive rows, equality rows) of the communication LP,
+    written coefficient by coefficient from the definitions: Bayes posteriors
+    taken from the prior table, a constant deviation (literal) or the
+    deviation map's auxiliary z_a >= what playing b when told a is worth
+    (canonical)."""
+    k = space.players
+    dims = tensors[0].dims
+    profiles = list(itertools.product(*[range(d) for d in dims]))
+    joints = list(itertools.product(*[range(d) for d in space.type_dims]))
+    s = len(profiles)
+    n_x = len(joints) * s
+    n_aux = 0
+    if formulation == "canonical":
+        n_aux = sum(space.type_dims[i] ** 2 * dims[i] for i in range(k))
+
+    def col(joint, profile):
+        return joints.index(joint) * s + profiles.index(profile)
+
+    def payoff(i, joint, profile):
+        return tensors[joints.index(joint)].payoff(i, profile)
+
+    objective = np.zeros(n_x + n_aux)
+    for joint in joints:
+        for prof in profiles:
+            objective[col(joint, prof)] = space.prior[joint] * sum(
+                payoff(i, joint, prof) for i in range(k))
+    eq_rows = []
+    for joint in joints:
+        row = np.zeros(n_x + n_aux)
+        for prof in profiles:
+            row[col(joint, prof)] = 1.0
+        eq_rows.append(row)
+
+    rows = []
+    aux = n_x
+    for i in range(k):
+        for t_i in range(space.type_dims[i]):
+            truths = [joint for joint in joints if joint[i] == t_i]
+            marginal = sum(space.prior[joint] for joint in truths)
+            posterior = {joint: space.prior[joint] / marginal for joint in truths}
+            for t_rep in range(space.type_dims[i]):
+                def reported(joint):
+                    return joint[:i] + (t_rep,) + joint[i + 1:]
+
+                def deviation(joint, b, told=None):
+                    # minus the posterior payoff of reporting t_rep and then
+                    # playing b when told ``told`` (any recommendation if None)
+                    row = np.zeros(n_x + n_aux)
+                    for prof in profiles:
+                        if told is None or prof[i] == told:
+                            dev = prof[:i] + (b,) + prof[i + 1:]
+                            row[col(reported(joint), prof)] -= (
+                                posterior[joint] * payoff(i, joint, dev))
+                    return row
+
+                truth = np.zeros(n_x + n_aux)
+                for joint in truths:
+                    for prof in profiles:
+                        truth[col(joint, prof)] += posterior[joint] * payoff(i, joint, prof)
+                if formulation == "literal":
+                    for b in range(dims[i]):
+                        rows.append(truth + sum(deviation(joint, b) for joint in truths))
+                else:
+                    head = truth.copy()
+                    head[aux:aux + dims[i]] = -1.0
+                    rows.append(head)
+                    for a in range(dims[i]):
+                        for b in range(dims[i]):
+                            row = sum(deviation(joint, b, told=a) for joint in truths)
+                            row[aux + a] = 1.0
+                            rows.append(row)
+                    aux += dims[i]
+    return objective, np.array(rows), np.array(eq_rows)
+
+
 class TestLpStructure:
+    @pytest.mark.parametrize("formulation", ["literal", "canonical"])
+    def test_rows_match_definitions_three_actions(self, formulation):
+        prior = np.array([[0.4, 0.1], [0.2, 0.3]])  # correlated, so posteriors differ
+        space = build_type_space([0.5, 2.0], players=2, prior=prior)
+        fam = family(levels=(0.5, 2.0, 8.0))
+        tensors = per_type_tensors(space, fam)
+        prob = build_commeq_lp(space, fam, formulation, tensors)
+        objective, rows, eq_rows = reference_commeq_lp(space, tensors, formulation)
+        assert prob.ineq_coeffs.shape == rows.shape
+        np.testing.assert_allclose(prob.ineq_coeffs, rows, rtol=0, atol=1e-12)
+        assert (prob.ineq_rhs == 0).all()
+        np.testing.assert_allclose(prob.objective, objective, rtol=0, atol=1e-12)
+        assert (prob.eq_coeffs == eq_rows).all() and (prob.eq_rhs == 1).all()
+        # p(a|t) >= 0 for 4 joint types x 9 profiles; canonical auxiliaries are free
+        n_x = 4 * 9
+        assert prob.n == n_x + (0 if formulation == "literal" else 2 * 4 * 3)
+        assert (prob.lo[:n_x] == 0).all() and np.isneginf(prob.lo[n_x:]).all()
+        assert np.isposinf(prob.hi).all()
+
     def test_literal_row_count(self):
         space = build_type_space([0.5, 2.0], players=2)
         prob = build_commeq_lp(space, family(), "literal")
@@ -159,6 +255,19 @@ class TestSolve:
         tensor = per_type_tensors(space, fam)[0]
         ce = solve_welfare_ce(tensor)
         assert res.welfare == pytest.approx(ce.welfare, abs=1e-8)
+
+    def test_single_type_random_3x3_canonical_is_ce_literal_is_coarse_ce(self):
+        # one joint type: the canonical LP is the CE LP once its auxiliaries
+        # are projected out; the literal LP asks only that no constant action
+        # pays more (coarse CE), which this game's welfare optimum exploits
+        tensor = PayoffTensor((3, 3), np.random.default_rng(0).uniform(0.0, 1.0, (2, 3, 3)))
+        space = build_type_space([1.0], players=2)
+        fam = family(levels=(1.0, 2.0, 4.0))
+        ce = solve_welfare_ce(tensor).welfare
+        can = solve_commeq(space, fam, "canonical", tensors=[tensor])
+        lit = solve_commeq(space, fam, "literal", tensors=[tensor])
+        assert abs(can.welfare - ce) <= 1e-8
+        assert lit.welfare > ce + 1e-3
 
     def test_canonical_never_above_literal(self):
         rng = np.random.default_rng(77)
