@@ -14,9 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .communication import FORMULATIONS
+from .config import _number, key_reader, load_config
 from .errors import BudgetError, ConfigError, SolverStallError
+from .regret import RULES
 from . import experiments
+
+# --regret-rule spells the conditional rule (the first of RULES) "std"
+REGRET_RULE_FLAGS = {"std": RULES[0], **{r: r for r in RULES[1:]}}
 
 
 def _write_or_print(payload: dict, out_path: str | None):
@@ -26,6 +31,17 @@ def _write_or_print(payload: dict, out_path: str | None):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _flag(read, parse=int):
+    """argparse ``type``: ``parse`` the text, then check it with ``read``."""
+    def convert(text):
+        try:
+            return read(parse(text))
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,29 +64,31 @@ def build_parser() -> argparse.ArgumentParser:
     group = ce.add_mutually_exclusive_group()
     group.add_argument("--welfare", action="store_true",
                        help="maximize social welfare (default)")
-    group.add_argument("--direction", type=float, metavar="THETA",
+    group.add_argument("--direction", type=_flag(lambda v: _number(v, "THETA"), float),
+                       metavar="THETA",
                        help="maximize cos(THETA) u1 + sin(THETA) u2 (radians)")
     ce.add_argument("--out")
 
     commeq = sub.add_parser("commeq", help="communication equilibrium by LP")
-    commeq.add_argument("--formulation", choices=("literal", "canonical"))
+    commeq.add_argument("--formulation", type=_flag(key_reader("solver.formulation"), str),
+                        help=f"one of {', '.join(FORMULATIONS)}")
     commeq.add_argument("--out")
 
     regret = sub.add_parser("regret", help="regret-matching run")
-    regret.add_argument("--steps", type=int)
-    regret.add_argument("--seed", type=int)
-    regret.add_argument("--regret-rule", choices=("std", "paper-literal"))
+    regret.add_argument("--steps", type=_flag(key_reader("learning.steps")))
+    regret.add_argument("--seed", type=_flag(key_reader("learning.seed")))
+    regret.add_argument("--regret-rule", choices=REGRET_RULE_FLAGS)
     regret.add_argument("--out")
     regret.add_argument("--trace-out", help="write the step trace CSV here")
 
     region = sub.add_parser("region", help="export 2-player payoff regions")
-    region.add_argument("--directions", type=int)
+    region.add_argument("--directions", type=_flag(key_reader("solver.directions")))
     region.add_argument("--out-dir")
 
     sweep = sub.add_parser("sweep", help="channel-state / action-set sweeps")
     sweep.add_argument("--enumerate", action="store_true",
                        help="force full channel-grid enumeration")
-    sweep.add_argument("--workers", type=int)
+    sweep.add_argument("--workers", type=_flag(key_reader("sweep.workers")))
     sweep.add_argument("--out-dir")
     return parser
 
@@ -82,14 +100,11 @@ def run(args) -> int:
     elif args.command == "nash":
         _write_or_print(experiments.run_nash(cfg), args.out)
     elif args.command == "ce":
-        direction = args.direction if not args.welfare else None
-        _write_or_print(experiments.run_ce(cfg, direction), args.out)
+        _write_or_print(experiments.run_ce(cfg, args.direction), args.out)
     elif args.command == "commeq":
         _write_or_print(experiments.run_commeq(cfg, args.formulation), args.out)
     elif args.command == "regret":
-        rule = None
-        if args.regret_rule is not None:
-            rule = "conditional" if args.regret_rule == "std" else "paper-literal"
+        rule = REGRET_RULE_FLAGS.get(args.regret_rule)
         result = experiments.run_regret(cfg, args.steps, args.seed, rule)
         if args.trace_out:
             from .regret import trace_to_csv

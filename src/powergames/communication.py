@@ -39,12 +39,16 @@ from .model import (
     PayoffTensor,
     PowerGrid,
     _decode,
+    _encode,
     build_payoff_tensor,
 )
 from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
 
 # rows * (vars + rows) cap: beyond this a dense tableau solve is hours-scale
 COMMEQ_TABLEAU_BUDGET = 12 * 10**6
+FORMULATIONS = ("literal", "canonical")   # incentive-constraint families
+TYPE_MODES = ("diagonal", "product")      # see build_type_space
+PRIORS = ("uniform",)   # named priors; build_type_space also takes a table
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,7 @@ class TypeSpace:
         return itertools.product(*[range(d) for d in self.type_dims])
 
     def encode(self, joint) -> int:
-        idx = 0
-        for t, d in zip(joint, self.type_dims):
-            idx = idx * d + t
-        return idx
+        return _encode(joint, self.type_dims)
 
     def decode(self, index: int) -> tuple[int, ...]:
         return _decode(index, self.type_dims)
@@ -145,8 +146,8 @@ def build_type_space(gains, players: int, mode: str = "diagonal",
     incoming link); ``product`` takes the Cartesian product of incoming-link
     grids. ``prior`` is "uniform" or an explicit joint table.
     """
-    if mode not in ("diagonal", "product"):
-        raise ValueError("mode must be 'diagonal' or 'product'")
+    if mode not in TYPE_MODES:
+        raise ValueError(f"mode must be one of {TYPE_MODES}")
     if not len(gains):
         raise ValueError("empty gain grid")
     first = gains[0]
@@ -173,8 +174,8 @@ def build_type_space(gains, players: int, mode: str = "diagonal",
     types = tuple(types)
     dims = tuple(len(t) for t in types)
     if isinstance(prior, str):
-        if prior != "uniform":
-            raise ValueError("prior must be 'uniform' or an explicit table")
+        if prior not in PRIORS:
+            raise ValueError(f"prior must be one of {PRIORS} or an explicit table")
         table = np.full(dims, 1.0 / int(np.prod(dims)))
     else:
         table = np.asarray(prior, dtype=float).reshape(dims)
@@ -264,6 +265,31 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
     return out
 
 
+def _commeq_vars(space: TypeSpace, family: GameFamily, formulation: str) -> int:
+    """LP variable count, from type and action counts; BudgetError over budget."""
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
+    dims = family.dims
+    n_x = space.joint_count * int(np.prod(dims))
+    # one block per (player, true type, reported type) of M_i literal rows, or of
+    # 1 + M_i^2 canonical rows and M_i auxiliaries
+    blocks = [t * t for t in space.type_dims]
+    if formulation == "literal":
+        n_vars = n_x
+        n_rows = sum(b * m for b, m in zip(blocks, dims)) + space.joint_count
+    else:
+        n_vars = n_x + sum(b * m for b, m in zip(blocks, dims))
+        n_rows = sum(b * (1 + m * m) for b, m in zip(blocks, dims)) + space.joint_count
+    work = n_rows * (n_vars + n_rows)
+    if work > COMMEQ_TABLEAU_BUDGET:
+        raise BudgetError(
+            f"communication LP with {n_vars} variables and {n_rows} rows needs a "
+            f"{work}-entry dense tableau (budget {COMMEQ_TABLEAU_BUDGET}); "
+            "shrink the action grid or the type space, or use the literal formulation"
+        )
+    return n_vars
+
+
 def build_commeq_lp(space: TypeSpace, family: GameFamily,
                     formulation: str = "literal",
                     tensors: list[PayoffTensor] | None = None) -> LpProblem:
@@ -274,8 +300,7 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
     in the canonical formulation. ``tensors`` is ``per_type_tensors(space,
     family)`` when the caller already has it.
     """
-    if formulation not in ("literal", "canonical"):
-        raise ValueError("formulation must be 'literal' or 'canonical'")
+    n_vars = _commeq_vars(space, family, formulation)
     if tensors is None:
         tensors = per_type_tensors(space, family)
     dims = family.dims
@@ -283,23 +308,6 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
     nt = space.joint_count
     n_x = nt * s
     k = space.players
-    # one block per (player, true type, reported type) of M_i literal rows, or of
-    # 1 + M_i^2 canonical rows and M_i auxiliaries
-    blocks = [space.type_dims[i] ** 2 for i in range(k)]
-
-    if formulation == "literal":
-        n_vars = n_x
-        n_rows = sum(blocks[i] * dims[i] for i in range(k)) + nt
-    else:
-        n_vars = n_x + sum(blocks[i] * dims[i] for i in range(k))
-        n_rows = sum(blocks[i] * (1 + dims[i] ** 2) for i in range(k)) + nt
-    work = n_rows * (n_vars + n_rows)
-    if work > COMMEQ_TABLEAU_BUDGET:
-        raise BudgetError(
-            f"communication LP with {n_vars} variables and {n_rows} rows needs a "
-            f"{work}-entry dense tableau (budget {COMMEQ_TABLEAU_BUDGET}); "
-            "shrink the action grid or the type space, or use the literal formulation"
-        )
 
     prior_flat = space.prior.reshape(-1)
     objective = np.zeros(n_vars)
@@ -353,8 +361,9 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
     """Welfare-optimal communication equilibrium for the given deviation set.
 
     ``tensors`` is ``per_type_tensors(space, family)`` when the caller
-    already has it; it is built once here otherwise.
+    already has it; it is built once here otherwise, after the budget check.
     """
+    _commeq_vars(space, family, formulation)
     if tensors is None:
         tensors = per_type_tensors(space, family)
     prob = build_commeq_lp(space, family, formulation, tensors)
@@ -382,8 +391,8 @@ def commeq_violation(device: CommDevice, family: GameFamily,
     (``tensors``, built here when not given); shares no code with the LP row
     builder.
     """
-    if formulation not in ("literal", "canonical"):
-        raise ValueError("formulation must be 'literal' or 'canonical'")
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
     space = device.space
     dims = device.action_dims
     if dims != family.dims:
@@ -435,11 +444,6 @@ def run_mediator_session(device: CommDevice, reported_types=None,
         reported = space.decode(drawn)
     else:
         reported = tuple(int(t) for t in reported_types)
-        if len(reported) != space.players:
-            raise ValueError("one reported type per player required")
-        for i, t in enumerate(reported):
-            if not 0 <= t < space.type_dims[i]:
-                raise ValueError("reported type index out of range")
     row = device.conditionals[space.encode(reported)]
     return _decode(_draw(rng, row), device.action_dims)
 

@@ -1,96 +1,190 @@
 """Experiment configuration: JSON schema, strict loading, canonical hashing.
 
-Unknown keys are rejected everywhere so typos fail loudly. The resolved
-configuration (all defaults filled in) is what gets hashed into output
-metadata; rerunning a config byte-reproduces every numeric payload.
+The frozen dataclasses below are the schema: each key is a field declared by
+``_key`` with its default and the reader of its JSON value (other fields are
+derived). Unknown keys and malformed values raise ``ConfigError`` naming the
+dotted key. The resolved configuration (all defaults filled in) is what gets
+hashed into output metadata; rerunning a config byte-reproduces every
+numeric payload.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Optional
 
+from .communication import FORMULATIONS, PRIORS, TYPE_MODES
 from .errors import ConfigError
+from .regret import RULES
 
+
+# ------------------------------------------------ readers of one JSON value
+
+def _number(value, key: str, positive: bool = False) -> float:
+    # the bound also rejects NaN, and integers too large for a float
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+        return float(value)
+    raise ConfigError(f"{key}: must be a {'positive ' * positive}finite number, got {value!r}")
+
+
+def _integer(value, key: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: must be true or false, got {value!r}")
+    return value
+
+
+def _choice(value, key: str, options: tuple[str, ...]) -> str:
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"{key}: must be one of {options}, got {value!r}")
+    return value
+
+
+def _text(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key}: must be a nonempty string, got {value!r}")
+    return value
+
+
+def _levels(value, key: str, item) -> tuple:
+    """Nonempty strictly increasing list, each entry read by ``item``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key}: must be a nonempty list, got {value!r}")
+    values = tuple(item(v, f"{key}[{n}]") for n, v in enumerate(value))
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{key}: need a strictly increasing list")
+    return values
+
+
+def _matrix(value, key: str) -> tuple[tuple[float, ...], ...]:
+    """Nonempty square array of finite, nonnegative gains."""
+    if (not isinstance(value, list) or not value
+            or any(not isinstance(row, list) or len(row) != len(value) for row in value)):
+        raise ConfigError(f"{key}: must be a square array, got {value!r}")
+    out = tuple(tuple(_number(v, f"{key}[{j}][{i}]") for i, v in enumerate(row))
+                for j, row in enumerate(value))
+    if any(v < 0 for row in out for v in row):
+        raise ConfigError(f"{key}: gains must be finite and >= 0")
+    return out
+
+
+def _read(raw, key: str, cls):
+    """``cls`` from the JSON object ``raw`` of section ``key``: each present
+    key through its field's reader, each absent key at its field's default."""
+    name = key or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: expected an object")
+    keys = {k: f for k, f in _fields(cls).items() if "read" in f.metadata}
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
+    values = {}
+    for k, value in raw.items():
+        f = keys[k]
+        if value is None and f.default is None:
+            continue
+        values[k] = f.metadata["read"](value, f"{key}.{k}" if key else k)
+    return cls(**values)
+
+
+def _key(default, read=_read, **bounds):
+    """A config key: its default and the reader of its value. A dataclass
+    ``default`` is a nested section, defaulted from its own keys."""
+    if isinstance(default, type):
+        return field(default_factory=default, metadata={"read": partial(_read, cls=default)})
+    return field(default=default, metadata={"read": partial(read, **bounds)})
+
+
+# ------------------------------------------------------------------ schema
 
 @dataclass(frozen=True)
 class PowerSpec:
-    min_db: float = -20.0
-    max_db: float = 20.0
-    levels: int = 25
-    levels_linear: Optional[tuple[float, ...]] = None  # overrides the dB grid
+    min_db: float = _key(-20.0, _number)
+    max_db: float = _key(20.0, _number)
+    levels: int = _key(25, _integer, minimum=1)
+    levels_linear: Optional[tuple[float, ...]] = _key(
+        None, _levels, item=partial(_number, positive=True))
 
 
 @dataclass(frozen=True)
 class ChannelGridSpec:
-    min: float = 0.01
-    max: float = 3.0
-    points: int = 10
+    min: float = _key(0.01, _number, positive=True)
+    max: float = _key(3.0, _number, positive=True)
+    points: int = _key(10, _integer, minimum=1)
 
 
 @dataclass(frozen=True)
 class ChannelSweepSpec:
-    mode: str = "sample"       # "sample" | "enumerate"
-    count: int = 200
-    seed: int = 0
+    mode: str = _key("sample", _choice, options=("sample", "enumerate"))
+    count: int = _key(200, _integer, minimum=1)
+    seed: int = _key(0, _integer, minimum=0)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    matrix: Optional[tuple[tuple[float, ...], ...]] = None
-    grid: Optional[ChannelGridSpec] = None
-    sweep: ChannelSweepSpec = field(default_factory=ChannelSweepSpec)
+    matrix: Optional[tuple[tuple[float, ...], ...]] = _key(None, _matrix)
+    grid: Optional[ChannelGridSpec] = _key(None, cls=ChannelGridSpec)
+    sweep: ChannelSweepSpec = _key(ChannelSweepSpec)
 
 
 @dataclass(frozen=True)
 class TypesSpec:
-    enabled: bool = False
-    mode: str = "diagonal"     # "diagonal" | "product"
-    prior: str = "uniform"     # only uniform priors come from config files
-    min: float = 0.01
-    max: float = 3.0
-    points: int = 2
+    enabled: bool = False          # derived: the config has a types section
+    mode: str = _key("diagonal", _choice, options=TYPE_MODES)
+    prior: str = _key("uniform", _choice, options=PRIORS)
+    min: float = _key(0.01, _number, positive=True)
+    max: float = _key(3.0, _number, positive=True)
+    points: int = _key(2, _integer, minimum=1)
 
 
 @dataclass(frozen=True)
 class SolverSpec:
-    formulation: str = "literal"   # "literal" | "canonical"
-    directions: int = 64
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
+    formulation: str = _key("literal", _choice, options=FORMULATIONS)
+    directions: int = _key(64, _integer, minimum=4)
+    feas_tol: float = _key(1e-9, _number, positive=True)
+    opt_tol: float = _key(1e-9, _number, positive=True)
 
 
 @dataclass(frozen=True)
 class LearningSpec:
-    steps: int = 100_000
-    seed: int = 1
-    mu: Optional[float] = None
-    rule: str = "conditional"      # "conditional" | "paper-literal"
+    steps: int = _key(100_000, _integer, minimum=1)
+    seed: int = _key(1, _integer, minimum=0)
+    mu: Optional[float] = _key(None, _number, positive=True)
+    rule: str = _key("conditional", _choice, options=RULES)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    include_regret: bool = False
-    workers: int = 0               # 0 = available parallelism
-    action_levels: Optional[tuple[int, ...]] = None
-    nested_grids: bool = True
+    include_regret: bool = _key(False, _boolean)
+    workers: int = _key(0, _integer, minimum=0)    # 0 = available parallelism
+    action_levels: Optional[tuple[int, ...]] = _key(
+        None, _levels, item=partial(_integer, minimum=1))
+    nested_grids: bool = _key(True, _boolean)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    players: int = 2
-    power: PowerSpec = field(default_factory=PowerSpec)
-    channel: ChannelSpec = field(default_factory=ChannelSpec)
-    alpha: float = 0.01
-    noise: float = 1.0
-    packet_len: int = 100
-    types: TypesSpec = field(default_factory=TypesSpec)
-    solver: SolverSpec = field(default_factory=SolverSpec)
-    learning: LearningSpec = field(default_factory=LearningSpec)
-    sweep: SweepSpec = field(default_factory=SweepSpec)
-    output_dir: str = "out"
+    players: int = _key(2, _integer, minimum=1)
+    power: PowerSpec = _key(PowerSpec)
+    channel: ChannelSpec = _key(ChannelSpec)
+    alpha: float = _key(0.01, _number, positive=True)
+    noise: float = _key(1.0, _number, positive=True)
+    packet_len: int = _key(100, _integer, minimum=1)
+    types: TypesSpec = _key(TypesSpec)
+    solver: SolverSpec = _key(SolverSpec)
+    learning: LearningSpec = _key(LearningSpec)
+    sweep: SweepSpec = _key(SweepSpec)
+    output_dir: str = _key("out", _text)
 
     def resolved(self) -> dict:
         """Plain dict with every default filled in (hash/metadata source)."""
@@ -101,153 +195,48 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _section(raw: dict, name: str, allowed: set[str]) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name}: expected an object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
-    return raw
+def key_reader(key: str):
+    """The reader of the dotted config ``key``, for a flag that overrides it."""
+    cls = ExperimentConfig
+    *sections, last = key.split(".")
+    for name in sections:
+        cls = _fields(cls)[name].default_factory
+    return partial(_fields(cls)[last].metadata["read"], key=key)
 
 
-def _positive(value, name: str) -> float:
-    v = float(value)
-    if not (v > 0 and math.isfinite(v)):
-        raise ConfigError(f"{name}: must be positive and finite, got {value}")
-    return v
-
-
-def _pos_int(value, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{name}: must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _choice(value, name: str, options: tuple[str, ...]) -> str:
-    if value not in options:
-        raise ConfigError(f"{name}: must be one of {options}, got {value!r}")
-    return value
+def _fields(cls) -> dict:
+    return {f.name: f for f in dataclasses.fields(cls)}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    top = _section(raw, "config", {
-        "players", "power", "channel", "alpha", "noise", "packet_len",
-        "types", "solver", "learning", "sweep", "output_dir",
-    })
-    players = _pos_int(top.get("players", 2), "players")
+    cfg = _read(raw, "", ExperimentConfig)
+    power, channel = cfg.power, cfg.channel
 
-    p = _section(top.get("power", {}), "power",
-                 {"min_db", "max_db", "levels", "levels_linear"})
-    levels_linear = p.get("levels_linear")
-    if levels_linear is not None:
-        values = tuple(float(v) for v in levels_linear)
-        if not values or any(a >= b for a, b in zip(values, values[1:])):
-            raise ConfigError("power.levels_linear: need a strictly increasing list")
-        power = PowerSpec(min_db=0.0, max_db=0.0, levels=len(values), levels_linear=values)
-    else:
-        power = PowerSpec(
-            min_db=float(p.get("min_db", -20.0)),
-            max_db=float(p.get("max_db", 20.0)),
-            levels=_pos_int(p.get("levels", 25), "power.levels"),
-        )
-        if power.min_db > power.max_db:
-            raise ConfigError("power.min_db: must not exceed power.max_db")
+    if power.levels_linear is not None:
+        power = replace(power, min_db=0.0, max_db=0.0, levels=len(power.levels_linear))
+    elif power.min_db > power.max_db:
+        raise ConfigError("power.min_db: must not exceed power.max_db")
 
-    c = _section(top.get("channel", {}), "channel", {"matrix", "grid", "sweep"})
-    matrix = None
-    grid = None
-    if "matrix" in c:
-        m = c["matrix"]
-        if (not isinstance(m, list) or len(m) != players
-                or any(len(row) != players for row in m)):
-            raise ConfigError("channel.matrix: must be a players x players array")
-        matrix = tuple(tuple(float(v) for v in row) for row in m)
-        for row in matrix:
-            for v in row:
-                if not (v >= 0 and math.isfinite(v)):
-                    raise ConfigError("channel.matrix: gains must be finite and >= 0")
-    if "grid" in c:
-        g = _section(c["grid"], "channel.grid", {"min", "max", "points"})
-        grid = ChannelGridSpec(
-            min=_positive(g.get("min", 0.01), "channel.grid.min"),
-            max=_positive(g.get("max", 3.0), "channel.grid.max"),
-            points=_pos_int(g.get("points", 10), "channel.grid.points", minimum=1),
-        )
-        if grid.min > grid.max:
-            raise ConfigError("channel.grid.min: must not exceed channel.grid.max")
-    if matrix is None and grid is None:
+    if power.min_db != power.max_db:
+        # build_power_grid takes a single level only as the point min_db == max_db
+        if power.levels == 1:
+            raise ConfigError("power.levels: 1 needs power.min_db == power.max_db")
+        if not cfg.sweep.nested_grids and 1 in (cfg.sweep.action_levels or ()):
+            raise ConfigError("sweep.action_levels: 1 needs power.min_db == "
+                              "power.max_db, or nested_grids")
+
+    if channel.matrix is None and channel.grid is None:
         raise ConfigError("channel: needs either 'matrix' or 'grid'")
-    sw = _section(c.get("sweep", {}), "channel.sweep", {"mode", "count", "seed"})
-    sweep_spec = ChannelSweepSpec(
-        mode=_choice(sw.get("mode", "sample"), "channel.sweep.mode",
-                     ("sample", "enumerate")),
-        count=_pos_int(sw.get("count", 200), "channel.sweep.count"),
-        seed=int(sw.get("seed", 0)),
-    )
-    channel = ChannelSpec(matrix=matrix, grid=grid, sweep=sweep_spec)
+    if channel.matrix is not None and len(channel.matrix) != cfg.players:
+        raise ConfigError("channel.matrix: must be a players x players array")
+    if channel.grid is not None and channel.grid.min > channel.grid.max:
+        raise ConfigError("channel.grid.min: must not exceed channel.grid.max")
 
-    alpha = _positive(top.get("alpha", 0.01), "alpha")
-    noise = _positive(top.get("noise", 1.0), "noise")
-    packet_len = _pos_int(top.get("packet_len", 100), "packet_len")
-
-    t_raw = top.get("types")
-    if t_raw is None:
-        types = TypesSpec()
-    else:
-        t = _section(t_raw, "types", {"mode", "prior", "min", "max", "points"})
-        types = TypesSpec(
-            enabled=True,
-            mode=_choice(t.get("mode", "diagonal"), "types.mode",
-                         ("diagonal", "product")),
-            prior=_choice(t.get("prior", "uniform"), "types.prior", ("uniform",)),
-            min=_positive(t.get("min", grid.min if grid else 0.01), "types.min"),
-            max=_positive(t.get("max", grid.max if grid else 3.0), "types.max"),
-            points=_pos_int(t.get("points", grid.points if grid else 2), "types.points"),
-        )
-
-    s = _section(top.get("solver", {}), "solver",
-                 {"formulation", "directions", "feas_tol", "opt_tol"})
-    solver = SolverSpec(
-        formulation=_choice(s.get("formulation", "literal"), "solver.formulation",
-                            ("literal", "canonical")),
-        directions=_pos_int(s.get("directions", 64), "solver.directions", minimum=4),
-        feas_tol=_positive(s.get("feas_tol", 1e-9), "solver.feas_tol"),
-        opt_tol=_positive(s.get("opt_tol", 1e-9), "solver.opt_tol"),
-    )
-
-    le = _section(top.get("learning", {}), "learning",
-                  {"steps", "seed", "mu", "rule"})
-    learning = LearningSpec(
-        steps=_pos_int(le.get("steps", 100_000), "learning.steps"),
-        seed=int(le.get("seed", 1)),
-        mu=None if le.get("mu") is None else _positive(le["mu"], "learning.mu"),
-        rule=_choice(le.get("rule", "conditional"), "learning.rule",
-                     ("conditional", "paper-literal")),
-    )
-
-    sv = _section(top.get("sweep", {}), "sweep",
-                  {"include_regret", "workers", "action_levels", "nested_grids"})
-    action_levels = sv.get("action_levels")
-    if action_levels is not None:
-        action_levels = tuple(
-            _pos_int(v, "sweep.action_levels[]", minimum=1) for v in action_levels
-        )
-    workers = sv.get("workers", 0)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 0:
-        raise ConfigError(f"sweep.workers: must be an integer >= 0, got {workers!r}")
-    sweep = SweepSpec(
-        include_regret=bool(sv.get("include_regret", False)),
-        workers=workers,
-        action_levels=action_levels,
-        nested_grids=bool(sv.get("nested_grids", True)),
-    )
-
-    output_dir = top.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir: must be a nonempty string")
-
-    return ExperimentConfig(players, power, channel, alpha, noise, packet_len,
-                            types, solver, learning, sweep, output_dir)
+    if "types" in raw:  # keys the types section leaves out follow the channel grid
+        grid = asdict(channel.grid) if channel.grid else {}
+        cfg = replace(cfg, types=replace(cfg.types, enabled=True, **{
+            k: v for k, v in grid.items() if k not in raw["types"]}))
+    return replace(cfg, power=power)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -255,14 +244,12 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_config(raw)

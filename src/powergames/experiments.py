@@ -93,9 +93,7 @@ def channel_states(cfg: ExperimentConfig, force_enumerate: bool = False):
     """Channel matrices for the sweep, as a list of K x K tuples."""
     ch = cfg.channel
     k = cfg.players
-    if ch.grid is None:
-        if ch.matrix is None:
-            raise ConfigError("channel: needs either 'matrix' or 'grid'")
+    if ch.grid is None:  # parse_config requires a matrix then
         return [ch.matrix], "explicit"
     values = _pinned_linspace(ch.grid.min, ch.grid.max, ch.grid.points)
     n_links = k * k

@@ -232,27 +232,22 @@ class PayoffTensor:
         return self.values.reshape(self.players, -1).sum(axis=0)
 
     def encode(self, profile: Sequence[int]) -> int:
-        idx = 0
-        for a, d in zip(profile, self.dims):
-            if not 0 <= a < d:
-                raise ValueError("action index out of range")
-            idx = idx * d + a
-        return idx
+        return _encode(profile, self.dims)
 
     def decode(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.profile_count:
-            raise ValueError("profile index out of range")
         return _decode(index, self.dims)
 
 
+def _encode(digits: Sequence[int], dims: Sequence[int]) -> int:
+    """Mixed-radix index of ``digits``, the first digit most significant (the
+    C-order layout of profiles and joint types); ValueError when the digit
+    count does not match ``dims`` or a digit is out of range."""
+    return int(np.ravel_multi_index(tuple(digits), tuple(dims)))
+
+
 def _decode(index: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix digits of ``index``, the first digit most significant
-    (the C-order layout of profiles and joint types)."""
-    out = []
-    for d in reversed(dims):
-        index, digit = divmod(index, d)
-        out.append(digit)
-    return tuple(reversed(out))
+    """The digits whose ``_encode`` is ``index``; ValueError out of range."""
+    return tuple(int(d) for d in np.unravel_index(index, tuple(dims)))
 
 
 def build_payoff_tensor(game: GameInstance) -> PayoffTensor:

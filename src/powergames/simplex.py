@@ -29,12 +29,12 @@ in the problem's own terms, and ``solve_lp(problem, start=basis)`` begins from
 that basis. Inequality rows appended to the problem since the basis was found
 enter with their surplus columns basic, so an optimal basis of the previous
 problem stays dual feasible; dual simplex pivots restore primal feasibility
-after such cuts, primal phase 2 then handles a changed objective, and a last
-dual pass lifts basic values left within ``feas_tol`` below zero. The attempt
-is abandoned for the cold two-phase solve when the start does not fit the
-problem, its basis matrix is singular, it spends more than
+after such cuts, and primal phase 2 then handles a changed objective. The
+attempt is abandoned for the cold two-phase solve when the start does not
+fit the problem, its basis matrix is singular, it spends more than
 ``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
 certification. A start is only a hint: no answer depends on it being good.
+Every solve ends in ``_optimal``: a dual pass to ``CLEAN_TOL``, then certification.
 """
 from __future__ import annotations
 
@@ -48,10 +48,9 @@ from .errors import SolverStallError
 INF = float("inf")
 # a warm start is abandoned after (rows + this many) pivots
 WARM_PIVOT_SLACK = 100
-# the last dual pass of a warm start lifts basic values below -WARM_CLEAN_TOL:
-# clipping values within feas_tol to zero could break an equality row by
-# more than feas_tol in sum
-WARM_CLEAN_TOL = 1e-11
+# every solve's last dual pass lifts basic values below -CLEAN_TOL; clipping
+# several within feas_tol to zero can break an equality row by over feas_tol
+CLEAN_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -559,8 +558,6 @@ def _solve_warm(problem: LpProblem, std: _Standardized, opts: SimplexOptions,
     try:
         tab.refactor(exact=True)
         if tab.dual_simplex(opts.feas_tol) and tab.run_phase(2) == "optimal":
-            tab.dual_simplex(WARM_CLEAN_TOL)  # best effort; certification judges
-            tab.refactor()
             return _optimal(problem, std, tab, opts), tab.iters
     except (np.linalg.LinAlgError, SolverStallError):
         pass
@@ -569,6 +566,9 @@ def _solve_warm(problem: LpProblem, std: _Standardized, opts: SimplexOptions,
 
 def _optimal(problem: LpProblem, std: _Standardized, tab: _Tableau,
              opts: SimplexOptions) -> LpSolution:
+    """The finish of every solve, cold or warm, from an optimal basis."""
+    tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
+    tab.refactor()
     y = np.zeros(tab.N)
     y[tab.basis] = np.maximum(tab.T[:, -1], 0.0)
     x = std.map_back(y[: std.n_std])

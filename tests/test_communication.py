@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from powergames import communication
 from powergames.communication import (
     CommDevice,
     GameFamily,
@@ -27,6 +28,18 @@ def family(levels=(1.0, 10.0), players=2, alpha=0.01, packet_len=10):
 
 
 class TestTypeSpace:
+    def test_encode_range(self):
+        space = build_type_space([0.5, 2.0], players=2)
+        for bad in ((0, 3), (2, 0), (0,), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                space.encode(bad)
+
+    def test_encode_inverts_decode(self):
+        space = build_type_space([0.5, 1.0, 2.0], players=2, mode="product")
+        assert space.type_dims == (9, 9)
+        for t in range(space.joint_count):
+            assert space.encode(space.decode(t)) == t
+
     def test_diagonal_uniform(self):
         space = build_type_space([0.01, 3.0], players=2)
         assert space.type_dims == (2, 2)
@@ -226,6 +239,17 @@ class TestLpStructure:
         fam = GameFamily((build_power_grid(-20, 20, 30),) * 2)
         with pytest.raises(BudgetError):
             build_commeq_lp(space, fam, "literal")
+
+    def test_budget_checked_before_tensors(self, monkeypatch):
+        calls = []
+        build = communication.build_payoff_tensor
+        monkeypatch.setattr(communication, "build_payoff_tensor",
+                            lambda game: calls.append(1) or build(game))
+        space = build_type_space([0.5, 2.0], players=2)
+        fam = GameFamily((build_power_grid(-20, 20, 25),) * 2)
+        with pytest.raises(BudgetError):
+            solve_commeq(space, fam, "canonical")
+        assert calls == []
 
     def test_tableau_budget_guard(self):
         # canonical rows explode with the action count; refuse before building

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from powergames import cli
 from powergames.config import load_config, parse_config
 from powergames.errors import ConfigError
 
@@ -31,6 +32,17 @@ class TestLoad:
         p = tmp_path / "broken.json"
         p.write_text("")
         with pytest.raises(ConfigError, match="line 1"):
+            load_config(p)
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{",                                # not UTF-8
+        b"[" * 100_000,                              # nested past the recursion limit
+        b'{"alpha": 1' + b"0" * 5000 + b"}",         # past the integer digit limit
+    ], ids=["binary", "deep", "digits"])
+    def test_unreadable_json(self, data, tmp_path):
+        p = tmp_path / "broken.json"
+        p.write_bytes(data)
+        with pytest.raises(ConfigError, match="config"):
             load_config(p)
 
     def test_missing_file(self, tmp_path):
@@ -123,3 +135,94 @@ class TestValidation:
         raw["alpha"] = 0.02
         c = parse_config(raw)
         assert c.sha256() != a.sha256()
+
+
+MATRIX = {"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]}}
+
+
+def with_section(section, **values):
+    raw = json.loads(json.dumps(MATRIX))
+    raw.setdefault(section, {}).update(values)
+    return raw
+
+
+# (raw config, the dotted key its error must name)
+MALFORMED = [
+    (with_section("learning", seed="x"), "learning.seed"),
+    ({**MATRIX, "alpha": "abc"}, "alpha"),
+    ({"channel": {"matrix": [[1.0, "a"], [0.5, 1.0]]}}, "channel.matrix"),
+    (with_section("power", levels_linear=5), "power.levels_linear"),
+    (with_section("power", min_db=None), "power.min_db"),
+    (with_section("sweep", action_levels=5), "sweep.action_levels"),
+    (with_section("learning", seed=-1), "learning.seed"),
+    (with_section("sweep", include_regret="no"), "sweep.include_regret"),
+    (with_section("learning", seed=1.7), "learning.seed"),
+    (with_section("solver", feas_tol=True), "solver.feas_tol"),
+    ({**MATRIX, "alpha": 10**400}, "alpha"),
+    (with_section("power", levels=1), "power.levels"),
+]
+
+
+class TestReaders:
+    @pytest.mark.parametrize("raw,key", MALFORMED, ids=[k for _, k in MALFORMED])
+    def test_malformed_value_names_key(self, raw, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config(raw)
+
+    def test_integer_spelling_of_float_keys(self):
+        ints = parse_config({**MATRIX, "alpha": 1, "power": {"min_db": -20}})
+        floats = parse_config({**MATRIX, "alpha": 1.0, "power": {"min_db": -20.0}})
+        assert ints.alpha == 1.0 and isinstance(ints.alpha, float)
+        assert ints.sha256() == floats.sha256()
+
+    def test_null_means_default_only_where_default_is_null(self):
+        assert parse_config(with_section("learning", mu=None)).learning.mu is None
+        with pytest.raises(ConfigError, match="learning.steps"):
+            parse_config(with_section("learning", steps=None))
+
+    def test_types_follow_the_grid(self):
+        raw = {"channel": {"grid": {"min": 0.5, "max": 2.0, "points": 3}},
+               "types": {"points": 2}}
+        types = parse_config(raw).types
+        assert (types.enabled, types.min, types.max, types.points) == (True, 0.5, 2.0, 2)
+        assert not parse_config(MATRIX).types.enabled
+
+    def test_single_level_grid_needs_one_point(self):
+        with pytest.raises(ConfigError, match="sweep.action_levels"):
+            parse_config(with_section("sweep", action_levels=[1, 2], nested_grids=False))
+        cfg = parse_config(with_section("power", levels=1, min_db=3.0, max_db=3.0))
+        assert cfg.power.levels == 1
+
+
+def run_main(argv, capsys):
+    """(exit code, stderr) of ``cli.main``; argparse errors exit by SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("index", [0, 3, 7])
+    def test_malformed_config_exits_2(self, index, tmp_path, capsys):
+        raw, key = MALFORMED[index]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, err = run_main(["-c", str(path), "nash"], capsys)
+        assert code == 2
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [
+        (["region", "--directions", "2"], "--directions"),
+        (["regret", "--steps", "0"], "--steps"),
+        (["regret", "--seed", "-1"], "--seed"),
+        (["ce", "--direction", "nan"], "--direction"),
+        (["sweep", "--workers", "-3"], "--workers"),
+        (["commeq", "--formulation", "direct"], "--formulation"),
+        (["regret", "--steps", "ten"], "--steps"),
+    ])
+    def test_bad_flag_exits_2(self, command, flag, capsys):
+        code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json")] + command, capsys)
+        assert code == 2
+        assert flag in err and "Traceback" not in err

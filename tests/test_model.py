@@ -214,6 +214,9 @@ class TestPayoffTensor:
             assert tensor.encode(prof) == idx
         # player-major flat layout with player 1 most significant
         assert tensor.encode((1, 2, 3)) == 1 * 12 + 2 * 4 + 3
+        for bad in ((1, 2), (1, 2, 3, 0), (2, 0, 0), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                tensor.encode(bad)
 
     def test_budget_guard(self):
         chan = ChannelMatrix.from_array([[1.0, 0.5], [0.5, 1.0]])

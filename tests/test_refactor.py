@@ -165,7 +165,8 @@ class TestDualRepair:
         dual_simplex = simplex._Tableau.dual_simplex
 
         def counted(self, tol, jo=0):
-            calls.append(jo)
+            if tol != simplex.CLEAN_TOL:  # not the finish every solve runs
+                calls.append(jo)
             return dual_simplex(self, tol, jo)
 
         monkeypatch.setattr(simplex._Tableau, "dual_simplex", counted)
