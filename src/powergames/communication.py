@@ -10,17 +10,18 @@ Two incentive-constraint families are supported:
 
 * ``literal``: one row per (player, true type, reported type, fixed action);
   the deviator plays that fixed action whatever it is told.
-* ``canonical``: deviation maps from recommendations to actions, linearized
-  with one auxiliary variable per (player, true type, reported type,
-  recommendation). Constant maps are a subset, so the canonical optimum
+* ``canonical``: deviation maps from recommendations to actions (Myerson
+  1986, Forges 1986), cut lazily on the ``correlated.CePolytopeSolver``
+  master over p(a|t): obedience rows for honest reports and, per lie, the
+  cut of the best map, which picks each recommendation's best reply and so
+  separates exactly. Constant maps are a subset, so the canonical optimum
   never exceeds the literal one.
 
-With one joint type the canonical LP is the CE LP once its auxiliaries are
-projected out. The literal LP is then the coarse-CE LP (no constant action
-pays more than obeying), which equals the CE LP only for binary actions. So
-CE and both families share their rows, not their builder: every deviation
-payoff is placed by ``correlated._told``, which also builds the CE
-obedience rows.
+With one joint type the canonical family is the CE polytope. The literal LP
+is then the coarse-CE LP (no constant action pays more than obeying), which
+equals the CE LP only for binary actions. So CE and both families share
+their rows, not their builder: every deviation payoff is placed by
+``correlated._told``, which also builds the CE obedience rows.
 """
 from __future__ import annotations
 
@@ -28,12 +29,23 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .correlated import ACCEPT_VIOLATION, _draw, _told
+from .correlated import (
+    ACCEPT_VIOLATION,
+    ROW_GEN_TOL,
+    CePolytopeSolver,
+    _draw,
+    _most_violated,
+    _told,
+)
 from .errors import BudgetError, SolverStallError
 from .model import (
+    DEFAULT_ALPHA,
+    DEFAULT_NOISE,
+    DEFAULT_PACKET_LEN,
     ChannelMatrix,
     GameInstance,
     PayoffTensor,
@@ -56,9 +68,9 @@ class GameFamily:
     """A power-control game with the channel left open (it comes from types)."""
 
     grids: tuple[PowerGrid, ...]
-    alpha: float = 0.01
-    noise: float = 1.0
-    packet_len: int = 100
+    alpha: float = DEFAULT_ALPHA
+    noise: float = DEFAULT_NOISE
+    packet_len: int = DEFAULT_PACKET_LEN
 
     @property
     def players(self) -> int:
@@ -265,121 +277,140 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
     return out
 
 
-def _commeq_vars(space: TypeSpace, family: GameFamily, formulation: str) -> int:
-    """LP variable count, from type and action counts; BudgetError over budget."""
+def _check_budget(space: TypeSpace, family: GameFamily, formulation: str):
+    """BudgetError when the literal LP, or the canonical master before its
+    first cut, needs too large a dense tableau."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
-    dims = family.dims
-    n_x = space.joint_count * int(np.prod(dims))
-    # one block per (player, true type, reported type) of M_i literal rows, or of
-    # 1 + M_i^2 canonical rows and M_i auxiliaries
-    blocks = [t * t for t in space.type_dims]
+    n_x = space.joint_count * int(np.prod(family.dims))
+    # one row per joint type, plus M_i literal rows per (player, true type, report)
+    n_rows = space.joint_count
     if formulation == "literal":
-        n_vars = n_x
-        n_rows = sum(b * m for b, m in zip(blocks, dims)) + space.joint_count
-    else:
-        n_vars = n_x + sum(b * m for b, m in zip(blocks, dims))
-        n_rows = sum(b * (1 + m * m) for b, m in zip(blocks, dims)) + space.joint_count
-    work = n_rows * (n_vars + n_rows)
+        n_rows += sum(t * t * m for t, m in zip(space.type_dims, family.dims))
+    work = n_rows * (n_x + n_rows)
     if work > COMMEQ_TABLEAU_BUDGET:
         raise BudgetError(
-            f"communication LP with {n_vars} variables and {n_rows} rows needs a "
-            f"{work}-entry dense tableau (budget {COMMEQ_TABLEAU_BUDGET}); "
-            "shrink the action grid or the type space, or use the literal formulation"
+            f"{formulation} communication LP with {n_x} variables and {n_rows} rows "
+            f"needs a {work}-entry dense tableau (budget {COMMEQ_TABLEAU_BUDGET}); "
+            "shrink the action grid or the type space"
         )
-    return n_vars
+
+
+def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
+    """Over p(a|t) (type-major): the prior-weighted welfare objective, the
+    rows ``sum_a p(a|t) = 1``, and per incentive block ``(i, t_i, t_rep,
+    terms, truth)``: ``_incentive_terms`` and the row of player i's
+    posterior payoff of reporting t_i and obeying."""
+    s = tensors[0].profile_count
+    n = space.joint_count * s
+    objective = np.zeros(n)
+    eq_rows = []
+    for t, q in enumerate(space.prior.reshape(-1)):
+        objective[t * s:(t + 1) * s] = q * tensors[t].welfare_flat()
+        row = np.zeros(n)
+        row[t * s:(t + 1) * s] = 1.0
+        eq_rows.append((row, 1.0))
+    blocks = []
+    for i in range(space.players):
+        for t_i in range(space.type_dims[i]):
+            for t_rep in range(space.type_dims[i]):
+                terms = _incentive_terms(space, tensors, i, t_i, t_rep)
+                truth = np.zeros(n)
+                for w, ft, _, _ in terms:
+                    truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
+                blocks.append((i, t_i, t_rep, terms, truth))
+    return objective, eq_rows, blocks
+
+
+def _reported(terms, n: int, s: int, place) -> np.ndarray:
+    """Row over p(a|t): ``w * place(u)`` in each term's reported-type block."""
+    row = np.zeros(n)
+    for w, _, fr, u in terms:
+        row[fr * s:(fr + 1) * s] += w * place(u)
+    return row
 
 
 def build_commeq_lp(space: TypeSpace, family: GameFamily,
                     formulation: str = "literal",
                     tensors: list[PayoffTensor] | None = None) -> LpProblem:
-    """LP whose optimum is the welfare-maximal communication equilibrium.
+    """LP whose optimum is the welfare-maximal literal communication
+    equilibrium (the canonical family has no dense LP).
 
-    Variables are p(a|t) for every joint type and profile (type-major), plus
-    one free auxiliary per (player, true type, reported type, recommendation)
-    in the canonical formulation. ``tensors`` is ``per_type_tensors(space,
-    family)`` when the caller already has it.
+    Variables are p(a|t) for every joint type and profile (type-major).
+    ``tensors`` is ``per_type_tensors(space, family)`` when the caller
+    already has it.
     """
-    n_vars = _commeq_vars(space, family, formulation)
+    if formulation != "literal":
+        raise ValueError("only the literal formulation has a dense LP")
+    _check_budget(space, family, formulation)
     if tensors is None:
         tensors = per_type_tensors(space, family)
     dims = family.dims
-    s = int(np.prod(dims))
-    nt = space.joint_count
-    n_x = nt * s
-    k = space.players
-
-    prior_flat = space.prior.reshape(-1)
-    objective = np.zeros(n_vars)
-    for t in range(nt):
-        objective[t * s:(t + 1) * s] = prior_flat[t] * tensors[t].welfare_flat()
-
-    eq_rows = []
-    for t in range(nt):
-        row = np.zeros(n_vars)
-        row[t * s:(t + 1) * s] = 1.0
-        eq_rows.append((row, 1.0))
-
-    ineq_rows = []
-    z = n_x  # canonical: column of the next (i, t_i, t_rep) block of auxiliaries
-    for i in range(k):
-        for t_i in range(space.type_dims[i]):
-            for t_rep in range(space.type_dims[i]):
-                terms = _incentive_terms(space, tensors, i, t_i, t_rep)
-                truth = np.zeros(n_vars)
-                for w, ft, _, _ in terms:
-                    truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
-                if formulation == "literal":
-                    # reporting t_rep and then playing a_dev whatever it is told
-                    for a_dev in range(dims[i]):
-                        row = truth.copy()
-                        for w, _, fr, u in terms:
-                            row[fr * s:(fr + 1) * s] -= w * _told(u[a_dev], dims, i)
-                        ineq_rows.append((row, 0.0))
-                    continue
-                # truth >= sum_a z_a, and z_a >= the payoff of a_dev when told a
-                truth[z:z + dims[i]] = -1.0
-                ineq_rows.append((truth, 0.0))
-                for a in range(dims[i]):
-                    for a_dev in range(dims[i]):
-                        row = np.zeros(n_vars)
-                        row[z + a] = 1.0
-                        for w, _, fr, u in terms:
-                            row[fr * s:(fr + 1) * s] -= w * _told(u[a_dev], dims, i, a)
-                        ineq_rows.append((row, 0.0))
-                z += dims[i]
-
-    bounds = [(0.0, None)] * n_x + [(None, None)] * (n_vars - n_x)
+    objective, eq_rows, blocks = _device_program(space, tensors)
+    n, s = objective.shape[0], tensors[0].profile_count
+    # reporting t_rep and then playing a_dev whatever it is told
+    ineq_rows = [(truth - _reported(terms, n, s, lambda u: _told(u[a_dev], dims, i)), 0.0)
+                 for i, _, _, terms, truth in blocks for a_dev in range(dims[i])]
     return make_problem(objective, ineq_rows=ineq_rows, eq_rows=eq_rows,
-                        bounds=bounds, name=f"commeq-{formulation}")
+                        name="commeq-literal")
+
+
+def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
+    """Separation for the canonical family at the device ``x``. In each
+    block, D[a, b] is what playing b when told a is worth after the report.
+    An honest report gets the most violated obedience rows D[a, a] >= D[a, b];
+    a lie gets the cut of its best deviation map, truth >= sum_a D[a, d(a)]
+    with d(a) = argmax_b D[a, b], which no other map violates more."""
+    s = int(np.prod(dims))
+    p = x.reshape(-1, s)
+    for i, t_i, t_rep, terms, truth in blocks:
+        mi = dims[i]
+        d = np.zeros((mi, mi))
+        for w, _, fr, u in terms:
+            pm = np.moveaxis(p[fr].reshape(dims), i, 0).reshape(mi, -1)
+            d += w * (pm @ u.reshape(mi, -1).T)
+        if t_rep == t_i:
+            for a, b in _most_violated(d - np.diag(d)[:, None]):
+                yield (i, t_i, a, b), _reported(
+                    terms, x.size, s, lambda u: _told(u[a] - u[b], dims, i, a))
+            continue
+        dev = d.argmax(axis=1)
+        if d[np.arange(mi), dev].sum() - truth @ x > ROW_GEN_TOL:
+            yield (i, t_i, t_rep, tuple(dev)), truth - _reported(
+                terms, x.size, s, lambda u: sum(_told(u[dev[a]], dims, i, a) for a in range(mi)))
 
 
 def solve_commeq(space: TypeSpace, family: GameFamily,
                  formulation: str = "literal",
                  options: SimplexOptions | None = None,
                  tensors: list[PayoffTensor] | None = None) -> CommEqResult:
-    """Welfare-optimal communication equilibrium for the given deviation set.
+    """Welfare-optimal communication equilibrium for the given deviation set,
+    from the literal LP or by canonical cuts on a ``CePolytopeSolver``.
 
     ``tensors`` is ``per_type_tensors(space, family)`` when the caller
     already has it; it is built once here otherwise, after the budget check.
     """
-    _commeq_vars(space, family, formulation)
+    _check_budget(space, family, formulation)
     if tensors is None:
         tensors = per_type_tensors(space, family)
-    prob = build_commeq_lp(space, family, formulation, tensors)
-    sol = solve_lp(prob, options)
-    if sol.status != "optimal":
-        # the polytope is nonempty (Bayes-Nash devices are feasible) and bounded
-        raise SolverStallError(f"communication LP reported {sol.status}")
-    s = int(np.prod(family.dims))
-    nt = space.joint_count
-    raw = sol.x[: nt * s].reshape(nt, s)
+    if formulation == "literal":
+        sol = solve_lp(build_commeq_lp(space, family, formulation, tensors), options)
+        if sol.status != "optimal":
+            # the polytope is nonempty (Bayes-Nash devices are feasible) and bounded
+            raise SolverStallError(f"communication LP reported {sol.status}")
+        x, value, iters = sol.x, float(sol.objective_value), sol.iterations
+    else:
+        objective, eq_rows, blocks = _device_program(space, tensors)
+        master = CePolytopeSolver(eq_rows, partial(_canonical_cuts, blocks, family.dims),
+                                  options)
+        x, value, iters = master.maximize(objective)
+    raw = x.reshape(space.joint_count, -1)
     device = CommDevice.from_raw(space, family.dims, raw)
     violation = commeq_violation(device, family, formulation, tensors)
     if violation > ACCEPT_VIOLATION:
         raise SolverStallError(
             f"communication device failed verification ({violation:.3e})")
-    return CommEqResult(device, float(sol.objective_value), violation, sol.iterations)
+    return CommEqResult(device, value, violation, iters)
 
 
 def commeq_violation(device: CommDevice, family: GameFamily,

@@ -18,8 +18,11 @@ from functools import partial
 from typing import Optional
 
 from .communication import FORMULATIONS, PRIORS, TYPE_MODES
+from .correlated import REGION_DIRECTIONS
 from .errors import ConfigError
+from .model import DEFAULT_ALPHA, DEFAULT_NOISE, DEFAULT_PACKET_LEN
 from .regret import RULES
+from .simplex import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
 
 # ------------------------------------------------ readers of one JSON value
@@ -150,9 +153,9 @@ class TypesSpec:
 @dataclass(frozen=True)
 class SolverSpec:
     formulation: str = _key("literal", _choice, options=FORMULATIONS)
-    directions: int = _key(64, _integer, minimum=4)
-    feas_tol: float = _key(1e-9, _number, positive=True)
-    opt_tol: float = _key(1e-9, _number, positive=True)
+    directions: int = _key(REGION_DIRECTIONS, _integer, minimum=4)
+    feas_tol: float = _key(DEFAULT_FEAS_TOL, _number, positive=True)
+    opt_tol: float = _key(DEFAULT_OPT_TOL, _number, positive=True)
 
 
 @dataclass(frozen=True)
@@ -177,9 +180,9 @@ class ExperimentConfig:
     players: int = _key(2, _integer, minimum=1)
     power: PowerSpec = _key(PowerSpec)
     channel: ChannelSpec = _key(ChannelSpec)
-    alpha: float = _key(0.01, _number, positive=True)
-    noise: float = _key(1.0, _number, positive=True)
-    packet_len: int = _key(100, _integer, minimum=1)
+    alpha: float = _key(DEFAULT_ALPHA, _number, positive=True)
+    noise: float = _key(DEFAULT_NOISE, _number, positive=True)
+    packet_len: int = _key(DEFAULT_PACKET_LEN, _integer, minimum=1)
     types: TypesSpec = _key(TypesSpec)
     solver: SolverSpec = _key(SolverSpec)
     learning: LearningSpec = _key(LearningSpec)

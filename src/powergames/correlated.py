@@ -27,6 +27,8 @@ ACCEPT_VIOLATION = 1e-8
 # deviation rows with expected gain above this are added to the master LP
 ROW_GEN_TOL = 1e-10
 ROW_GEN_BATCH = 8
+# directions of a payoff-region trace
+REGION_DIRECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -123,10 +125,21 @@ def _deviation_gains(tensor: PayoffTensor, flat_probs: np.ndarray) -> list[np.nd
     return out
 
 
-class CePolytopeSolver:
-    """Row-generation optimizer over one tensor's CE polytope.
+def _most_violated(gains: np.ndarray):
+    """(a, b) of the ROW_GEN_BATCH largest gains, a != b, above ROW_GEN_TOL."""
+    m = gains.shape[0]
+    for f in np.argsort(gains, axis=None)[::-1][:ROW_GEN_BATCH]:
+        a, b = divmod(int(f), m)
+        if a != b and gains[a, b] > ROW_GEN_TOL:
+            yield a, b
 
-    Generated rows describe the game, not the objective, so they are kept
+
+class CePolytopeSolver:
+    """Cutting-plane master over {x >= 0 : ``eq_rows`` hold, and so does every
+    row ``row . x >= 0`` that ``separate(x)`` yields as ``(key, row)`` when
+    x violates it}. Each key is added once. ``for_tensor`` is the CE polytope.
+
+    Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
     first few solves). The last optimal master basis is kept too and warm
     starts every master solve: after a round adds rows the dual simplex
@@ -136,52 +149,51 @@ class CePolytopeSolver:
     per worker.
     """
 
-    def __init__(self, tensor: PayoffTensor, options: SimplexOptions | None = None):
-        self.tensor = tensor
+    def __init__(self, eq_rows, separate, options: SimplexOptions | None = None):
+        self.eq_rows = eq_rows
+        self.separate = separate
         self.options = options or SimplexOptions()
         self._rows: list[np.ndarray] = []
-        self._row_ids: set[tuple[int, int, int]] = set()
+        self._keys: set = set()
         self._basis = None
 
-    def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
-        """Maximize a linear objective over the CE polytope.
+    @classmethod
+    def for_tensor(cls, tensor: PayoffTensor, options: SimplexOptions | None = None):
+        """The CE polytope of ``tensor``: the profile simplex and obedience rows."""
+        def separate(flat_probs):
+            for i, gains in enumerate(_deviation_gains(tensor, flat_probs)):
+                for a, b in _most_violated(gains):
+                    yield (i, a, b), _ce_row(tensor, i, a, b)
+        return cls([(np.ones(tensor.profile_count), 1.0)], separate, options)
 
-        Returns (flat distribution, objective value, simplex pivots).
+    def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
+        """Maximize a linear objective over the polytope.
+
+        Returns (point, objective value, simplex pivots).
         """
-        n = self.tensor.profile_count
-        eq = [(np.ones(n), 1.0)]
         total_iters = 0
-        for _ in range(10 * n + 100):
+        for _ in range(10 * len(objective) + 100):
             rows = [(r, 0.0) for r in self._rows]
-            prob = make_problem(objective, ineq_rows=rows, eq_rows=eq, name="ce-master")
+            prob = make_problem(objective, ineq_rows=rows, eq_rows=self.eq_rows,
+                                name="master")
             sol = solve_lp(prob, self.options, start=self._basis)
             total_iters += sol.iterations
             if sol.status != "optimal":
-                # the CE polytope is nonempty and bounded, so this is internal
-                raise SolverStallError(f"CE master LP reported {sol.status}")
+                # the polytope is nonempty and bounded, so this is internal
+                raise SolverStallError(f"master LP reported {sol.status}")
             self._basis = sol.basis
-            x = sol.x
-            if self._add_violated_rows(x) == 0:
-                return x, float(sol.objective_value), total_iters
+            added = 0
+            for key, row in self.separate(sol.x):
+                if key not in self._keys:
+                    self._keys.add(key)
+                    # scaled to unit max coefficient: payoff differences span
+                    # orders of magnitude, and unscaled rows give bases
+                    # ill-conditioned enough that pricing cycles on noise
+                    self._rows.append(row / np.abs(row).max())
+                    added += 1
+            if added == 0:
+                return sol.x, float(sol.objective_value), total_iters
         raise SolverStallError("row generation failed to converge")
-
-    def _add_violated_rows(self, flat_probs: np.ndarray) -> int:
-        added = 0
-        for i, gains in enumerate(_deviation_gains(self.tensor, flat_probs)):
-            mi = self.tensor.dims[i]
-            order = np.argsort(gains, axis=None)[::-1][:ROW_GEN_BATCH]
-            for f in order:
-                a, b = divmod(int(f), mi)
-                if a == b or gains[a, b] <= ROW_GEN_TOL or (i, a, b) in self._row_ids:
-                    continue
-                self._row_ids.add((i, a, b))
-                # the same constraint scaled to unit max coefficient: payoff
-                # differences span orders of magnitude, and unscaled rows give
-                # bases ill-conditioned enough that pricing cycles on noise
-                row = _ce_row(self.tensor, i, a, b)
-                self._rows.append(row / np.abs(row).max())
-                added += 1
-        return added
 
 
 def _report(tensor: PayoffTensor, flat: np.ndarray, iters: int) -> EquilibriumReport:
@@ -197,7 +209,7 @@ def solve_welfare_ce(tensor: PayoffTensor,
                      options: SimplexOptions | None = None,
                      solver: CePolytopeSolver | None = None) -> EquilibriumReport:
     """Correlated equilibrium maximizing the sum of expected utilities."""
-    solver = solver or CePolytopeSolver(tensor, options)
+    solver = solver or CePolytopeSolver.for_tensor(tensor, options)
     flat, _, iters = solver.maximize(tensor.welfare_flat())
     return _report(tensor, flat, iters)
 
@@ -214,7 +226,7 @@ def solve_directional_ce(tensor: PayoffTensor, weights,
     objective = np.zeros(tensor.profile_count)
     for i in range(tensor.players):
         objective += w[i] * tensor.flat(i)
-    solver = solver or CePolytopeSolver(tensor, options)
+    solver = solver or CePolytopeSolver.for_tensor(tensor, options)
     flat, _, iters = solver.maximize(objective)
     return _report(tensor, flat, iters)
 
@@ -244,7 +256,7 @@ def ce_violation(tensor: PayoffTensor, dist: JointDistribution) -> float:
     return max(worst, 0.0)
 
 
-def ce_payoff_region(tensor: PayoffTensor, directions: int = 64,
+def ce_payoff_region(tensor: PayoffTensor, directions: int = REGION_DIRECTIONS,
                      options: SimplexOptions | None = None) -> list[tuple[float, float]]:
     """Support-function trace of the 2-player CE payoff region.
 
@@ -256,7 +268,7 @@ def ce_payoff_region(tensor: PayoffTensor, directions: int = 64,
         raise ValueError("payoff-region export is 2-player only")
     if directions < 4:
         raise ValueError("need at least 4 directions")
-    solver = CePolytopeSolver(tensor, options)
+    solver = CePolytopeSolver.for_tensor(tensor, options)
     points = []
     for k in range(directions):
         theta = 2.0 * math.pi * k / directions

@@ -9,6 +9,11 @@ class ConfigError(PowergamesError):
     """Invalid or malformed experiment configuration."""
 
 
+class MuTooSmallError(PowergamesError, ValueError):
+    """Regret matching's mu is below what the game's payoff spread needs: the
+    switch probabilities of a step sum past 1."""
+
+
 class BudgetError(PowergamesError):
     """A requested computation exceeds the configured memory budget."""
 

@@ -34,7 +34,7 @@ from .correlated import (
     solve_directional_ce,
     solve_welfare_ce,
 )
-from .errors import ConfigError
+from .errors import ConfigError, MuTooSmallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import (
     ChannelMatrix,
@@ -231,7 +231,10 @@ def run_regret(cfg: ExperimentConfig, steps: int | None = None,
     steps = steps if steps is not None else cfg.learning.steps
     seed = seed if seed is not None else cfg.learning.seed
     rule = rule or cfg.learning.rule
-    res = rm_run(tensor, steps, seed, mu=cfg.learning.mu, rule=rule)
+    try:
+        res = rm_run(tensor, steps, seed, mu=cfg.learning.mu, rule=rule)
+    except MuTooSmallError as exc:
+        raise ConfigError(f"learning.mu: {exc}") from None
     welfare = float(res.empirical.probs @ tensor.welfare_flat())
     return {
         "meta": metadata(cfg, seeds_used={"learning": seed}),
@@ -268,8 +271,11 @@ def _state_result(args):
         "lp_iterations": rep.solver_iterations,
     }
     if cfg.sweep.include_regret:
-        res = rm_run(tensor, cfg.learning.steps, cfg.learning.seed + idx,
-                     mu=cfg.learning.mu, rule=cfg.learning.rule, trace=False)
+        try:
+            res = rm_run(tensor, cfg.learning.steps, cfg.learning.seed + idx,
+                         mu=cfg.learning.mu, rule=cfg.learning.rule, trace=False)
+        except MuTooSmallError as exc:
+            raise ConfigError(f"learning.mu: sweep state {idx}: {exc}") from None
         row["regret_welfare"] = float(res.empirical.probs @ tensor.welfare_flat())
     return idx, row
 

@@ -16,6 +16,10 @@ from .errors import BudgetError
 
 # Dense tensors above this entry count (K * prod(dims)) are refused.
 TENSOR_ENTRY_BUDGET = 10**8
+# energy cost per linear power unit, receiver noise power, packet length
+DEFAULT_ALPHA = 0.01
+DEFAULT_NOISE = 1.0
+DEFAULT_PACKET_LEN = 100
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,9 @@ class GameInstance:
 
     channel: ChannelMatrix
     grids: tuple[PowerGrid, ...]
-    alpha: float = 0.01
-    noise: float = 1.0
-    packet_len: int = 100
+    alpha: float = DEFAULT_ALPHA
+    noise: float = DEFAULT_NOISE
+    packet_len: int = DEFAULT_PACKET_LEN
 
     def __post_init__(self):
         if len(self.grids) != self.channel.players:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlated import JointDistribution, ce_violation
+from .errors import MuTooSmallError
 from .model import PayoffTensor
 
 RULES = ("conditional", "paper-literal")
@@ -81,8 +82,10 @@ def rm_step(state: RegretState, tensor: PayoffTensor, mu: float) -> tuple[int, .
             switch[held] = 0.0
             total = float(switch.sum())
             if total > 1.0 + 1e-12:
-                raise ValueError(
-                    f"mu={mu} too small: switch probabilities sum to {total:.6f}"
+                bound = (max(dims) - 1) * float(tensor.values.max() - tensor.values.min())
+                raise MuTooSmallError(
+                    f"mu={mu!r} is too small: switch probabilities sum to {total:.6f}; "
+                    f"(max_i M_i - 1) x payoff spread = {bound!r} is enough"
                 )
             stay = 1.0 - total
             u = state.rng.random()

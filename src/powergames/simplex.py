@@ -51,6 +51,9 @@ WARM_PIVOT_SLACK = 100
 # every solve's last dual pass lifts basic values below -CLEAN_TOL; clipping
 # several within feas_tol to zero can break an equality row by over feas_tol
 CLEAN_TOL = 1e-11
+# primal feasibility and reduced-cost optimality tolerances
+DEFAULT_FEAS_TOL = 1e-9
+DEFAULT_OPT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,8 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class SimplexOptions:
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
+    feas_tol: float = DEFAULT_FEAS_TOL
+    opt_tol: float = DEFAULT_OPT_TOL
     piv_abs: float = 1e-11     # absolute pivot magnitude floor
     piv_rel: float = 1e-9      # relative pivot floor vs column max
     stall_threshold: int = 64  # consecutive degenerate pivots before escalating

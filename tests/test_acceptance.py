@@ -132,7 +132,7 @@ def test_criterion_3_known_games():
     rep = solve_welfare_ce(dominant)
     assert rep.distribution.probs[dominant.encode((1, 1))] >= 1.0 - 1e-9
     for i in range(2):
-        solver = CePolytopeSolver(dominant)
+        solver = CePolytopeSolver.for_tensor(dominant)
         mass = np.zeros(4)
         for idx in range(4):
             if dominant.decode(idx)[i] == 0:  # the strictly dominated action

@@ -20,6 +20,7 @@ from powergames.communication import (
 from powergames.correlated import JointDistribution, ce_violation, solve_welfare_ce
 from powergames.errors import BudgetError
 from powergames.model import PayoffTensor, build_power_grid, grid_from_levels, nested_db_levels
+from powergames.simplex import make_problem, solve_lp
 
 
 def family(levels=(1.0, 10.0), players=2, alpha=0.01, packet_len=10):
@@ -185,24 +186,43 @@ def reference_commeq_lp(space, tensors, formulation):
 
 
 class TestLpStructure:
-    @pytest.mark.parametrize("formulation", ["literal", "canonical"])
-    def test_rows_match_definitions_three_actions(self, formulation):
+    def test_rows_match_definitions_three_actions(self):
         prior = np.array([[0.4, 0.1], [0.2, 0.3]])  # correlated, so posteriors differ
         space = build_type_space([0.5, 2.0], players=2, prior=prior)
         fam = family(levels=(0.5, 2.0, 8.0))
         tensors = per_type_tensors(space, fam)
-        prob = build_commeq_lp(space, fam, formulation, tensors)
-        objective, rows, eq_rows = reference_commeq_lp(space, tensors, formulation)
+        prob = build_commeq_lp(space, fam, "literal", tensors)
+        objective, rows, eq_rows = reference_commeq_lp(space, tensors, "literal")
         assert prob.ineq_coeffs.shape == rows.shape
         np.testing.assert_allclose(prob.ineq_coeffs, rows, rtol=0, atol=1e-12)
         assert (prob.ineq_rhs == 0).all()
         np.testing.assert_allclose(prob.objective, objective, rtol=0, atol=1e-12)
         assert (prob.eq_coeffs == eq_rows).all() and (prob.eq_rhs == 1).all()
-        # p(a|t) >= 0 for 4 joint types x 9 profiles; canonical auxiliaries are free
-        n_x = 4 * 9
-        assert prob.n == n_x + (0 if formulation == "literal" else 2 * 4 * 3)
-        assert (prob.lo[:n_x] == 0).all() and np.isneginf(prob.lo[n_x:]).all()
-        assert np.isposinf(prob.hi).all()
+        # p(a|t) >= 0 for 4 joint types x 9 profiles
+        assert prob.n == 4 * 9
+        assert (prob.lo == 0).all() and np.isposinf(prob.hi).all()
+
+    @pytest.mark.parametrize("types, players, prior, levels", [
+        ([0.5, 2.0], 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
+        ([0.3, 1.0, 2.5], 2, np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3),
+         (0.5, 2.0, 5.0, 12.0)),
+        ([0.5, 2.0], 3, "uniform", (0.5, 2.0, 8.0)),
+    ], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players"])
+    def test_canonical_welfare_matches_definitions(self, types, players, prior, levels):
+        # the lazily cut master against the auxiliary LP written from the
+        # definitions, with one free z_a per (player, true type, report, told a)
+        space = build_type_space(types, players=players, prior=prior)
+        fam = family(levels=levels, players=players)
+        tensors = per_type_tensors(space, fam)
+        objective, rows, eq_rows = reference_commeq_lp(space, tensors, "canonical")
+        n_x = space.joint_count * tensors[0].profile_count
+        reference = solve_lp(make_problem(
+            objective, ineq_rows=[(r, 0.0) for r in rows], eq_rows=[(r, 1.0) for r in eq_rows],
+            bounds=[(0.0, None)] * n_x + [(None, None)] * (objective.size - n_x)))
+        res = solve_commeq(space, fam, "canonical", tensors=tensors)
+        assert reference.status == "optimal"
+        assert abs(res.welfare - reference.objective_value) <= 1e-9
+        assert res.max_violation <= 1e-8
 
     def test_literal_row_count(self):
         space = build_type_space([0.5, 2.0], players=2)
@@ -211,13 +231,6 @@ class TestLpStructure:
         assert prob.ineq_coeffs.shape[0] == 2 * 4 * 2
         assert prob.eq_coeffs.shape[0] == 4
         assert prob.n == 4 * 4
-
-    def test_canonical_adds_aux(self):
-        space = build_type_space([0.5, 2.0], players=2)
-        prob = build_commeq_lp(space, family(), "canonical")
-        n_aux = 2 * 4 * 2  # players * |T_i|^2 * M
-        assert prob.n == 4 * 4 + n_aux
-        assert prob.ineq_coeffs.shape[0] == 2 * 4 * (1 + 4)
 
     def test_single_type_matches_ce_rows(self):
         space = build_type_space([1.0], players=2)
@@ -245,20 +258,29 @@ class TestLpStructure:
         build = communication.build_payoff_tensor
         monkeypatch.setattr(communication, "build_payoff_tensor",
                             lambda game: calls.append(1) or build(game))
-        space = build_type_space([0.5, 2.0], players=2)
-        fam = GameFamily((build_power_grid(-20, 20, 25),) * 2)
-        with pytest.raises(BudgetError):
-            solve_commeq(space, fam, "canonical")
+        grid = list(np.linspace(0.01, 3.0, 35))
+        space = build_type_space(grid, players=2)  # |T| = 1225
+        fam = GameFamily((build_power_grid(-20, 20, 30),) * 2)
+        for formulation in ("literal", "canonical"):
+            with pytest.raises(BudgetError):
+                solve_commeq(space, fam, formulation)
         assert calls == []
 
     def test_tableau_budget_guard(self):
-        # canonical rows explode with the action count; refuse before building
-        space = build_type_space([0.5, 2.0], players=2)
         fam = GameFamily((build_power_grid(-20, 20, 25),) * 2)
+        # the literal LP has |T_i|^2 * M_i incentive rows per player
+        ten = build_type_space(list(np.linspace(0.01, 3.0, 10)), players=2)
         with pytest.raises(BudgetError, match="tableau"):
-            build_commeq_lp(space, fam, "canonical")
-        # the literal formulation at the same scale stays within budget
-        build_commeq_lp(space, fam, "literal")
+            build_commeq_lp(ten, fam, "literal")
+        # the canonical master starts from one row per joint type
+        many = build_type_space(list(np.linspace(0.01, 3.0, 35)), players=2)
+        with pytest.raises(BudgetError, match="tableau"):
+            solve_commeq(many, fam, "canonical")
+        # the canonical family has no dense LP to build
+        with pytest.raises(ValueError):
+            build_commeq_lp(build_type_space([0.5, 2.0], players=2), fam, "canonical")
+        # the paper's two types fit
+        build_commeq_lp(build_type_space([0.5, 2.0], players=2), fam, "literal")
 
 
 class TestSolve:

@@ -101,7 +101,7 @@ class TestWelfareCe:
 
     def test_dominated_action_gets_no_mass(self):
         # action 0 of player 0 strictly dominated by action 1
-        solver = CePolytopeSolver(DOMINANT)
+        solver = CePolytopeSolver.for_tensor(DOMINANT)
         objective = np.zeros(4)
         objective[DOMINANT.encode((0, 0))] = 1.0
         objective[DOMINANT.encode((0, 1))] = 1.0

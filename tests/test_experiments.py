@@ -256,6 +256,27 @@ class TestCli:
         assert cli.main(["-c", str(bad), "nash"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_regret_mu_too_small_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, power={"min_db": -20.0, "max_db": 20.0, "levels": 5},
+                             channel={"matrix": [[1.0, 2.0], [2.0, 1.0]]},
+                             packet_len=100, learning={"mu": 0.001})
+        assert cli.main(["-c", cfg, "regret", "--steps", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert "learning.mu" in err and "mu=0.001" in err
+        assert "(max_i M_i - 1) x payoff spread = 7.577966470926528" in err
+        assert "Traceback" not in err
+
+    def test_sweep_mu_too_small_exit_2(self, tmp_path, capsys):
+        path = small_sweep_config(tmp_path, count=2, include_regret=True, workers=1)
+        raw = json.loads(path.read_text())
+        raw["learning"]["mu"] = 0.001
+        path.write_text(json.dumps(raw))
+        assert cli.main(["-c", str(path), "sweep"]) == 2
+        err = capsys.readouterr().err
+        # the first state of this seeded sample whose regrets outgrow mu
+        assert "learning.mu: sweep state 1: mu=0.001" in err
+        assert "Traceback" not in err
+
     def test_budget_error_exit_3(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, power={"min_db": -20.0, "max_db": 20.0,
                                               "levels": 8000})

@@ -1,13 +1,15 @@
-"""Paper-scale cases that once failed certification or stalled, pinned to reference
-optima computed with scipy's HiGHS (hard-coded: scipy is not a dependency)."""
+"""Paper-scale cases that once failed certification, stalled or were refused,
+pinned to reference optima computed with scipy's HiGHS or the earlier dense LP
+(hard-coded: scipy is not a dependency)."""
 import math
 from pathlib import Path
 
 import pytest
 
+from powergames.communication import GameFamily, solve_commeq
 from powergames.config import load_config
 from powergames.correlated import ce_payoff_region, solve_welfare_ce
-from powergames.experiments import channel_states, game_from_config
+from powergames.experiments import channel_states, game_from_config, power_grids, types_from_config
 from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
 
 PAPER_CONFIG = Path(__file__).parent.parent / "configs" / "paper_setup.json"
@@ -51,3 +53,26 @@ def test_25_level_region_support():
         theta = 2.0 * math.pi * k / 64
         support = max(math.cos(theta) * u1 + math.sin(theta) * u2 for u1, u2 in region)
         assert abs(support - value) <= 1e-9, f"direction {k}"
+
+
+def test_canonical_commeq_at_paper_scale():
+    # the 25-level canonical family once exceeded the dense tableau budget
+    cfg = load_config(PAPER_CONFIG)
+    family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
+    res = solve_commeq(types_from_config(cfg), family, "canonical")
+    assert res.max_violation <= 1e-8
+    assert abs(res.welfare - 0.691543710824) <= 1e-9
+
+
+@pytest.mark.parametrize("levels, welfare", [
+    (2, -0.000125), (3, -0.000125), (4, 0.6748749999831885), (6, 0.6748749999831885),
+    (8, 0.6591794700635808), (10, 0.6591794700634784),
+])
+def test_canonical_commeq_nested_grids(levels, welfare):
+    # optima of the dense auxiliary-variable LP on the paper's nested grids
+    cfg = load_config(PAPER_CONFIG)
+    family = GameFamily(power_grids(cfg, levels=levels, nested=True),
+                        cfg.alpha, cfg.noise, cfg.packet_len)
+    res = solve_commeq(types_from_config(cfg), family, "canonical")
+    assert res.max_violation <= 1e-8
+    assert abs(res.welfare - welfare) <= 1e-9

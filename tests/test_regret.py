@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from powergames.correlated import ce_violation, solve_welfare_ce
+from powergames.errors import MuTooSmallError
 from powergames.model import PayoffTensor
 from powergames.regret import (
     default_mu,
@@ -30,7 +31,7 @@ class TestStep:
         rm_step(state, DOMINANT, mu=10.0)
         state.diffs[0][:] = 50.0
         state.diffs[1][:] = 50.0
-        with pytest.raises(ValueError):
+        with pytest.raises(MuTooSmallError, match=r"mu=1e-06 .* payoff spread = 1\.0 "):
             rm_step(state, DOMINANT, mu=1e-6)
 
     def test_hand_trace_conditional(self):

@@ -126,7 +126,7 @@ class TestRowGeneration:
         for _ in range(1):
             tensors.append(paper_game(rng.uniform(0.01, 3.0, size=(2, 2))))
         for k, tensor in enumerate(tensors):
-            _, value, _ = CePolytopeSolver(tensor).maximize(tensor.welfare_flat())
+            _, value, _ = CePolytopeSolver.for_tensor(tensor).maximize(tensor.welfare_flat())
             cold = solve_lp(build_ce_constraints(tensor))
             assert abs(value - cold.objective_value) <= 1e-9, f"game {k}"
 
