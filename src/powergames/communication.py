@@ -287,6 +287,13 @@ def _check_budget(space: TypeSpace, family: GameFamily, formulation: str):
     n_rows = space.joint_count
     if formulation == "literal":
         n_rows += sum(t * t * m for t, m in zip(space.type_dims, family.dims))
+    _check_tableau(formulation, n_rows, n_x)
+
+
+def _check_tableau(formulation: str, n_rows: int, n_x: int):
+    """BudgetError when an LP of ``n_rows`` rows over ``n_x`` variables needs
+    more dense tableau entries than COMMEQ_TABLEAU_BUDGET; the canonical
+    master runs this before each solve, as its cuts grow it."""
     work = n_rows * (n_x + n_rows)
     if work > COMMEQ_TABLEAU_BUDGET:
         raise BudgetError(
@@ -402,7 +409,7 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
     else:
         objective, eq_rows, blocks = _device_program(space, tensors)
         master = CePolytopeSolver(eq_rows, partial(_canonical_cuts, blocks, family.dims),
-                                  options)
+                                  options, partial(_check_tableau, formulation))
         x, value, iters = master.maximize(objective)
     raw = x.reshape(space.joint_count, -1)
     device = CommDevice.from_raw(space, family.dims, raw)

@@ -145,14 +145,18 @@ class CePolytopeSolver:
     starts every master solve: after a round adds rows the dual simplex
     repairs it, after a change of objective primal phase 2 does. When a warm
     start is abandoned, ``solve_lp`` falls back to its cold two-phase solve,
-    so the answers never depend on it. Not safe for concurrent use; make one
-    per worker.
+    so the answers never depend on it. ``check_size(rows, columns)``, when
+    given, runs before each master solve and may raise to refuse a master
+    that has grown too large. Not safe for concurrent use; make one per
+    worker.
     """
 
-    def __init__(self, eq_rows, separate, options: SimplexOptions | None = None):
+    def __init__(self, eq_rows, separate, options: SimplexOptions | None = None,
+                 check_size=None):
         self.eq_rows = eq_rows
         self.separate = separate
         self.options = options or SimplexOptions()
+        self.check_size = check_size
         self._rows: list[np.ndarray] = []
         self._keys: set = set()
         self._basis = None
@@ -174,6 +178,8 @@ class CePolytopeSolver:
         total_iters = 0
         for _ in range(10 * len(objective) + 100):
             rows = [(r, 0.0) for r in self._rows]
+            if self.check_size is not None:
+                self.check_size(len(rows) + len(self.eq_rows), len(objective))
             prob = make_problem(objective, ineq_rows=rows, eq_rows=self.eq_rows,
                                 name="master")
             sol = solve_lp(prob, self.options, start=self._basis)
@@ -234,8 +240,9 @@ def solve_directional_ce(tensor: PayoffTensor, weights,
 def ce_violation(tensor: PayoffTensor, dist: JointDistribution) -> float:
     """Worst expected deviation gain; zero (up to fp) iff ``dist`` is a CE.
 
-    Loops the (recommendation, deviation) pairs directly against the tensor,
-    independently of any LP bookkeeping.
+    Computes every (recommendation, deviation) gain directly against the
+    tensor, one matrix product per player, independently of any LP
+    bookkeeping (none of the master's row helpers is called).
     """
     if tuple(dist.dims) != tuple(tensor.dims):
         raise ValueError("distribution dims do not match tensor")
@@ -245,15 +252,10 @@ def ce_violation(tensor: PayoffTensor, dist: JointDistribution) -> float:
         mi = tensor.dims[i]
         pm = np.moveaxis(p, i, 0).reshape(mi, -1)
         um = np.moveaxis(tensor.player_payoffs(i), i, 0).reshape(mi, -1)
-        for a in range(mi):
-            base = float(pm[a] @ um[a])
-            for b in range(mi):
-                if b == a:
-                    continue
-                gain = float(pm[a] @ um[b]) - base
-                if gain > worst:
-                    worst = gain
-    return max(worst, 0.0)
+        s = pm @ um.T  # s[a, b]: expected payoff of playing b when told a
+        # the diagonal gains are exactly 0, no more than the floor ``worst`` starts at
+        worst = max(worst, float((s - np.diag(s)[:, None]).max()))
+    return worst
 
 
 def ce_payoff_region(tensor: PayoffTensor, directions: int = REGION_DIRECTIONS,

@@ -161,7 +161,8 @@ class GameInstance:
 def sinr(i: int, profile: Sequence[float], channel: ChannelMatrix, noise: float) -> float:
     """Signal-to-interference-plus-noise ratio at receiver i.
 
-    ``profile`` holds linear transmit powers for all K players.
+    ``profile`` holds linear transmit powers for all K players: floats, or
+    arrays that broadcast together (then the ratio is an array).
     """
     if noise <= 0:
         raise ValueError("noise must be positive")
@@ -178,13 +179,22 @@ def sinr(i: int, profile: Sequence[float], channel: ChannelMatrix, noise: float)
     return profile[i] * g[i][i] / (noise + interference)
 
 
-def efficiency(x: float, packet_len: int) -> float:
-    """Packet success probability (1 - e^-x)^L; in [0, 1], nondecreasing."""
-    if x < 0:
+def efficiency(x, packet_len: int):
+    """Packet success probability (1 - e^-x)^L; in [0, 1], nondecreasing.
+
+    ``x`` is a SINR (the result is a float) or an array of them. The
+    exponential runs as ``math.exp`` per entry, and the power is
+    ``np.float_power``, the C ``pow`` that float ``**`` calls: the SIMD
+    ``np.exp`` and ``np.power`` may round the last bit differently.
+    """
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
         raise ValueError("SINR must be nonnegative")
     if packet_len < 1:
         raise ValueError("packet_len must be >= 1")
-    return (1.0 - math.exp(-x)) ** packet_len
+    e = np.fromiter(map(math.exp, (-x).ravel().tolist()), float, x.size)
+    out = np.float_power(1.0 - e.reshape(x.shape), packet_len)
+    return float(out) if out.ndim == 0 else out
 
 
 def utility(i: int, profile: Sequence[float], game: GameInstance) -> float:
@@ -255,17 +265,19 @@ def _decode(index: int, dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def build_payoff_tensor(game: GameInstance) -> PayoffTensor:
-    """Evaluate every player's utility at every joint power profile."""
+    """Evaluate every player's utility at every joint power profile.
+
+    Entry for entry the same float as ``utility``: ``sinr`` and
+    ``efficiency`` run unchanged over the power mesh, with the same IEEE
+    operations in the same order as at one profile.
+    """
     dims = game.dims
     total = game.players * int(np.prod(dims))
     if total > TENSOR_ENTRY_BUDGET:
         raise BudgetError(
             f"payoff tensor needs {total} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
-    levels = [g.values_linear for g in game.grids]
-    values = np.empty((game.players,) + dims)
-    for profile in np.ndindex(*dims):
-        powers = [levels[j][a] for j, a in enumerate(profile)]
-        for i in range(game.players):
-            values[(i,) + profile] = utility(i, powers, game)
+    mesh = np.meshgrid(*[np.array(g.values_linear) for g in game.grids], indexing="ij")
+    sinrs = np.array([sinr(i, mesh, game.channel, game.noise) for i in range(game.players)])
+    values = efficiency(sinrs, game.packet_len) - game.alpha * np.array(mesh)
     return PayoffTensor(dims, values)

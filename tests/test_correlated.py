@@ -164,7 +164,7 @@ class TestViolationOracle:
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(14)
-        for dims in [(2, 2), (3, 2), (3, 3, 2)]:
+        for dims in [(2, 2), (3, 2), (3, 3, 2), (25, 25), (3, 4, 2)]:
             vals = random_tensor(rng, dims)
             t = PayoffTensor(dims, vals.copy())
             raw = rng.uniform(0.0, 1.0, t.profile_count)
@@ -172,6 +172,23 @@ class TestViolationOracle:
             assert ce_violation(t, dist) == pytest.approx(
                 ce_gain_reference(vals, dist.probs), abs=1e-12
             )
+
+    def test_independent_of_master_helpers(self, monkeypatch):
+        from powergames import correlated
+
+        rng = np.random.default_rng(15)
+        dims = (3, 4, 2)
+        t = PayoffTensor(dims, random_tensor(rng, dims))
+        raw = rng.uniform(0.0, 1.0, t.profile_count)
+        dist = JointDistribution(dims, raw / raw.sum())
+        expected = ce_violation(t, dist)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ce_violation used a helper of the LP master")
+
+        for name in ("_deviation_gains", "_told", "_ce_row"):
+            monkeypatch.setattr(correlated, name, forbidden)
+        assert ce_violation(t, dist) == expected
 
     def test_dimension_mismatch(self):
         probs = np.full(4, 0.25)

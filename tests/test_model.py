@@ -195,6 +195,35 @@ class TestPayoffTensor:
             powers = [lv[prof[0]], lv[prof[1]]]
             assert tensor.payoff(i, prof) == utility(i, powers, game)
 
+    @pytest.mark.parametrize("gains, grids, alpha, noise, packet_len", [
+        ([[1.0, 0.5], [0.5, 1.0]], ((-20.0, 20.0, 25),) * 2, 0.01, 1.0, 100),
+        ([[2.33556, 0.0], [3.0, 1.33889]], ((-20.0, 20.0, 25),) * 2, 0.01, 1.0, 100),
+        ([[0.01, 3.0], [0.0, 0.01]], ((-20.0, 20.0, 25),) * 2, 0.01, 1.0, 100),
+        # at L = 1 a last-bit change of the exponential reaches the payoff
+        ([[1.0, 0.5], [0.5, 1.0]], ((-20.0, 20.0, 25),) * 2, 0.01, 1.0, 1),
+        ([[1.2, 0.3, 2.0], [0.7, 0.05, 0.0], [1.9, 2.5, 0.4]],
+         ((-10.0, 10.0, 4), (-20.0, 5.0, 7), (0.0, 20.0, 5)), 0.037, 0.6, 17),
+        ([[0.3, 1.1, 0.2], [2.9, 1.0, 1.4], [0.0, 0.8, 2.2]],
+         ((-5.0, 15.0, 4), (-15.0, 15.0, 7), (-20.0, 0.0, 5)), 0.002, 2.5, 250),
+    ])
+    def test_bytes_equal_scalar_utility(self, gains, grids, alpha, noise, packet_len):
+        # the tensor is built over the whole power mesh at once; every entry
+        # must still be the very float the scalar utility gives
+        game = GameInstance(ChannelMatrix.from_array(gains),
+                            tuple(build_power_grid(*g) for g in grids),
+                            alpha, noise, packet_len)
+        tensor = build_payoff_tensor(game)
+        levels = [g.values_linear for g in game.grids]
+        for prof in np.ndindex(*game.dims):
+            powers = [levels[j][a] for j, a in enumerate(prof)]
+            for i in range(game.players):
+                expected = np.float64(utility(i, powers, game)).tobytes()
+                assert tensor.values[(i,) + prof].tobytes() == expected, (i, prof)
+                # and the float of the formula in plain Python scalars
+                s = sinr(i, powers, game.channel, noise)
+                plain = (1.0 - math.exp(-s)) ** packet_len - alpha * powers[i]
+                assert np.float64(plain).tobytes() == expected, (i, prof)
+
     def test_paper_scale_tensor(self):
         tensor = build_payoff_tensor(two_player_game())
         assert tensor.values.size == 2 * 625

@@ -1,11 +1,13 @@
 """Paper-scale cases that once failed certification, stalled or were refused,
 pinned to reference optima computed with scipy's HiGHS or the earlier dense LP
 (hard-coded: scipy is not a dependency)."""
+import json
 import math
 from pathlib import Path
 
 import pytest
 
+from powergames import cli
 from powergames.communication import GameFamily, solve_commeq
 from powergames.config import load_config
 from powergames.correlated import ce_payoff_region, solve_welfare_ce
@@ -76,3 +78,16 @@ def test_canonical_commeq_nested_grids(levels, welfare):
     res = solve_commeq(types_from_config(cfg), family, "canonical")
     assert res.max_violation <= 1e-8
     assert abs(res.welfare - welfare) <= 1e-9
+
+
+def test_canonical_master_growth_exits_3(tmp_path, capsys):
+    # 10 diagonal types at 25 levels: the master starts at 100 rows over
+    # 62,500 columns, inside the budget, and its first cuts once grew it to a
+    # (273, 62774) tableau that ran out of memory with a traceback
+    path = tmp_path / "ten_types.json"
+    path.write_text(json.dumps({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]},
+                                "types": {"points": 10}}))
+    assert cli.main(["-c", str(path), "commeq", "--formulation", "canonical"]) == 3
+    err = capsys.readouterr().err
+    assert "budget error: canonical communication LP with 62500 variables" in err
+    assert "Traceback" not in err
