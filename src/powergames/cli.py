@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 memory-budget error,
-4 LP solve without a certified answer (``SolverStallError``). The
-POWERGAMES_LOG environment variable sets the log level (e.g. DEBUG, INFO);
-there is no logging flag.
+Exit codes: 0 success, 2 configuration error, 3 memory-budget error (a
+``BudgetError``, or running out of memory), 4 LP solve without a certified
+answer (``SolverStallError``). The POWERGAMES_LOG environment variable sets
+the log level (e.g. DEBUG, INFO); there is no logging flag.
 """
 from __future__ import annotations
 
@@ -150,6 +150,12 @@ def main(argv=None) -> int:
         return 2
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # a computation inside every budget can still outgrow the memory the
+        # process may use
+        print("budget error: out of memory; shrink the action grid, the type "
+              "space or the sweep", file=sys.stderr)
         return 3
     except SolverStallError as exc:
         print(f"solver stall: {exc}", file=sys.stderr)

@@ -6,16 +6,21 @@ and the mediator draws a joint power profile from a per-report conditional
 distribution. The system of conditionals is a communication equilibrium when
 no player gains by lying about its type or disobeying its recommendation.
 
-Two incentive-constraint families are supported:
+Two incentive-constraint families are supported, each cut lazily on the
+``correlated.CePolytopeSolver`` master over p(a|t):
 
 * ``literal``: one row per (player, true type, reported type, fixed action);
-  the deviator plays that fixed action whatever it is told.
+  the deviator plays that fixed action whatever it is told. Each round adds
+  the most violated fixed actions of every (player, true type, report).
 * ``canonical``: deviation maps from recommendations to actions (Myerson
-  1986, Forges 1986), cut lazily on the ``correlated.CePolytopeSolver``
-  master over p(a|t): obedience rows for honest reports and, per lie, the
+  1986, Forges 1986): obedience rows for honest reports and, per lie, the
   cut of the best map, which picks each recommendation's best reply and so
   separates exactly. Constant maps are a subset, so the canonical optimum
   never exceeds the literal one.
+
+``build_commeq_lp`` still writes the literal family out as one dense LP, a
+reference for tests and for ``simplex.dump_problem``; the solve does not use
+it.
 
 With one joint type the canonical family is the CE polytope. The literal LP
 is then the coarse-CE LP (no constant action pays more than obeying), which
@@ -35,6 +40,7 @@ import numpy as np
 
 from .correlated import (
     ACCEPT_VIOLATION,
+    ROW_GEN_BATCH,
     ROW_GEN_TOL,
     CePolytopeSolver,
     _draw,
@@ -54,7 +60,7 @@ from .model import (
     _encode,
     build_payoff_tensor,
 )
-from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
+from .simplex import LpProblem, SimplexOptions, make_problem
 
 # rows * (vars + rows) cap: beyond this a dense tableau solve is hours-scale
 COMMEQ_TABLEAU_BUDGET = 12 * 10**6
@@ -95,7 +101,6 @@ class TypeSpace:
 
     types: tuple[tuple[tuple[float, ...], ...], ...]
     prior: np.ndarray = field(repr=False)
-    mode: str = "diagonal"
 
     def __post_init__(self):
         k = len(self.types)
@@ -191,7 +196,7 @@ def build_type_space(gains, players: int, mode: str = "diagonal",
         table = np.full(dims, 1.0 / int(np.prod(dims)))
     else:
         table = np.asarray(prior, dtype=float).reshape(dims)
-    return TypeSpace(types, table, mode)
+    return TypeSpace(types, table)
 
 
 def conditional_prior(space: TypeSpace, i: int, t_i: int) -> np.ndarray:
@@ -278,22 +283,18 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
 
 
 def _check_budget(space: TypeSpace, family: GameFamily, formulation: str):
-    """BudgetError when the literal LP, or the canonical master before its
-    first cut, needs too large a dense tableau."""
+    """BudgetError when the master, before its first cut (one row per joint
+    type), needs too large a dense tableau."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
     n_x = space.joint_count * int(np.prod(family.dims))
-    # one row per joint type, plus M_i literal rows per (player, true type, report)
-    n_rows = space.joint_count
-    if formulation == "literal":
-        n_rows += sum(t * t * m for t, m in zip(space.type_dims, family.dims))
-    _check_tableau(formulation, n_rows, n_x)
+    _check_tableau(formulation, space.joint_count, n_x)
 
 
 def _check_tableau(formulation: str, n_rows: int, n_x: int):
     """BudgetError when an LP of ``n_rows`` rows over ``n_x`` variables needs
-    more dense tableau entries than COMMEQ_TABLEAU_BUDGET; the canonical
-    master runs this before each solve, as its cuts grow it."""
+    more dense tableau entries than COMMEQ_TABLEAU_BUDGET; the master runs
+    this before each solve, as its cuts grow it."""
     work = n_rows * (n_x + n_rows)
     if work > COMMEQ_TABLEAU_BUDGET:
         raise BudgetError(
@@ -337,29 +338,59 @@ def _reported(terms, n: int, s: int, place) -> np.ndarray:
     return row
 
 
+def _literal_row(terms, truth: np.ndarray, dims: tuple[int, ...], i: int,
+                 b: int) -> np.ndarray:
+    """Literal incentive row: reporting honestly and obeying is worth at
+    least reporting the block's type and then playing b whatever one is told."""
+    s = int(np.prod(dims))
+    return truth - _reported(terms, truth.size, s, lambda u: _told(u[b], dims, i))
+
+
 def build_commeq_lp(space: TypeSpace, family: GameFamily,
-                    formulation: str = "literal",
                     tensors: list[PayoffTensor] | None = None) -> LpProblem:
-    """LP whose optimum is the welfare-maximal literal communication
-    equilibrium (the canonical family has no dense LP).
+    """The dense LP whose optimum is the welfare-maximal literal
+    communication equilibrium, every incentive row written out (the solve
+    cuts them lazily instead).
 
     Variables are p(a|t) for every joint type and profile (type-major).
     ``tensors`` is ``per_type_tensors(space, family)`` when the caller
     already has it.
     """
-    if formulation != "literal":
-        raise ValueError("only the literal formulation has a dense LP")
-    _check_budget(space, family, formulation)
+    n_x = space.joint_count * int(np.prod(family.dims))
+    # one row per joint type, plus M_i rows per (player, true type, report)
+    n_rows = space.joint_count + sum(t * t * m for t, m in zip(space.type_dims, family.dims))
+    _check_tableau("literal", n_rows, n_x)
     if tensors is None:
         tensors = per_type_tensors(space, family)
     dims = family.dims
     objective, eq_rows, blocks = _device_program(space, tensors)
-    n, s = objective.shape[0], tensors[0].profile_count
-    # reporting t_rep and then playing a_dev whatever it is told
-    ineq_rows = [(truth - _reported(terms, n, s, lambda u: _told(u[a_dev], dims, i)), 0.0)
-                 for i, _, _, terms, truth in blocks for a_dev in range(dims[i])]
+    ineq_rows = [(_literal_row(terms, truth, dims, i, b), 0.0)
+                 for i, _, _, terms, truth in blocks for b in range(dims[i])]
     return make_problem(objective, ineq_rows=ineq_rows, eq_rows=eq_rows,
                         name="commeq-literal")
+
+
+def _deviation_table(p: np.ndarray, dims: tuple[int, ...], i: int, terms) -> np.ndarray:
+    """D[a, b]: what playing b when told a is worth to player i after the
+    block's report, at the device ``p`` (one row per joint type)."""
+    mi = dims[i]
+    d = np.zeros((mi, mi))
+    for w, _, fr, u in terms:
+        pm = np.moveaxis(p[fr].reshape(dims), i, 0).reshape(mi, -1)
+        d += w * (pm @ u.reshape(mi, -1).T)
+    return d
+
+
+def _literal_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
+    """Separation for the literal family at the device ``x``. In each block
+    the constant deviation b is worth sum_a D[a, b]; the ROW_GEN_BATCH
+    largest gains over truth above ROW_GEN_TOL give rows."""
+    p = x.reshape(-1, int(np.prod(dims)))
+    for i, t_i, t_rep, terms, truth in blocks:
+        gains = _deviation_table(p, dims, i, terms).sum(axis=0) - truth @ x
+        for b in np.argsort(gains)[::-1][:ROW_GEN_BATCH]:
+            if gains[b] > ROW_GEN_TOL:
+                yield (i, t_i, t_rep, int(b)), _literal_row(terms, truth, dims, i, b)
 
 
 def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
@@ -372,10 +403,7 @@ def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
     p = x.reshape(-1, s)
     for i, t_i, t_rep, terms, truth in blocks:
         mi = dims[i]
-        d = np.zeros((mi, mi))
-        for w, _, fr, u in terms:
-            pm = np.moveaxis(p[fr].reshape(dims), i, 0).reshape(mi, -1)
-            d += w * (pm @ u.reshape(mi, -1).T)
+        d = _deviation_table(p, dims, i, terms)
         if t_rep == t_i:
             for a, b in _most_violated(d - np.diag(d)[:, None]):
                 yield (i, t_i, a, b), _reported(
@@ -392,7 +420,7 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
                  options: SimplexOptions | None = None,
                  tensors: list[PayoffTensor] | None = None) -> CommEqResult:
     """Welfare-optimal communication equilibrium for the given deviation set,
-    from the literal LP or by canonical cuts on a ``CePolytopeSolver``.
+    by that family's lazy cuts on a ``CePolytopeSolver``.
 
     ``tensors`` is ``per_type_tensors(space, family)`` when the caller
     already has it; it is built once here otherwise, after the budget check.
@@ -400,19 +428,12 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
     _check_budget(space, family, formulation)
     if tensors is None:
         tensors = per_type_tensors(space, family)
-    if formulation == "literal":
-        sol = solve_lp(build_commeq_lp(space, family, formulation, tensors), options)
-        if sol.status != "optimal":
-            # the polytope is nonempty (Bayes-Nash devices are feasible) and bounded
-            raise SolverStallError(f"communication LP reported {sol.status}")
-        x, value, iters = sol.x, float(sol.objective_value), sol.iterations
-    else:
-        objective, eq_rows, blocks = _device_program(space, tensors)
-        master = CePolytopeSolver(eq_rows, partial(_canonical_cuts, blocks, family.dims),
-                                  options, partial(_check_tableau, formulation))
-        x, value, iters = master.maximize(objective)
-    raw = x.reshape(space.joint_count, -1)
-    device = CommDevice.from_raw(space, family.dims, raw)
+    objective, eq_rows, blocks = _device_program(space, tensors)
+    cuts = _literal_cuts if formulation == "literal" else _canonical_cuts
+    master = CePolytopeSolver(eq_rows, partial(cuts, blocks, family.dims),
+                              options, partial(_check_tableau, formulation))
+    x, value, iters = master.maximize(objective)
+    device = CommDevice.from_raw(space, family.dims, x.reshape(space.joint_count, -1))
     violation = commeq_violation(device, family, formulation, tensors)
     if violation > ACCEPT_VIOLATION:
         raise SolverStallError(

@@ -212,10 +212,9 @@ def _report(tensor: PayoffTensor, flat: np.ndarray, iters: int) -> EquilibriumRe
 
 
 def solve_welfare_ce(tensor: PayoffTensor,
-                     options: SimplexOptions | None = None,
-                     solver: CePolytopeSolver | None = None) -> EquilibriumReport:
+                     options: SimplexOptions | None = None) -> EquilibriumReport:
     """Correlated equilibrium maximizing the sum of expected utilities."""
-    solver = solver or CePolytopeSolver.for_tensor(tensor, options)
+    solver = CePolytopeSolver.for_tensor(tensor, options)
     flat, _, iters = solver.maximize(tensor.welfare_flat())
     return _report(tensor, flat, iters)
 

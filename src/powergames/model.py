@@ -26,23 +26,24 @@ DEFAULT_PACKET_LEN = 100
 class PowerGrid:
     """Ordered set of transmit power levels for one player.
 
-    ``values_linear`` is strictly increasing, in linear power units;
-    ``min_db``/``max_db`` are the endpoints on the dB scale.
+    ``values_linear`` is nonempty and strictly increasing, in linear power
+    units.
     """
 
-    min_db: float
-    max_db: float
-    levels: int
     values_linear: tuple[float, ...]
 
     def __post_init__(self):
-        if self.levels < 1 or len(self.values_linear) != self.levels:
-            raise ValueError("grid level count mismatch")
         vals = self.values_linear
+        if not vals:
+            raise ValueError("a grid needs at least one level")
         if any(not math.isfinite(v) or v < 0 for v in vals):
             raise ValueError("grid values must be finite and nonnegative")
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError("grid values must be strictly increasing")
+
+    @property
+    def levels(self) -> int:
+        return len(self.values_linear)
 
 
 def db_to_linear(db: float) -> float:
@@ -60,7 +61,7 @@ def build_power_grid(min_db: float, max_db: float, levels: int) -> PowerGrid:
     if levels == 1 and min_db != max_db:
         raise ValueError("a single-level grid needs min_db == max_db")
     dbs = _pinned_linspace(min_db, max_db, levels)
-    return PowerGrid(min_db, max_db, levels, tuple(db_to_linear(d) for d in dbs))
+    return PowerGrid(tuple(db_to_linear(d) for d in dbs))
 
 
 def _pinned_linspace(lo: float, hi: float, points: int) -> list[float]:
@@ -81,9 +82,7 @@ def grid_from_levels(values_linear: Sequence[float]) -> PowerGrid:
         raise ValueError("empty level list")
     if vals[0] <= 0:
         raise ValueError("linear power levels must be positive")
-    lo = 10.0 * math.log10(vals[0])
-    hi = 10.0 * math.log10(vals[-1])
-    return PowerGrid(lo, hi, len(vals), vals)
+    return PowerGrid(vals)
 
 
 def nested_db_levels(min_db: float, max_db: float, levels: int) -> list[float]:

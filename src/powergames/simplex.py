@@ -54,6 +54,15 @@ CLEAN_TOL = 1e-11
 # primal feasibility and reduced-cost optimality tolerances
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_OPT_TOL = 1e-9
+# pivot magnitude floors: absolute, and relative to the column's largest entry
+PIV_ABS = 1e-11
+PIV_REL = 1e-9
+# consecutive degenerate pivots before perturbing (and, later, Bland's rule)
+STALL_THRESHOLD = 64
+# pivots between scheduled refactorizations
+REFACTOR_EVERY = 200
+# a solve stops after this many pivots per standard-form column and row
+PIVOT_CAP_FACTOR = 50
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,6 @@ class LpSolution:
 class SimplexOptions:
     feas_tol: float = DEFAULT_FEAS_TOL
     opt_tol: float = DEFAULT_OPT_TOL
-    piv_abs: float = 1e-11     # absolute pivot magnitude floor
-    piv_rel: float = 1e-9      # relative pivot floor vs column max
-    stall_threshold: int = 64  # consecutive degenerate pivots before escalating
-    refactor_every: int = 200
-    max_iter: Optional[int] = None  # default 50 * (columns + rows) in standard form
 
 
 class _Standardized:
@@ -268,7 +272,7 @@ class _Tableau:
         self.obj = np.empty((2, N + 1))
         self.allowed = np.ones(N, dtype=bool)
         self.iters = 0
-        self.max_iter = opts.max_iter if opts.max_iter is not None else 50 * (N + m)
+        self.max_iter = PIVOT_CAP_FACTOR * (N + m)
         self.pert_u = (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
         # T is exactly the factorization of the basis against _factored_b
         # until the next pivot or perturbation
@@ -365,7 +369,7 @@ class _Tableau:
 
     def ratio_row(self, q: int, bland: bool) -> tuple[int, float]:
         col = self.T[:, q]
-        floor = max(self.opts.piv_abs, self.opts.piv_rel * float(np.abs(col).max(initial=0.0)))
+        floor = max(PIV_ABS, PIV_REL * float(np.abs(col).max(initial=0.0)))
         pos = col > floor
         if not pos.any():
             return -1, 0.0
@@ -417,14 +421,14 @@ class _Tableau:
             else:
                 degen = 0
                 bland = False
-            if degen >= self.opts.stall_threshold:
+            if degen >= STALL_THRESHOLD:
                 degen = 0
                 if perturbs < 8:
                     self.perturb()
                     perturbs += 1
                 else:
                     bland = True
-            elif since_refactor >= self.opts.refactor_every or abs(self.obj[jo, -1]) > 1e13:
+            elif since_refactor >= REFACTOR_EVERY or abs(self.obj[jo, -1]) > 1e13:
                 self.refactor()
                 since_refactor = 0
 
@@ -446,7 +450,7 @@ class _Tableau:
             norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
             r = int(bad[np.argmin(rhs[bad] / norms)])
             row = self.T[r, : self.N]
-            floor = max(self.opts.piv_abs, self.opts.piv_rel * float(np.abs(row).max()))
+            floor = max(PIV_ABS, PIV_REL * float(np.abs(row).max()))
             cand = np.where(self.allowed & (row < -floor))[0]
             if cand.size == 0:
                 return False
@@ -455,7 +459,7 @@ class _Tableau:
             within = rc / alpha <= ((rc + self.opts.opt_tol) / alpha).min()
             self.pivot_at(r, int(cand[within][np.argmax(alpha[within])]))
             since_refactor += 1
-            if since_refactor >= self.opts.refactor_every:
+            if since_refactor >= REFACTOR_EVERY:
                 self.refactor()
                 since_refactor = 0
 
@@ -481,7 +485,7 @@ class _Tableau:
         rhs = self.T[:, -1]
         zero_rows = rhs <= 1e-12
         if zero_rows.any():
-            blocked = (self.T[zero_rows][:, cand] > self.opts.piv_abs).any(axis=0)
+            blocked = (self.T[zero_rows][:, cand] > PIV_ABS).any(axis=0)
             good = cand[~blocked]
         else:
             good = cand

@@ -185,13 +185,23 @@ def reference_commeq_lp(space, tensors, formulation):
     return objective, np.array(rows), np.array(eq_rows)
 
 
+# type spaces and action grids on which the solves are checked against LPs
+# written from the definitions
+DEFINITION_CASES = pytest.mark.parametrize("types, players, prior, levels", [
+    ([0.5, 2.0], 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
+    ([0.3, 1.0, 2.5], 2, np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3),
+     (0.5, 2.0, 5.0, 12.0)),
+    ([0.5, 2.0], 3, "uniform", (0.5, 2.0, 8.0)),
+], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players"])
+
+
 class TestLpStructure:
     def test_rows_match_definitions_three_actions(self):
         prior = np.array([[0.4, 0.1], [0.2, 0.3]])  # correlated, so posteriors differ
         space = build_type_space([0.5, 2.0], players=2, prior=prior)
         fam = family(levels=(0.5, 2.0, 8.0))
         tensors = per_type_tensors(space, fam)
-        prob = build_commeq_lp(space, fam, "literal", tensors)
+        prob = build_commeq_lp(space, fam, tensors)
         objective, rows, eq_rows = reference_commeq_lp(space, tensors, "literal")
         assert prob.ineq_coeffs.shape == rows.shape
         np.testing.assert_allclose(prob.ineq_coeffs, rows, rtol=0, atol=1e-12)
@@ -202,12 +212,7 @@ class TestLpStructure:
         assert prob.n == 4 * 9
         assert (prob.lo == 0).all() and np.isposinf(prob.hi).all()
 
-    @pytest.mark.parametrize("types, players, prior, levels", [
-        ([0.5, 2.0], 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
-        ([0.3, 1.0, 2.5], 2, np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3),
-         (0.5, 2.0, 5.0, 12.0)),
-        ([0.5, 2.0], 3, "uniform", (0.5, 2.0, 8.0)),
-    ], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players"])
+    @DEFINITION_CASES
     def test_canonical_welfare_matches_definitions(self, types, players, prior, levels):
         # the lazily cut master against the auxiliary LP written from the
         # definitions, with one free z_a per (player, true type, report, told a)
@@ -224,9 +229,24 @@ class TestLpStructure:
         assert abs(res.welfare - reference.objective_value) <= 1e-9
         assert res.max_violation <= 1e-8
 
+    @DEFINITION_CASES
+    def test_literal_welfare_matches_definitions(self, types, players, prior, levels):
+        # the lazily cut master against every literal row written from the
+        # definitions
+        space = build_type_space(types, players=players, prior=prior)
+        fam = family(levels=levels, players=players)
+        tensors = per_type_tensors(space, fam)
+        objective, rows, eq_rows = reference_commeq_lp(space, tensors, "literal")
+        reference = solve_lp(make_problem(
+            objective, ineq_rows=[(r, 0.0) for r in rows], eq_rows=[(r, 1.0) for r in eq_rows]))
+        res = solve_commeq(space, fam, "literal", tensors=tensors)
+        assert reference.status == "optimal"
+        assert abs(res.welfare - reference.objective_value) <= 1e-9
+        assert res.max_violation <= 1e-8
+
     def test_literal_row_count(self):
         space = build_type_space([0.5, 2.0], players=2)
-        prob = build_commeq_lp(space, family(), "literal")
+        prob = build_commeq_lp(space, family())
         # K * |T_i|^2 * M incentive rows
         assert prob.ineq_coeffs.shape[0] == 2 * 4 * 2
         assert prob.eq_coeffs.shape[0] == 4
@@ -235,7 +255,7 @@ class TestLpStructure:
     def test_single_type_matches_ce_rows(self):
         space = build_type_space([1.0], players=2)
         fam = family()
-        prob = build_commeq_lp(space, fam, "literal")
+        prob = build_commeq_lp(space, fam)
         tensor = per_type_tensors(space, fam)[0]
         from powergames.correlated import build_ce_constraints
 
@@ -251,7 +271,7 @@ class TestLpStructure:
         space = build_type_space(grid, players=2)  # |T| = 1225
         fam = GameFamily((build_power_grid(-20, 20, 30),) * 2)
         with pytest.raises(BudgetError):
-            build_commeq_lp(space, fam, "literal")
+            build_commeq_lp(space, fam)
 
     def test_budget_checked_before_tensors(self, monkeypatch):
         calls = []
@@ -271,16 +291,14 @@ class TestLpStructure:
         # the literal LP has |T_i|^2 * M_i incentive rows per player
         ten = build_type_space(list(np.linspace(0.01, 3.0, 10)), players=2)
         with pytest.raises(BudgetError, match="tableau"):
-            build_commeq_lp(ten, fam, "literal")
-        # the canonical master starts from one row per joint type
+            build_commeq_lp(ten, fam)
+        # the master of either family starts from one row per joint type
         many = build_type_space(list(np.linspace(0.01, 3.0, 35)), players=2)
-        with pytest.raises(BudgetError, match="tableau"):
-            solve_commeq(many, fam, "canonical")
-        # the canonical family has no dense LP to build
-        with pytest.raises(ValueError):
-            build_commeq_lp(build_type_space([0.5, 2.0], players=2), fam, "canonical")
+        for formulation in ("literal", "canonical"):
+            with pytest.raises(BudgetError, match="tableau"):
+                solve_commeq(many, fam, formulation)
         # the paper's two types fit
-        build_commeq_lp(build_type_space([0.5, 2.0], players=2), fam, "literal")
+        build_commeq_lp(build_type_space([0.5, 2.0], players=2), fam)
 
 
 class TestSolve:

@@ -283,6 +283,19 @@ class TestCli:
         assert cli.main(["-c", cfg, "nash"]) == 3
         assert "budget error" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        from powergames import experiments as exp
+
+        def boom(cfg, direction):
+            raise MemoryError
+
+        monkeypatch.setattr(exp, "run_ce", boom)
+        cfg = self.write_cfg(tmp_path)
+        assert cli.main(["-c", cfg, "ce"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: out of memory")
+        assert "Traceback" not in err
+
     def test_stall_exit_4(self, tmp_path, capsys, monkeypatch):
         from powergames import experiments as exp
 
@@ -296,7 +309,7 @@ class TestCli:
 
     @pytest.mark.parametrize("module, command", [
         ("correlated", ["ce"]),
-        ("communication", ["commeq"]),
+        ("correlated", ["commeq"]),
     ])
     def test_non_optimal_lp_exit_4(self, tmp_path, capsys, monkeypatch, module, command):
         import importlib
@@ -315,9 +328,8 @@ class TestCli:
     @pytest.mark.parametrize("module, command", [
         ("correlated", ["ce"]),
         ("correlated", ["region", "--directions", "4"]),
-        ("communication", ["commeq"]),
+        ("correlated", ["commeq"]),
         ("correlated", ["sweep"]),
-        ("communication", ["sweep"]),
     ])
     def test_tolerances_reach_solver(self, tmp_path, monkeypatch, module, command):
         import importlib

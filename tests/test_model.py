@@ -58,7 +58,7 @@ class TestPowerGrid:
     def test_explicit_levels(self):
         grid = grid_from_levels([0.5, 1.0, 4.0])
         assert grid.levels == 3
-        assert grid.min_db == pytest.approx(10 * math.log10(0.5))
+        assert grid.values_linear == (0.5, 1.0, 4.0)
         with pytest.raises(ValueError):
             grid_from_levels([1.0, 1.0])
 

@@ -3,16 +3,18 @@ pinned to reference optima computed with scipy's HiGHS or the earlier dense LP
 (hard-coded: scipy is not a dependency)."""
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from powergames import cli
-from powergames.communication import GameFamily, solve_commeq
+from powergames.communication import GameFamily, build_commeq_lp, solve_commeq
 from powergames.config import load_config
 from powergames.correlated import ce_payoff_region, solve_welfare_ce
 from powergames.experiments import channel_states, game_from_config, power_grids, types_from_config
 from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
+from powergames.simplex import solve_lp
 
 PAPER_CONFIG = Path(__file__).parent.parent / "configs" / "paper_setup.json"
 
@@ -78,6 +80,40 @@ def test_canonical_commeq_nested_grids(levels, welfare):
     res = solve_commeq(types_from_config(cfg), family, "canonical")
     assert res.max_violation <= 1e-8
     assert abs(res.welfare - welfare) <= 1e-9
+
+
+def test_literal_commeq_at_paper_scale():
+    cfg = load_config(PAPER_CONFIG)
+    family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
+    res = solve_commeq(types_from_config(cfg), family, "literal")
+    assert res.max_violation <= 1e-8
+    assert abs(res.welfare - 0.7185276765685309) <= 1e-12
+
+
+def test_literal_commeq_three_points_matches_dense_lp():
+    # the lazily cut master against a cold solve of every literal row
+    cfg = load_config(PAPER_CONFIG)
+    space = types_from_config(replace(cfg, types=replace(cfg.types, points=3)))
+    family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
+    dense = solve_lp(build_commeq_lp(space, family))
+    res = solve_commeq(space, family, "literal")
+    assert dense.status == "optimal"
+    assert abs(res.welfare - dense.objective_value) <= 1e-9
+
+
+def test_literal_commeq_five_points_exits_0(tmp_path):
+    # 5 diagonal types at 25 levels: the dense literal LP (1,275 rows over
+    # 15,625 columns) was refused by the tableau budget; HiGHS's optimum:
+    raw = json.loads(PAPER_CONFIG.read_text())
+    raw["types"]["points"] = 5
+    path = tmp_path / "five_types.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "commeq.json"
+    assert cli.main(["-c", str(path), "commeq", "--formulation", "literal",
+                     "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["max_violation"] <= 1e-8
+    assert abs(result["welfare"] - 0.886333528882) <= 1e-8
 
 
 def test_canonical_master_growth_exits_3(tmp_path, capsys):

@@ -177,7 +177,9 @@ class TestDualRepair:
             prob = build_ce_constraints(build_payoff_tensor(GameInstance(
                 ChannelMatrix.from_array(gains), (grid, grid), 0.01, 1.0, 100)))
             default = solve_lp(prob)
-            stalled = solve_lp(prob, SimplexOptions(stall_threshold=1))
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex, "STALL_THRESHOLD", 1)
+                stalled = solve_lp(prob)
             assert stalled.status == default.status == "optimal", f"game {k}"
             assert stalled.objective_value == pytest.approx(default.objective_value, abs=1e-9)
         assert len(calls) >= 1

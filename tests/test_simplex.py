@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from powergames import simplex
 from powergames.errors import SolverStallError
-from powergames.simplex import SimplexOptions, dump_problem, make_problem, solve_lp
+from powergames.simplex import dump_problem, make_problem, solve_lp
 from oracles import lp_vertex_reference, random_bounded_lp
 
 
@@ -143,16 +144,16 @@ class TestDeterminism:
 
 
 class TestStall:
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(2)
         n = 10
         a = rng.normal(size=(40, n))
         x0 = rng.uniform(0.2, 1.0, n)
         b = a @ x0 - rng.uniform(0.1, 1.0, 40)
-        opts = SimplexOptions(max_iter=1)
-        with pytest.raises(SolverStallError):
+        monkeypatch.setattr(simplex, "PIVOT_CAP_FACTOR", 0)  # no pivot allowed
+        with pytest.raises(SolverStallError, match="exceeded 0 pivots"):
             solve(rng.normal(size=n), ineq=[(a[r], b[r]) for r in range(40)],
-                  bounds=[(0.0, 2.0)] * n, options=opts)
+                  bounds=[(0.0, 2.0)] * n)
 
 
 class TestDump:
