@@ -8,11 +8,9 @@ the log level (e.g. DEBUG, INFO); there is no logging flag.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from .communication import FORMULATIONS
 from .config import _number, key_reader, load_config
@@ -22,15 +20,6 @@ from . import experiments
 
 # --regret-rule spells the conditional rule (the first of RULES) "std"
 REGRET_RULE_FLAGS = {"std": RULES[0], **{r: r for r in RULES[1:]}}
-
-
-def _write_or_print(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _flag(read, parse=int):
@@ -96,42 +85,28 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     cfg = load_config(args.config)
     if args.command == "game":
-        _write_or_print(experiments.game_dump(cfg), args.out)
+        payload = experiments.game_dump(cfg)
     elif args.command == "nash":
-        _write_or_print(experiments.run_nash(cfg), args.out)
+        payload = experiments.run_nash(cfg)
     elif args.command == "ce":
-        _write_or_print(experiments.run_ce(cfg, args.direction), args.out)
+        payload = experiments.run_ce(cfg, args.direction)
     elif args.command == "commeq":
-        _write_or_print(experiments.run_commeq(cfg, args.formulation), args.out)
+        payload = experiments.run_commeq(cfg, args.formulation)
     elif args.command == "regret":
         rule = REGRET_RULE_FLAGS.get(args.regret_rule)
-        result = experiments.run_regret(cfg, args.steps, args.seed, rule)
-        if args.trace_out:
-            from .regret import trace_to_csv
-
-            experiments.write_csv(
-                Path(args.trace_out), result["meta"],
-                trace_to_csv([tuple(r) for r in result["trace"]]),
-            )
-        _write_or_print(result, args.out)
+        payload = experiments.run_regret(cfg, args.steps, args.seed, rule, args.trace_out)
     elif args.command == "region":
-        manifest = experiments.export_regions(cfg, out_dir=args.out_dir,
-                                              directions=args.directions)
-        print(json.dumps(manifest, indent=2, sort_keys=True))
+        payload = experiments.export_regions(cfg, out_dir=args.out_dir,
+                                             directions=args.directions)
     elif args.command == "sweep":
-        report = experiments.run_equilibrium_sweep(
+        payload = experiments.sweep_summary(experiments.run_equilibrium_sweep(
             cfg, force_enumerate=args.enumerate, workers=args.workers,
             out_dir=args.out_dir,
-        )
-        summary = {"meta": report["meta"]}
-        if "channel_sweep" in report:
-            summary["aggregate"] = report["channel_sweep"]["aggregate"]
-            summary["states"] = len(report["channel_sweep"]["states"])
-        if "action_sweep" in report:
-            summary["action_rows"] = report["action_sweep"]["rows"]
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        ))
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(args.command)
+    # region and sweep write their files to --out-dir and always print
+    experiments.emit_json(payload, getattr(args, "out", None))
     return 0
 
 

@@ -31,7 +31,6 @@ their rows, not their builder: every deviation payoff is placed by
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,6 +42,7 @@ from .correlated import (
     ROW_GEN_BATCH,
     ROW_GEN_TOL,
     CePolytopeSolver,
+    _deviation_table,
     _draw,
     _most_violated,
     _told,
@@ -370,17 +370,6 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
                         name="commeq-literal")
 
 
-def _deviation_table(p: np.ndarray, dims: tuple[int, ...], i: int, terms) -> np.ndarray:
-    """D[a, b]: what playing b when told a is worth to player i after the
-    block's report, at the device ``p`` (one row per joint type)."""
-    mi = dims[i]
-    d = np.zeros((mi, mi))
-    for w, _, fr, u in terms:
-        pm = np.moveaxis(p[fr].reshape(dims), i, 0).reshape(mi, -1)
-        d += w * (pm @ u.reshape(mi, -1).T)
-    return d
-
-
 def _literal_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
     """Separation for the literal family at the device ``x``. In each block
     the constant deviation b is worth sum_a D[a, b]; the ROW_GEN_BATCH
@@ -505,17 +494,3 @@ def run_mediator_session(device: CommDevice, reported_types=None,
         reported = tuple(int(t) for t in reported_types)
     row = device.conditionals[space.encode(reported)]
     return _decode(_draw(rng, row), device.action_dims)
-
-
-def device_to_json(device: CommDevice) -> str:
-    """Joint-type key (gains to 6 decimal places) -> probability array."""
-    space = device.space
-    payload = {}
-    for t in range(space.joint_count):
-        joint = space.decode(t)
-        key = "|".join(
-            "(" + ",".join(f"{g:.6f}" for g in space.types[i][joint[i]]) + ")"
-            for i in range(space.players)
-        )
-        payload[key] = [float(v) for v in device.conditionals[t]]
-    return json.dumps(payload, indent=2)

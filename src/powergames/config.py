@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -20,7 +21,7 @@ from typing import Optional
 from .communication import FORMULATIONS, PRIORS, TYPE_MODES
 from .correlated import REGION_DIRECTIONS
 from .errors import ConfigError
-from .model import DEFAULT_ALPHA, DEFAULT_NOISE, DEFAULT_PACKET_LEN
+from .model import DEFAULT_ALPHA, DEFAULT_NOISE, DEFAULT_PACKET_LEN, db_to_linear
 from .regret import RULES
 from .simplex import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
@@ -33,6 +34,20 @@ def _number(value, key: str, positive: bool = False) -> float:
             and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
         return float(value)
     raise ConfigError(f"{key}: must be a {'positive ' * positive}finite number, got {value!r}")
+
+
+def _decibels(value, key: str) -> float:
+    """A power in dB whose linear value is a finite normal float: above that
+    range it overflows, and below it grid levels round to equal values."""
+    db = _number(value, key)
+    try:
+        linear = db_to_linear(db)
+    except OverflowError:
+        linear = math.inf
+    if not sys.float_info.min <= linear <= sys.float_info.max:
+        raise ConfigError(f"{key}: {value!r} dB is not a finite normal linear power "
+                          "(about -3076 to 3082 dB)")
+    return db
 
 
 def _integer(value, key: str, minimum: int) -> int:
@@ -112,8 +127,8 @@ def _key(default, read=_read, **bounds):
 
 @dataclass(frozen=True)
 class PowerSpec:
-    min_db: float = _key(-20.0, _number)
-    max_db: float = _key(20.0, _number)
+    min_db: float = _key(-20.0, _decibels)
+    max_db: float = _key(20.0, _decibels)
     levels: int = _key(25, _integer, minimum=1)
     levels_linear: Optional[tuple[float, ...]] = _key(
         None, _levels, item=partial(_number, positive=True))

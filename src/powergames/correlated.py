@@ -112,17 +112,16 @@ def _told(values: np.ndarray, dims: tuple[int, ...], i: int,
     return out.reshape(-1)
 
 
-def _deviation_gains(tensor: PayoffTensor, flat_probs: np.ndarray) -> list[np.ndarray]:
-    """G_i[a, b] = expected gain of playing b when recommended a (player i)."""
-    p = flat_probs.reshape(tensor.dims)
-    out = []
-    for i in range(tensor.players):
-        mi = tensor.dims[i]
-        pm = np.moveaxis(p, i, 0).reshape(mi, -1)
-        um = np.moveaxis(tensor.player_payoffs(i), i, 0).reshape(mi, -1)
-        s = pm @ um.T  # s[a, b] = sum_r p(a, r) u_i(b, r)
-        out.append(s - np.diag(s)[:, None])
-    return out
+def _deviation_table(p: np.ndarray, dims: tuple[int, ...], i: int, terms) -> np.ndarray:
+    """D[a, b]: what playing b when told a is worth to player i at ``p`` (one
+    row per joint type): per term (w, _, fr, u), w times the expectation under
+    row fr of u, player i's payoffs with its own action as axis 0."""
+    mi = dims[i]
+    d = np.zeros((mi, mi))
+    for w, _, fr, u in terms:
+        pm = np.moveaxis(p[fr].reshape(dims), i, 0).reshape(mi, -1)
+        d += w * (pm @ u.reshape(mi, -1).T)
+    return d
 
 
 def _most_violated(gains: np.ndarray):
@@ -163,10 +162,16 @@ class CePolytopeSolver:
 
     @classmethod
     def for_tensor(cls, tensor: PayoffTensor, options: SimplexOptions | None = None):
-        """The CE polytope of ``tensor``: the profile simplex and obedience rows."""
+        """The CE polytope of ``tensor``: the profile simplex and obedience rows.
+        Its deviation table has one joint type and one term per player."""
+        terms = [[(1.0, 0, 0, np.moveaxis(tensor.player_payoffs(i), i, 0))]
+                 for i in range(tensor.players)]
+
         def separate(flat_probs):
-            for i, gains in enumerate(_deviation_gains(tensor, flat_probs)):
-                for a, b in _most_violated(gains):
+            p = flat_probs.reshape(1, -1)
+            for i in range(tensor.players):
+                d = _deviation_table(p, tensor.dims, i, terms[i])
+                for a, b in _most_violated(d - np.diag(d)[:, None]):
                     yield (i, a, b), _ce_row(tensor, i, a, b)
         return cls([(np.ones(tensor.profile_count), 1.0)], separate, options)
 
@@ -277,14 +282,6 @@ def ce_payoff_region(tensor: PayoffTensor, directions: int = REGION_DIRECTIONS,
                                    solver=solver)
         points.append(rep.per_player_value)
     return convex_hull_ccw(dedup_points(points, tol=1e-7))
-
-
-def region_to_csv(points) -> str:
-    """CE region CSV: header ``u1,u2``, one vertex per line, CCW order."""
-    lines = ["u1,u2"]
-    for p in points:
-        lines.append(f"{float(p[0])!r},{float(p[1])!r}")
-    return "\n".join(lines) + "\n"
 
 
 def mediator_sample(dist: JointDistribution, seed: int) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Experiment orchestration: single-game runs, channel-state sweeps,
 action-set sweeps over type spaces, payoff-region export, file emission.
 
+This module alone formats what the program emits: every JSON payload, on
+stdout or in a file, is the text of ``emit_json``, and every CSV file is
+written by ``write_csv``; the solver modules return numbers, not text.
 Every emitted file carries a metadata block (config hash, seeds, tool
 version) and contains only seeded, deterministic numbers: rerunning the
-same config byte-reproduces the payloads. CSV floats use ``repr`` (shortest
-round-trip decimal form).
+same config byte-reproduces the payloads.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,7 +25,6 @@ from . import __version__
 from .communication import (
     GameFamily,
     build_type_space,
-    device_to_json,
     per_type_tensors,
     solve_commeq,
 )
@@ -30,7 +32,6 @@ from .config import ExperimentConfig
 from .correlated import (
     ce_payoff_region,
     ce_violation,
-    region_to_csv,
     solve_directional_ce,
     solve_welfare_ce,
 )
@@ -43,16 +44,13 @@ from .model import (
     _pinned_linspace,
     build_payoff_tensor,
     build_power_grid,
+    db_to_linear,
     grid_from_levels,
     nested_db_levels,
 )
 from .nash import enumerate_pure_nash, mixed_nash_2x2
 from .regret import rm_run
 from .simplex import SimplexOptions
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def power_grids(cfg: ExperimentConfig, levels: int | None = None,
@@ -62,11 +60,15 @@ def power_grids(cfg: ExperimentConfig, levels: int | None = None,
     if p.levels_linear is not None:
         return (grid_from_levels(p.levels_linear),) * cfg.players
     m = levels if levels is not None else p.levels
-    if nested:
-        dbs = sorted(nested_db_levels(p.min_db, p.max_db, m))
-        grid = grid_from_levels([10.0 ** (d / 10.0) for d in dbs])
-    else:
-        grid = build_power_grid(p.min_db, p.max_db, m)
+    try:
+        if nested:
+            dbs = sorted(nested_db_levels(p.min_db, p.max_db, m))
+            grid = grid_from_levels([db_to_linear(d) for d in dbs])
+        else:
+            grid = build_power_grid(p.min_db, p.max_db, m)
+    except ValueError as exc:  # dB levels so close that linear ones coincide
+        raise ConfigError(f"power: {m} levels from {p.min_db!r} to {p.max_db!r} dB: "
+                          f"{exc}") from None
     return (grid,) * cfg.players
 
 
@@ -124,26 +126,38 @@ def metadata(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-def _meta_lines(meta: dict) -> list[str]:
+def _cell(value) -> str:
+    """The one CSV cell rule: a float as ``repr`` (the shortest decimal that
+    round-trips), None as an empty cell, an int or a string as ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (numbers.Integral, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_csv(path, meta: dict, header, rows) -> str:
+    """Write the metadata as ``# key: value`` lines, the header and one line
+    per row; returns the text written."""
     lines = [f"# tool: {meta['tool']} {meta['version']}",
              f"# config_sha256: {meta['config_sha256']}"]
-    for key, value in meta.items():
-        if key in ("tool", "version", "config_sha256"):
-            continue
-        lines.append(f"# {key}: {json.dumps(value, sort_keys=True)}")
-    return lines
-
-
-def write_csv(path: Path, meta: dict, payload: str):
-    text = "\n".join(_meta_lines(meta)) + "\n" + payload
-    path.write_text(text, encoding="utf-8")
+    lines += [f"# {key}: {json.dumps(value, sort_keys=True)}" for key, value in meta.items()
+              if key not in ("tool", "version", "config_sha256")]
+    lines.append(",".join(header))
+    lines += [",".join(map(_cell, row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
     return text
 
 
-def write_json(path: Path, obj: dict):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    path.write_text(text + "\n", encoding="utf-8")
-    return text
+def emit_json(payload: dict, path=None):
+    """Write ``payload`` as JSON to ``path``, or print it to stdout when no
+    path is given; both get the same text."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------- single runs
@@ -221,12 +235,26 @@ def run_commeq(cfg: ExperimentConfig, formulation: str | None = None) -> dict:
         "welfare": res.welfare,
         "max_violation": res.max_violation,
         "iterations": res.solver_iterations,
-        "device": json.loads(device_to_json(res.device)),
+        "device": device_payload(res.device),
+    }
+
+
+def device_payload(device) -> dict:
+    """Joint-type key (gains to 6 decimal places) -> probability list, in
+    joint-type order."""
+    space = device.space
+    return {
+        "|".join("(" + ",".join(f"{g:.6f}" for g in space.types[i][t_i]) + ")"
+                 for i, t_i in enumerate(space.decode(t))): device.conditionals[t].tolist()
+        for t in range(space.joint_count)
     }
 
 
 def run_regret(cfg: ExperimentConfig, steps: int | None = None,
-               seed: int | None = None, rule: str | None = None) -> dict:
+               seed: int | None = None, rule: str | None = None,
+               trace_out=None) -> dict:
+    """One regret-matching run; its step trace is also written as CSV to
+    ``trace_out`` when given."""
     tensor = single_game_tensor(cfg)
     steps = steps if steps is not None else cfg.learning.steps
     seed = seed if seed is not None else cfg.learning.seed
@@ -236,8 +264,11 @@ def run_regret(cfg: ExperimentConfig, steps: int | None = None,
     except MuTooSmallError as exc:
         raise ConfigError(f"learning.mu: {exc}") from None
     welfare = float(res.empirical.probs @ tensor.welfare_flat())
+    meta = metadata(cfg, seeds_used={"learning": seed})
+    if trace_out:
+        write_csv(trace_out, meta, ("step", "max_regret", "ce_gap", "welfare"), res.trace)
     return {
-        "meta": metadata(cfg, seeds_used={"learning": seed}),
+        "meta": meta,
         "rule": rule,
         "steps": steps,
         "welfare": welfare,
@@ -365,34 +396,34 @@ def run_equilibrium_sweep(cfg: ExperimentConfig, force_enumerate: bool = False,
 
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "sweep.json", report)
+    emit_json(report, out / "sweep.json")
     if "channel_sweep" in report:
-        header = ["state", "n_pure_ne", "best_ne_welfare", "ce_welfare",
-                  "ce_violation"]
+        columns = ["state", "n_pure_ne", "best_ne_welfare", "ce_welfare", "ce_violation"]
         if cfg.sweep.include_regret:
-            header.append("regret_welfare")
+            columns.append("regret_welfare")
         k = cfg.players
-        header += [f"g{j + 1}{i + 1}" for j in range(k) for i in range(k)]
-        lines = [",".join(header)]
-        for r in report["channel_sweep"]["states"]:
-            row = [str(r["state"]), str(r["n_pure_ne"]),
-                   "" if r["best_ne_welfare"] is None else _fmt(r["best_ne_welfare"]),
-                   _fmt(r["ce_welfare"]), _fmt(r["ce_violation"])]
-            if cfg.sweep.include_regret:
-                row.append(_fmt(r["regret_welfare"]))
-            row += [_fmt(v) for flatrow in r["gains"] for v in flatrow]
-            lines.append(",".join(row))
-        write_csv(out / "sweep_states.csv", report["meta"], "\n".join(lines) + "\n")
+        gains = [f"g{j + 1}{i + 1}" for j in range(k) for i in range(k)]
+        write_csv(out / "sweep_states.csv", report["meta"], columns + gains,
+                  [[r[c] for c in columns] + [v for row in r["gains"] for v in row]
+                   for r in report["channel_sweep"]["states"]])
     if "action_sweep" in report:
-        lines = ["levels,ce_per_state_avg,ce_average_game,commeq_literal,commeq_canonical"]
-        for r in report["action_sweep"]["rows"]:
-            lines.append(",".join([
-                str(r["levels"]), _fmt(r["ce_per_state_avg"]),
-                _fmt(r["ce_average_game"]), _fmt(r["commeq_literal"]),
-                _fmt(r["commeq_canonical"]),
-            ]))
-        write_csv(out / "sweep_actions.csv", report["meta"], "\n".join(lines) + "\n")
+        columns = ["levels", "ce_per_state_avg", "ce_average_game", "commeq_literal",
+                   "commeq_canonical"]
+        write_csv(out / "sweep_actions.csv", report["meta"], columns,
+                  [[r[c] for c in columns] for r in report["action_sweep"]["rows"]])
     return report
+
+
+def sweep_summary(report: dict) -> dict:
+    """What ``sweep`` prints: the metadata, the channel sweep's aggregate
+    and state count, and the action sweep's rows."""
+    summary = {"meta": report["meta"]}
+    if "channel_sweep" in report:
+        summary["aggregate"] = report["channel_sweep"]["aggregate"]
+        summary["states"] = len(report["channel_sweep"]["states"])
+    if "action_sweep" in report:
+        summary["action_rows"] = report["action_sweep"]["rows"]
+    return summary
 
 
 # -------------------------------------------------------------------- regions
@@ -422,15 +453,12 @@ def export_regions(cfg: ExperimentConfig, out_dir=None,
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    files = {}
-    files["feasible_hull.csv"] = write_csv(
-        out / "feasible_hull.csv", meta, region_to_csv(feasible))
-    files["ce_region.csv"] = write_csv(
-        out / "ce_region.csv", meta, region_to_csv(region))
-    ne_payload = "u1,u2,kind\n" + "".join(
-        f"{_fmt(u1)},{_fmt(u2)},{kind}\n" for u1, u2, kind in ne_rows
-    )
-    files["ne_points.csv"] = write_csv(out / "ne_points.csv", meta, ne_payload)
+    files = {
+        name: write_csv(out / name, meta, header, rows)
+        for name, header, rows in (("feasible_hull.csv", ("u1", "u2"), feasible),
+                                   ("ce_region.csv", ("u1", "u2"), region),
+                                   ("ne_points.csv", ("u1", "u2", "kind"), ne_rows))
+    }
 
     manifest = {
         "meta": meta,
@@ -444,5 +472,5 @@ def export_regions(cfg: ExperimentConfig, out_dir=None,
             "ne_points": len(ne_rows),
         },
     }
-    write_json(out / "region_manifest.json", manifest)
+    emit_json(manifest, out / "region_manifest.json")
     return manifest

@@ -9,7 +9,7 @@ def dedup_points(points, tol: float = 1e-7) -> list[tuple[float, float]]:
     kept: list[tuple[float, float]] = []
     for p in points:
         p = (float(p[0]), float(p[1]))
-        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > tol * tol for q in kept):
+        if all(_square_distance(p, q) > tol * tol for q in kept):
             kept.append(p)
     return kept
 
@@ -51,7 +51,7 @@ def polygon_contains(polygon, point, tol: float = 1e-7) -> bool:
     if not verts:
         return False
     if len(verts) == 1:
-        return (x - verts[0][0]) ** 2 + (y - verts[0][1]) ** 2 <= tol * tol
+        return _square_distance((x, y), verts[0]) <= tol * tol
     if len(verts) == 2:
         return _segment_distance(verts[0], verts[1], (x, y)) <= tol
     n = len(verts)
@@ -63,6 +63,13 @@ def polygon_contains(polygon, point, tol: float = 1e-7) -> bool:
         if cross < -tol * edge:
             return False
     return True
+
+
+def _square_distance(p, q) -> float:
+    """Squared distance by multiplication: a float ``** 2`` raises
+    OverflowError where a product goes to inf."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return dx * dx + dy * dy
 
 
 def _segment_distance(a, b, p) -> float:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, ConfigError
 
 # Dense tensors above this entry count (K * prod(dims)) are refused.
 TENSOR_ENTRY_BUDGET = 10**8
@@ -277,6 +277,11 @@ def build_payoff_tensor(game: GameInstance) -> PayoffTensor:
             f"payoff tensor needs {total} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
     mesh = np.meshgrid(*[np.array(g.values_linear) for g in game.grids], indexing="ij")
-    sinrs = np.array([sinr(i, mesh, game.channel, game.noise) for i in range(game.players)])
-    values = efficiency(sinrs, game.packet_len) - game.alpha * np.array(mesh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinrs = np.array([sinr(i, mesh, game.channel, game.noise) for i in range(game.players)])
+        values = efficiency(sinrs, game.packet_len) - game.alpha * np.array(mesh)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"payoffs overflow (channel {game.channel.g}, top power levels "
+                          f"{[g.values_linear[-1] for g in game.grids]}, alpha "
+                          f"{game.alpha!r}); lower the gains, the power levels or alpha")
     return PayoffTensor(dims, values)

@@ -162,10 +162,3 @@ def rm_run(tensor: PayoffTensor, steps: int, seed: int, mu: float | None = None,
             welfare = float(dist.probs @ welfare_flat)
             out_trace.append((step, max_regret, gap, welfare))
     return RmRunResult(empirical_distribution(state), state, out_trace)
-
-
-def trace_to_csv(trace) -> str:
-    lines = ["step,max_regret,ce_gap,welfare"]
-    for step, max_regret, gap, welfare in trace:
-        lines.append(f"{step},{max_regret!r},{gap!r},{welfare!r}")
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -12,13 +11,13 @@ from powergames.communication import (
     build_type_space,
     commeq_violation,
     conditional_prior,
-    device_to_json,
     per_type_tensors,
     run_mediator_session,
     solve_commeq,
 )
 from powergames.correlated import JointDistribution, ce_violation, solve_welfare_ce
 from powergames.errors import BudgetError
+from powergames.experiments import device_payload
 from powergames.model import PayoffTensor, build_power_grid, grid_from_levels, nested_db_levels
 from powergames.simplex import make_problem, solve_lp
 
@@ -456,7 +455,7 @@ class TestDeviceJson:
         space = build_type_space([0.5, 2.0], players=2)
         conds = np.full((4, 4), 0.25)
         device = CommDevice(space, (2, 2), conds)
-        payload = json.loads(device_to_json(device))
+        payload = device_payload(device)
         keys = list(payload)
         assert keys[0] == "(0.500000,0.500000)|(0.500000,0.500000)"
         assert keys[1] == "(0.500000,0.500000)|(2.000000,2.000000)"

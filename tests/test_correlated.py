@@ -8,7 +8,6 @@ from powergames.correlated import (
     ce_payoff_region,
     ce_violation,
     mediator_sample,
-    region_to_csv,
     solve_directional_ce,
     solve_welfare_ce,
 )
@@ -186,7 +185,7 @@ class TestViolationOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("ce_violation used a helper of the LP master")
 
-        for name in ("_deviation_gains", "_told", "_ce_row"):
+        for name in ("_deviation_table", "_told", "_ce_row"):
             monkeypatch.setattr(correlated, name, forbidden)
         assert ce_violation(t, dist) == expected
 
@@ -233,9 +232,15 @@ class TestRegion:
         with pytest.raises(ValueError):
             ce_payoff_region(PayoffTensor((2, 2, 2), vals), directions=8)
 
-    def test_csv_shape(self):
-        text = region_to_csv([(0.5, 0.25), (1.0, 0.125)])
-        assert text == "u1,u2\n0.5,0.25\n1.0,0.125\n"
+    def test_csv_shape(self, tmp_path):
+        from powergames.config import parse_config
+        from powergames.experiments import metadata, write_csv
+
+        cfg = parse_config({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]}})
+        text = write_csv(tmp_path / "r.csv", metadata(cfg), ("u1", "u2"),
+                         [(0.5, 0.25), (1.0, 0.125)])
+        assert (tmp_path / "r.csv").read_text() == text
+        assert text.endswith("\nu1,u2\n0.5,0.25\n1.0,0.125\n")
 
 
 class TestMediatorSample:

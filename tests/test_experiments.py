@@ -277,6 +277,36 @@ class TestCli:
         assert "learning.mu: sweep state 1: mu=0.001" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, command, message", [
+        ({"power": {"max_db": 4000}}, ["ce"], "power.max_db: 4000 dB"),
+        ({"power": {"min_db": -5000}}, ["ce"], "power.min_db: -5000 dB"),
+        ({"power": {"min_db": -3300, "max_db": -3000, "levels": 25}}, ["commeq"],
+         "power.min_db: -3300 dB"),
+        ({"power": {"min_db": 0.0, "max_db": 1e-300, "levels": 2}}, ["ce"],
+         "power: 2 levels from 0.0 to 1e-300 dB"),
+        ({"channel": {"matrix": [[1e308, 1e308], [1e308, 1e308]]}}, ["ce"],
+         "payoffs overflow"),
+        ({"power": {"min_db": -10.0, "max_db": 3000, "levels": 2}, "alpha": 1e10}, ["ce"],
+         "payoffs overflow"),
+        ({"types": {"min": 1e308, "max": 1.5e308}}, ["commeq"], "payoffs overflow"),
+        ({"channel": {"grid": {"min": 1e308, "max": 1.5e308, "points": 3},
+                      "sweep": {"count": 2}}}, ["sweep", "--workers", "1"],
+         "payoffs overflow"),
+    ], ids=["max-db", "min-db", "min-db-range", "narrow-db", "matrix", "alpha", "types", "grid"])
+    def test_overflowing_game_exits_2(self, tmp_path, capsys, overrides, command, message):
+        cfg = self.write_cfg(tmp_path, **overrides)
+        assert cli.main(["-c", cfg, *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_region_of_huge_payoffs(self, tmp_path, capsys):
+        # a float ** 2 of these payoff differences overflows; a product does not
+        cfg = self.write_cfg(tmp_path, alpha=1e300)
+        assert cli.main(["-c", cfg, "region", "--directions", "8",
+                         "--out-dir", str(tmp_path / "regions")]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"]["ce_vertices"] >= 1
+
     def test_budget_error_exit_3(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, power={"min_db": -20.0, "max_db": 20.0,
                                               "levels": 8000})

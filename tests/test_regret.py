@@ -10,7 +10,6 @@ from powergames.regret import (
     rm_init,
     rm_run,
     rm_step,
-    trace_to_csv,
 )
 from oracles import random_tensor
 from test_nash import DOMINANT, MATCHING_PENNIES
@@ -172,16 +171,24 @@ class TestEmpirical:
 
 
 class TestTrace:
-    def test_schedule_and_csv(self):
+    def test_schedule_and_csv(self, tmp_path):
+        from powergames.config import parse_config
+        from powergames.experiments import run_regret
+
         res = rm_run(MATCHING_PENNIES, steps=1000, seed=1)
         steps = [row[0] for row in res.trace]
         assert steps == sorted(steps)
         assert steps[-1] == 1000
         assert steps[0] == 1
-        text = trace_to_csv(res.trace)
-        lines = text.strip().split("\n")
+        cfg = parse_config({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]},
+                            "power": {"levels": 3}})
+        path = tmp_path / "trace.csv"
+        result = run_regret(cfg, steps=1000, seed=1, trace_out=path)
+        lines = [l for l in path.read_text().split("\n")[:-1] if not l.startswith("#")]
         assert lines[0] == "step,max_regret,ce_gap,welfare"
-        assert len(lines) == len(res.trace) + 1
-        # round-trip float formatting
-        parts = lines[1].split(",")
-        assert float(parts[1]) == res.trace[0][1]
+        assert len(lines) == len(result["trace"]) + 1
+        # the step as an int, every float round-trips
+        for line, row in zip(lines[1:], result["trace"]):
+            parts = line.split(",")
+            assert parts[0] == str(row[0])
+            assert [float(v) for v in parts[1:]] == list(row[1:])
