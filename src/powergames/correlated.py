@@ -13,7 +13,7 @@ dense simplex handles comfortably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,21 +82,26 @@ def build_ce_constraints(tensor: PayoffTensor, objective: np.ndarray | None = No
     """
     n = tensor.profile_count
     rows = []
-    for i in range(tensor.players):
+    for i, u in enumerate(_moved_payoffs(tensor)):
         for a in range(tensor.dims[i]):
             for b in range(tensor.dims[i]):
                 if b != a:
-                    rows.append((_ce_row(tensor, i, a, b), 0.0))
+                    rows.append((_ce_row(u, tensor.dims, i, a, b), 0.0))
     if objective is None:
         objective = tensor.welfare_flat()
     return make_problem(objective, ineq_rows=rows,
                         eq_rows=[(np.ones(n), 1.0)], name="ce")
 
 
-def _ce_row(tensor: PayoffTensor, i: int, a: int, b: int) -> np.ndarray:
-    """Coefficients of the (i, a -> b) obedience row over flat profiles."""
-    u = np.moveaxis(tensor.player_payoffs(i), i, 0)
-    return _told(u[a] - u[b], tensor.dims, i, a)
+def _moved_payoffs(tensor: PayoffTensor) -> list[np.ndarray]:
+    """Each player's payoffs with the player's own action as axis 0."""
+    return [np.moveaxis(tensor.player_payoffs(i), i, 0) for i in range(tensor.players)]
+
+
+def _ce_row(u: np.ndarray, dims: tuple[int, ...], i: int, a: int, b: int) -> np.ndarray:
+    """Coefficients of the (i, a -> b) obedience row over flat profiles, from
+    player i's payoffs ``u`` with its own action as axis 0."""
+    return _told(u[a] - u[b], dims, i, a)
 
 
 def _told(values: np.ndarray, dims: tuple[int, ...], i: int,
@@ -140,14 +145,15 @@ class CePolytopeSolver:
 
     Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
-    first few solves). The last optimal master basis is kept too and warm
-    starts every master solve: after a round adds rows the dual simplex
-    repairs it, after a change of objective primal phase 2 does. When a warm
-    start is abandoned, ``solve_lp`` falls back to its cold two-phase solve,
-    so the answers never depend on it. ``check_size(rows, columns)``, when
-    given, runs before each master solve and may raise to refuse a master
-    that has grown too large. Not safe for concurrent use; make one per
-    worker.
+    first few solves). The master's tableau stays resident across rounds and
+    objectives: each solve starts from the last optimal one (``solve_lp``'s
+    ``start``), which takes a round's new rows with their surplus columns
+    basic for the dual simplex to repair, or a new objective for primal
+    phase 2 to follow. When ``solve_lp`` abandons that start it runs its cold
+    two-phase solve, so the answers never depend on it. ``check_size(rows,
+    columns)``, when given, runs before each master solve and may raise to
+    refuse a master that has grown too large. Not safe for concurrent use;
+    make one per worker.
     """
 
     def __init__(self, eq_rows, separate, options: SimplexOptions | None = None,
@@ -156,23 +162,23 @@ class CePolytopeSolver:
         self.separate = separate
         self.options = options or SimplexOptions()
         self.check_size = check_size
-        self._rows: list[np.ndarray] = []
+        self._cuts: np.ndarray | None = None   # (rows, columns), unit max each
         self._keys: set = set()
-        self._basis = None
+        self._start = None
 
     @classmethod
     def for_tensor(cls, tensor: PayoffTensor, options: SimplexOptions | None = None):
         """The CE polytope of ``tensor``: the profile simplex and obedience rows.
         Its deviation table has one joint type and one term per player."""
-        terms = [[(1.0, 0, 0, np.moveaxis(tensor.player_payoffs(i), i, 0))]
-                 for i in range(tensor.players)]
+        moved = _moved_payoffs(tensor)
+        terms = [[(1.0, 0, 0, u)] for u in moved]
 
         def separate(flat_probs):
             p = flat_probs.reshape(1, -1)
-            for i in range(tensor.players):
+            for i, u in enumerate(moved):
                 d = _deviation_table(p, tensor.dims, i, terms[i])
                 for a, b in _most_violated(d - np.diag(d)[:, None]):
-                    yield (i, a, b), _ce_row(tensor, i, a, b)
+                    yield (i, a, b), _ce_row(u, tensor.dims, i, a, b)
         return cls([(np.ones(tensor.profile_count), 1.0)], separate, options)
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -180,30 +186,32 @@ class CePolytopeSolver:
 
         Returns (point, objective value, simplex pivots).
         """
+        base = make_problem(objective, eq_rows=self.eq_rows, name="master")
+        if self._cuts is None:
+            self._cuts = base.ineq_coeffs
         total_iters = 0
         for _ in range(10 * len(objective) + 100):
-            rows = [(r, 0.0) for r in self._rows]
+            m = self._cuts.shape[0]
             if self.check_size is not None:
-                self.check_size(len(rows) + len(self.eq_rows), len(objective))
-            prob = make_problem(objective, ineq_rows=rows, eq_rows=self.eq_rows,
-                                name="master")
-            sol = solve_lp(prob, self.options, start=self._basis)
+                self.check_size(m + len(self.eq_rows), len(objective))
+            prob = replace(base, ineq_coeffs=self._cuts, ineq_rhs=np.zeros(m))
+            sol = solve_lp(prob, self.options, start=self._start)
             total_iters += sol.iterations
             if sol.status != "optimal":
                 # the polytope is nonempty and bounded, so this is internal
                 raise SolverStallError(f"master LP reported {sol.status}")
-            self._basis = sol.basis
-            added = 0
+            self._start = sol.resident
+            added = []
             for key, row in self.separate(sol.x):
                 if key not in self._keys:
                     self._keys.add(key)
                     # scaled to unit max coefficient: payoff differences span
                     # orders of magnitude, and unscaled rows give bases
                     # ill-conditioned enough that pricing cycles on noise
-                    self._rows.append(row / np.abs(row).max())
-                    added += 1
-            if added == 0:
+                    added.append(row / np.abs(row).max())
+            if not added:
                 return sol.x, float(sol.objective_value), total_iters
+            self._cuts = np.vstack([self._cuts] + added)
         raise SolverStallError("row generation failed to converge")
 
 

@@ -24,21 +24,26 @@ substitution. That costs about 2m|P|N flops for |P| kernel columns against
 2m^2 N for a dense solve. Two basic unit columns on one row, or a singular
 kernel, mean a singular basis.
 
-Warm start: an optimal solution names its basic columns (``LpSolution.basis``)
-in the problem's own terms, and ``solve_lp(problem, start=basis)`` begins from
-that basis. Inequality rows appended to the problem since the basis was found
-enter with their surplus columns basic, so an optimal basis of the previous
-problem stays dual feasible; dual simplex pivots restore primal feasibility
-after such cuts, and primal phase 2 then handles a changed objective. The
-attempt is abandoned for the cold two-phase solve when the start does not
-fit the problem, its basis matrix is singular, it spends more than
-``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
-certification. A start is only a hint: no answer depends on it being good.
+Warm start: an optimal solution keeps its final tableau resident
+(``LpSolution.resident``), and ``solve_lp(problem, start=resident)``
+continues from it when ``problem`` only appends inequality rows to the
+solved one or changes its objective. The old rows stay as they are; each
+appended row enters with its surplus column basic, as ``a - a_B T`` times
+the surplus sign (the formula a refactorization gives unit rows), so the
+basis stays dual feasible; a new objective re-prices the objective rows.
+Dual simplex pivots then restore primal feasibility and primal phase 2
+handles the objective. A start is used once, and only when the problem
+passes an exact fit check (same variables, bounds and equality rows, the
+old inequality rows an exact prefix of the new ones). The attempt is
+abandoned for the cold two-phase solve when the start does not fit, its
+basis matrix is singular, it spends more than ``WARM_PIVOT_SLACK`` pivots
+beyond the row count, or its point fails certification. A start is only a
+hint: no answer depends on it being good.
 Every solve ends in ``_optimal``: a dual pass to ``CLEAN_TOL``, then certification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -135,18 +140,14 @@ def make_problem(objective, ineq_rows=(), eq_rows=(), bounds=None, name="lp") ->
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``basis`` (present iff optimal) names the basic columns, one per row:
-    ``("x", j)`` structural column j (``j >= n`` is the negative part of free
-    variable number ``j - n``, counting from 0 in index order), ``("s", r)``
-    surplus of inequality row r, ``("b", j)`` surplus of the row that holds
-    variable j at its finite upper bound, ``("a", r)`` and ``("e", r)``
-    artificials of inequality row r and equality row r."""
+    """``resident`` (present when optimal and the problem has rows) is the
+    final tableau, to pass as the next ``solve_lp``'s ``start``."""
 
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]          # present iff optimal
     objective_value: Optional[float]
     iterations: int
-    basis: Optional[tuple[tuple[str, int], ...]] = None
+    resident: Optional[Resident] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,9 @@ class SimplexOptions:
 
 
 class _Standardized:
-    """Standard-form data plus the map back to original variables."""
+    """The map of a problem's variables to standard form and back, and the
+    rows its finite ranges add; ``rows`` and ``costs`` restate the problem's
+    rows and objective over the standard-form variables."""
 
     def __init__(self, prob: LpProblem):
         n = prob.n
@@ -166,45 +169,38 @@ class _Standardized:
         # 2 split (x = y - y_extra)
         self.kind = np.where(has_lo, 0, np.where(has_hi, 1, 2))
         self.offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-        free = np.flatnonzero(self.kind == 2)
-        self.free = free
+        self.free = np.flatnonzero(self.kind == 2)
         self.n = n
-        self.n_std = n + free.size
-
-        def transform_rows(coeffs, rhs):
-            if coeffs.shape[0] == 0:
-                return np.zeros((0, self.n_std)), rhs.copy()
-            out = np.zeros((coeffs.shape[0], self.n_std))
-            out[:, :n] = coeffs
-            new_rhs = rhs - coeffs @ self.offset
-            mirror = self.kind == 1
-            if mirror.any():
-                out[:, :n][:, mirror] *= -1.0
-            out[:, n:] = -coeffs[:, free]
-            return out, new_rhs
-
-        a_ge, b_ge = transform_rows(prob.ineq_coeffs, prob.ineq_rhs)
-        a_eq, b_eq = transform_rows(prob.eq_coeffs, prob.eq_rhs)
+        self.n_std = n + self.free.size
         # residual finite ranges become -y_j >= -(hi - lo)
         ranged = np.flatnonzero(has_lo & has_hi & (hi > lo))
         fixed = np.flatnonzero(has_lo & (hi == lo))
         bound_vars = np.concatenate([ranged, fixed])
-        self.m_ge_prob = prob.ineq_coeffs.shape[0]
-        self.bound_vars = bound_vars.tolist()
-        if bound_vars.size:
-            extra = np.zeros((bound_vars.size, self.n_std))
-            extra[np.arange(bound_vars.size), bound_vars] = -1.0
-            extra_rhs = np.concatenate([-(hi[ranged] - lo[ranged]), np.zeros(fixed.size)])
-            a_ge = np.vstack([a_ge, extra])
-            b_ge = np.concatenate([b_ge, extra_rhs])
-        self.a_ge, self.b_ge = a_ge, b_ge
-        self.a_eq, self.b_eq = a_eq, b_eq
+        self.bound_a = np.zeros((bound_vars.size, self.n_std))
+        self.bound_a[np.arange(bound_vars.size), bound_vars] = -1.0
+        self.bound_b = np.concatenate([-(hi[ranged] - lo[ranged]), np.zeros(fixed.size)])
+        self.c = self.costs(prob.objective)
 
+    def rows(self, coeffs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``coeffs . x (>=, =) rhs`` over the standard-form variables."""
+        n = self.n
+        if coeffs.shape[0] == 0:
+            return np.zeros((0, self.n_std)), rhs.copy()
+        out = np.zeros((coeffs.shape[0], self.n_std))
+        out[:, :n] = coeffs
+        new_rhs = rhs - coeffs @ self.offset
+        mirror = self.kind == 1
+        if mirror.any():
+            out[:, :n][:, mirror] *= -1.0
+        out[:, n:] = -coeffs[:, self.free]
+        return out, new_rhs
+
+    def costs(self, objective: np.ndarray) -> np.ndarray:
         c = np.zeros(self.n_std)
-        c[:n] = prob.objective
-        c[:n][self.kind == 1] *= -1.0
-        c[n:] = -prob.objective[free]
-        self.c = c
+        c[:self.n] = objective
+        c[:self.n][self.kind == 1] *= -1.0
+        c[self.n:] = -objective[self.free]
+        return c
 
     def map_back(self, y: np.ndarray) -> np.ndarray:
         x = y[: self.n].copy()
@@ -216,17 +212,45 @@ class _Standardized:
         return x
 
 
-class _Tableau:
-    """Two-phase dense tableau with refactorization against original data."""
+def _pert_u(m: int) -> np.ndarray:
+    """Per-row weights of the right-hand-side perturbation."""
+    return (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
 
-    def __init__(self, std: _Standardized, opts: SimplexOptions):
+
+def _insert(a: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
+    """``np.insert(a, at, values)`` for a 1-D ``a``, without its overhead."""
+    return np.concatenate((a[:at], values, a[at:]))
+
+
+def _spread(a: np.ndarray, p: int, q: int, k: int) -> np.ndarray:
+    """A copy of ``a`` with k zero rows before row p and k zero columns
+    before column q."""
+    out = np.zeros((a.shape[0] + k, a.shape[1] + k))
+    out[:p, :q] = a[:p, :q]
+    out[:p, q + k:] = a[:p, q:]
+    out[p + k:, :q] = a[p:, :q]
+    out[p + k:, q + k:] = a[p:, q:]
+    return out
+
+
+class _Tableau:
+    """Two-phase dense tableau with refactorization against original data.
+
+    Rows are the problem's inequality rows, the bound rows, then the
+    equality rows; columns the standard-form variables, one surplus per
+    inequality and bound row in row order, then the artificials."""
+
+    def __init__(self, std: _Standardized, prob: LpProblem, opts: SimplexOptions):
         self.opts = opts
+        self.std = std
         n = std.n_std
-        m_ge = std.a_ge.shape[0]
-        m_eq = std.a_eq.shape[0]
-        m = m_ge + m_eq
-        rows = np.vstack([std.a_ge, std.a_eq]) if m else np.zeros((0, n))
-        b = np.concatenate([std.b_ge, std.b_eq])
+        a_ge, b_ge = std.rows(prob.ineq_coeffs, prob.ineq_rhs)
+        a_eq, b_eq = std.rows(prob.eq_coeffs, prob.eq_rhs)
+        rows = np.vstack([a_ge, std.bound_a, a_eq])
+        b = np.concatenate([b_ge, std.bound_b, b_eq])
+        self.m_ineq = a_ge.shape[0]
+        m_ge = self.m_ineq + std.bound_b.size
+        m = m_ge + a_eq.shape[0]
         sur_sign = np.zeros(m)
         sur_sign[:m_ge] = -1.0
         flip = b < 0
@@ -246,7 +270,6 @@ class _Tableau:
         basis[slack] = n + np.flatnonzero(slack)
         basis[art_rows] = n + m_ge + np.arange(k)
         self.n_art = k
-        self.art_of_row = dict(zip(art_rows.tolist(), range(k)))
         N = n + m_ge + k
         self.n_struct = n
         self.N = N
@@ -273,7 +296,7 @@ class _Tableau:
         self.allowed = np.ones(N, dtype=bool)
         self.iters = 0
         self.max_iter = PIVOT_CAP_FACTOR * (N + m)
-        self.pert_u = (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
+        self.pert_u = _pert_u(m)
         # T is exactly the factorization of the basis against _factored_b
         # until the next pivot or perturbation
         self._clean = False
@@ -291,34 +314,84 @@ class _Tableau:
         unit_row = self.unit_row[self.basis]
         unit = np.flatnonzero(unit_row >= 0)
         kernel = np.flatnonzero(unit_row < 0)
-        s = unit_row[unit]
         free_rows = np.ones(self.m, dtype=bool)
-        free_rows[s] = False
+        free_rows[unit_row[unit]] = False
+        factored = True
         try:
             if np.count_nonzero(free_rows) != kernel.size:
                 raise np.linalg.LinAlgError("two basic unit columns on one row")
-            kcols = self.basis[kernel]
-            y = np.linalg.solve(self.A_all[np.ix_(free_rows, kcols)], ab[free_rows])
-            T[kernel] = y
-            rest = ab[s]
-            rest -= self.A_all[np.ix_(s, kcols)] @ y
-            rest *= self.A_all[s, self.basis[unit]][:, None]  # the unit's sign
-            T[unit] = rest
+            T[kernel] = np.linalg.solve(
+                self.A_all[np.ix_(free_rows, self.basis[kernel])], ab[free_rows])
+            self._substitute(unit, kernel)
         except np.linalg.LinAlgError:
             if exact:
                 raise
             T[:], *_ = np.linalg.lstsq(self.A_all[:, self.basis], ab, rcond=None)
+            factored = False  # a least-squares T factorizes nothing
         xb = T[:, -1]
         xb[np.abs(xb) < 1e-11] = 0.0
-        binv_a = T[:, : self.N]
+        self._price()
+        self._clean = factored
+        self._factored_b = self.b_active
+        return float(xb.min()) if self.m else 0.0
+
+    def _substitute(self, unit: np.ndarray, kernel: np.ndarray):
+        """T at basis positions ``unit``, which hold unit columns, from T at
+        positions ``kernel``: each unit's row of [A_all | b_active] less its
+        kernel part, times the unit's sign."""
+        cols = self.basis[unit]
+        s = self.unit_row[cols]
+        rest = self._ab[s]
+        rest -= self.A_all[np.ix_(s, self.basis[kernel])] @ self.T[kernel]
+        rest *= self.A_all[s, cols][:, None]
+        self.T[unit] = rest
+
+    def _price(self):
+        """Both objective rows from T: reduced costs and (negated) values."""
+        binv_a, xb = self.T[:, : self.N], self.T[:, -1]
         for j, d in ((0, self.d2), (1, self.d1)):
             dB = d[self.basis]
             self.obj[j, : self.N] = d - dB @ binv_a
             self.obj[j, -1] = -(dB @ xb)
             self.obj[j, self.basis] = 0.0
-        self._clean = True
-        self._factored_b = self.b_active
-        return float(xb.min()) if self.m else 0.0
+
+    def extend(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        """Continue from this factorization for the problem with standard-form
+        rows ``a . y >= b`` after the inequality rows and costs ``c``. Each
+        new row is flipped as __init__ flips rows and enters with its surplus
+        column basic, so a negative rhs marks a violated row; its T row is
+        the one a refactorization gives it. Each array is replaced by its
+        grown copy in turn, so no more than one is ever held twice."""
+        k, p = b.size, self.m_ineq
+        if k:
+            q, at = self.n_struct + p, self.m   # new rows, columns, basis positions
+            new_rows, new_cols, new_pos = p + np.arange(k), q + np.arange(k), at + np.arange(k)
+            sign = np.where(b <= 0, 1.0, -1.0)  # the surplus column's sign
+            new = np.zeros((k, self.N + k + 1))
+            new[:, : self.n_struct] = a * -sign[:, None]
+            new[np.arange(k), new_cols] = sign
+            new[:, -1] = b * -sign
+            self.m, self.m_ge, self.m_ineq, self.N = self.m + k, self.m_ge + k, p + k, self.N + k
+            self._ab = _spread(self._ab, p, q, k)
+            self._ab[new_rows] = new
+            self.A_all = self._ab[:, : self.N]
+            # T's rows follow the basis positions, so the new ones come last
+            self.T = _spread(self.T, at, q, k)
+            self.obj = np.empty((2, self.N + 1))
+            self.basis = np.concatenate((self.basis + k * (self.basis >= q), new_cols))
+            self.unit_row = _insert(self.unit_row + k * (self.unit_row >= p), q, new_rows)
+            self.b_true = _insert(self.b_true, p, new[:, -1])
+            self.b_active = _insert(self.b_active, p, new[:, -1])
+            self.d1 = _insert(self.d1, q, np.zeros(k))
+            self.d2 = _insert(self.d2, q, np.zeros(k))
+            self.allowed = _insert(self.allowed, q, np.ones(k, dtype=bool))
+            self.pert_u = _pert_u(self.m)
+            self._substitute(new_pos, np.flatnonzero(self.unit_row[self.basis] < 0))
+            xb = self.T[new_pos, -1]
+            self.T[new_pos, -1] = np.where(np.abs(xb) < 1e-11, 0.0, xb)
+            self._clean = False
+        self.d2[: self.n_struct] = -c
+        self._price()
 
     def pivot_at(self, r: int, q: int):
         T = self.T
@@ -497,13 +570,41 @@ class _Tableau:
             self.pivot_at(r, q)
 
 
+class Resident:
+    """The final tableau of an optimal solve and the problem it solved,
+    kept for one later ``solve_lp(..., start=)`` to continue from (see the
+    module docstring). ``take`` hands the tableau over, or drops it."""
+
+    def __init__(self, problem: LpProblem, tab: _Tableau):
+        self._problem, self._tab = problem, tab
+
+    def take(self, problem: LpProblem) -> _Tableau | None:
+        """The tableau when ``problem`` extends the solved one, else None.
+        Either way this resident is empty afterwards: a start is used once."""
+        old, tab = self._problem, self._tab
+        self._problem = self._tab = None
+        return tab if tab is not None and _extends(old, problem) else None
+
+
+def _extends(old: LpProblem, new: LpProblem) -> bool:
+    """True when ``new`` has ``old``'s variables, bounds and equality rows,
+    and ``old``'s inequality rows as an exact prefix of its own."""
+    m = old.ineq_coeffs.shape[0]
+    return (new.n == old.n and new.ineq_coeffs.shape[0] >= m
+            and np.array_equal(new.lo, old.lo) and np.array_equal(new.hi, old.hi)
+            and np.array_equal(new.eq_coeffs, old.eq_coeffs)
+            and np.array_equal(new.eq_rhs, old.eq_rhs)
+            and np.array_equal(new.ineq_coeffs[:m], old.ineq_coeffs)
+            and np.array_equal(new.ineq_rhs[:m], old.ineq_rhs))
+
+
 def solve_lp(problem: LpProblem, options: SimplexOptions | None = None,
-             start: tuple[tuple[str, int], ...] | None = None) -> LpSolution:
+             start: Resident | None = None) -> LpSolution:
     """Solve an LpProblem; deterministic for identical inputs.
 
-    ``start`` is the ``basis`` of an optimal solution of this problem, or of
-    one that lacked some trailing inequality rows, under any objective. It
-    is tried first; when the attempt is abandoned (see the module docstring)
+    ``start`` is the ``resident`` of an optimal solution of a problem that
+    this one extends by trailing inequality rows, under any objective. It is
+    tried first; when the attempt is abandoned (see the module docstring)
     the cold two-phase solve runs and the abandoned pivots are counted in
     ``iterations``.
 
@@ -511,18 +612,18 @@ def solve_lp(problem: LpProblem, options: SimplexOptions | None = None,
     basis cannot be certified; that is distinct from the three statuses.
     """
     opts = options or SimplexOptions()
-    std = _Standardized(problem)
     spent = 0
     if start is not None:
-        sol, spent = _solve_warm(problem, std, opts, start)
+        sol, spent = _solve_warm(problem, opts, start)
         if sol is not None:
             return sol
-    sol = _solve_cold(problem, std, opts)
+    sol = _solve_cold(problem, opts)
     return replace(sol, iterations=sol.iterations + spent) if spent else sol
 
 
-def _solve_cold(problem: LpProblem, std: _Standardized, opts: SimplexOptions) -> LpSolution:
-    tab = _Tableau(std, opts)
+def _solve_cold(problem: LpProblem, opts: SimplexOptions) -> LpSolution:
+    std = _Standardized(problem)
+    tab = _Tableau(std, problem, opts)
 
     if tab.m == 0:
         # only bounds; optimum at y = 0 unless some cost still improves
@@ -530,7 +631,7 @@ def _solve_cold(problem: LpProblem, std: _Standardized, opts: SimplexOptions) ->
             return LpSolution("unbounded", None, None, 0)
         y = np.zeros(std.n_std)
         x = std.map_back(y)
-        return LpSolution("optimal", x, float(problem.objective @ x), 0, ())
+        return LpSolution("optimal", x, float(problem.objective @ x), 0)
 
     tab.refactor()
     if tab.n_art:
@@ -549,88 +650,39 @@ def _solve_cold(problem: LpProblem, std: _Standardized, opts: SimplexOptions) ->
     st = tab.run_phase(2)
     if st == "unbounded":
         return LpSolution("unbounded", None, None, tab.iters)
-    return _optimal(problem, std, tab, opts)
+    return _optimal(problem, tab, opts)
 
 
-def _solve_warm(problem: LpProblem, std: _Standardized, opts: SimplexOptions,
-                start) -> tuple[LpSolution | None, int]:
+def _solve_warm(problem: LpProblem, opts: SimplexOptions,
+                start: Resident) -> tuple[LpSolution | None, int]:
     """One attempt from ``start``: (certified optimum or None, pivots spent)."""
-    tab = _Tableau(std, opts)
-    cols = _start_columns(std, tab, start)
-    if cols is None or tab.m == 0:
+    tab = start.take(problem)
+    if tab is None:
         return None, 0
-    tab.basis[:] = cols
-    tab.allowed[tab.n_struct + tab.m_ge:] = False
-    tab.max_iter = tab.m + WARM_PIVOT_SLACK
+    tab.opts, tab.iters = opts, 0
     try:
-        tab.refactor(exact=True)
+        tab.refactor(exact=True)  # a no-op unless the last refactor fell back
+        std = tab.std
+        tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
+                   std.costs(problem.objective))
+        tab.max_iter = tab.m + WARM_PIVOT_SLACK
         if tab.dual_simplex(opts.feas_tol) and tab.run_phase(2) == "optimal":
-            return _optimal(problem, std, tab, opts), tab.iters
+            return _optimal(problem, tab, opts), tab.iters
     except (np.linalg.LinAlgError, SolverStallError):
         pass
     return None, tab.iters
 
 
-def _optimal(problem: LpProblem, std: _Standardized, tab: _Tableau,
-             opts: SimplexOptions) -> LpSolution:
+def _optimal(problem: LpProblem, tab: _Tableau, opts: SimplexOptions) -> LpSolution:
     """The finish of every solve, cold or warm, from an optimal basis."""
     tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
     tab.refactor()
     y = np.zeros(tab.N)
     y[tab.basis] = np.maximum(tab.T[:, -1], 0.0)
-    x = std.map_back(y[: std.n_std])
+    x = tab.std.map_back(y[: tab.std.n_std])
     _certify(problem, x, opts.feas_tol)
     return LpSolution("optimal", x, float(problem.objective @ x), tab.iters,
-                      _basis_labels(std, tab))
-
-
-def _basis_labels(std: _Standardized, tab: _Tableau) -> tuple[tuple[str, int], ...]:
-    n, m_ge = std.n_std, tab.m_ge
-    labels = []
-    for col in tab.basis.tolist():
-        if col < n:
-            labels.append(("x", col))
-        elif col < n + m_ge:
-            r = col - n
-            labels.append(("s", r) if r < std.m_ge_prob
-                          else ("b", std.bound_vars[r - std.m_ge_prob]))
-        else:
-            # bound rows have rhs <= 0, so their surplus is basic and they
-            # never carry an artificial
-            r = int(tab.unit_row[col])
-            labels.append(("a", r) if r < m_ge else ("e", r - m_ge))
-    return tuple(labels)
-
-
-def _start_columns(std: _Standardized, tab: _Tableau, start) -> np.ndarray | None:
-    """Tableau columns of ``start`` plus the surplus column of every
-    inequality row appended since; None when the start does not fit."""
-    m_eq = tab.m - tab.m_ge
-    n, m_ge_prob = std.n_std, std.m_ge_prob
-    old_ge = len(start) - m_eq - len(std.bound_vars)
-    if not 0 <= old_ge <= m_ge_prob:
-        return None
-    bound_pos = {j: k for k, j in enumerate(std.bound_vars)}
-    art_base = n + tab.m_ge
-    cols = []
-    for kind, i in start:
-        if kind == "x" and 0 <= i < n:
-            col = i
-        elif kind == "s" and 0 <= i < old_ge:
-            col = n + i
-        elif kind == "b" and i in bound_pos:
-            col = n + m_ge_prob + bound_pos[i]
-        elif kind == "a" and 0 <= i < old_ge and i in tab.art_of_row:
-            col = art_base + tab.art_of_row[i]
-        elif kind == "e" and 0 <= i < m_eq and tab.m_ge + i in tab.art_of_row:
-            col = art_base + tab.art_of_row[tab.m_ge + i]
-        else:
-            return None
-        cols.append(col)
-    cols.extend(n + r for r in range(old_ge, m_ge_prob))
-    if len(set(cols)) != len(cols):
-        return None
-    return np.asarray(cols, dtype=int)
+                      Resident(problem, tab))
 
 
 def _certify(prob: LpProblem, x: np.ndarray, tol: float):

@@ -6,6 +6,7 @@ the code paths under test.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from decimal import Decimal, getcontext
 
@@ -165,3 +166,16 @@ def random_tensor(rng, dims, spread=2.0):
     """Random payoff tensor values of shape (K, *dims)."""
     k = len(dims)
     return rng.uniform(-spread / 2, spread / 2, size=(k,) + tuple(dims))
+
+
+def unit_max_rows(prob):
+    """``prob`` with each inequality row scaled to unit max coefficient, as
+    the row-generation master keeps its cuts."""
+    a = prob.ineq_coeffs / np.abs(prob.ineq_coeffs).max(axis=1)[:, None]
+    return dataclasses.replace(prob, ineq_coeffs=a)
+
+
+def first_rows(prob, m):
+    """``prob`` with only its first ``m`` inequality rows."""
+    return dataclasses.replace(prob, ineq_coeffs=prob.ineq_coeffs[:m],
+                               ineq_rhs=prob.ineq_rhs[:m])

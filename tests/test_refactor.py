@@ -1,13 +1,19 @@
 """Tableau internals: slack-aware refactorization, the dual-simplex repair
-after a dropped perturbation, and the vectorized standard-form set-up,
-each against a direct dense or loop reference written here."""
+after a dropped perturbation, the vectorized standard-form set-up, each
+against a direct dense or loop reference written here, and rows appended to
+a resident tableau, against a refactorization."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from powergames import simplex
+from powergames.communication import GameFamily, build_commeq_lp, build_type_space
 from powergames.correlated import build_ce_constraints
-from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
+from powergames.model import (ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor,
+                              build_power_grid)
 from powergames.simplex import INF, SimplexOptions, make_problem, solve_lp
+from oracles import first_rows, random_tensor, unit_max_rows
 
 OPTS = SimplexOptions()
 
@@ -33,7 +39,7 @@ def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):
 
 
 def tableau(prob):
-    return simplex._Tableau(simplex._Standardized(prob), OPTS)
+    return simplex._Tableau(simplex._Standardized(prob), prob, OPTS)
 
 
 def unit_columns(tab):
@@ -141,8 +147,8 @@ class TestSlackAwareRefactor:
         prob = make_problem([1.0, 1.0], [([1.0, 1.0], 1.0), ([1.0, -1.0], -2.0)],
                             [([1.0, 2.0], 3.0)])
         tab = tableau(prob)
-        art = tab.n_struct + tab.m_ge + tab.art_of_row[0]
-        assert tab.basis[0] == art
+        art = tab.basis[0]
+        assert art >= tab.n_struct + tab.m_ge and tab.unit_row[art] == 0
         basis = np.array([art, tab.n_struct + 0, 0])
         with pytest.raises(np.linalg.LinAlgError):
             refactored(tab, basis, exact=True)
@@ -210,7 +216,7 @@ def standardized_reference(prob):
     for k, j in enumerate(ranged + fixed):
         extra[k, j] = -1.0
         extra_rhs.append(-(hi[j] - lo[j]) if j in ranged else 0.0)
-    return kind, offset, free, ranged + fixed, c, extra, np.asarray(extra_rhs)
+    return kind, offset, free, c, extra, np.asarray(extra_rhs)
 
 
 def map_back_reference(std, y):
@@ -227,11 +233,13 @@ def map_back_reference(std, y):
     return x
 
 
-def tableau_reference(std):
+def tableau_reference(std, prob):
     """Row flips, starting basis and artificial columns, one row at a time."""
-    a = np.vstack([std.a_ge, std.a_eq])
-    b = np.concatenate([std.b_ge, std.b_eq])
-    m, m_ge, n = a.shape[0], std.a_ge.shape[0], std.n_std
+    a_ge, b_ge = std.rows(prob.ineq_coeffs, prob.ineq_rhs)
+    a_eq, b_eq = std.rows(prob.eq_coeffs, prob.eq_rhs)
+    a = np.vstack([a_ge, std.bound_a, a_eq])
+    b = np.concatenate([b_ge, std.bound_b, b_eq])
+    m, m_ge, n = a.shape[0], a_ge.shape[0] + std.bound_b.size, std.n_std
     sur_sign = np.where(np.arange(m) < m_ge, -1.0, 0.0)
     for r in range(m):
         if b[r] < 0 or (r < m_ge and b[r] <= 0):
@@ -275,14 +283,12 @@ class TestVectorizedSetUp:
     def test_standardized_matches_loops(self):
         for prob in self.problems():
             std = simplex._Standardized(prob)
-            kind, offset, free, bound_vars, c, extra, extra_rhs = standardized_reference(prob)
+            kind, offset, free, c, extra, extra_rhs = standardized_reference(prob)
             assert same_bytes(std.kind, kind) and same_bytes(std.offset, offset)
-            assert std.free.tolist() == free and std.bound_vars == bound_vars
-            assert all(type(j) is int for j in std.bound_vars)
+            assert std.free.tolist() == free
             assert same_bytes(std.c, c)
-            m_prob = prob.ineq_coeffs.shape[0]
-            assert same_bytes(std.a_ge[m_prob:], extra)
-            assert same_bytes(std.b_ge[m_prob:], extra_rhs.reshape(-1))
+            assert same_bytes(std.bound_a, extra)
+            assert same_bytes(std.bound_b, extra_rhs.reshape(-1))
 
     def test_map_back_matches_loop(self):
         rng = np.random.default_rng(3)
@@ -298,13 +304,79 @@ class TestVectorizedSetUp:
     def test_tableau_matches_loops(self):
         for prob in self.problems():
             std = simplex._Standardized(prob)
-            tab = simplex._Tableau(std, OPTS)
-            a_all, b, basis, art_of_row = tableau_reference(std)
+            tab = simplex._Tableau(std, prob, OPTS)
+            a_all, b, basis, art_of_row = tableau_reference(std, prob)
             assert same_bytes(tab.A_all, a_all) and same_bytes(tab.b_true, b)
-            assert same_bytes(tab.basis, basis) and tab.art_of_row == art_of_row
+            assert same_bytes(tab.basis, basis) and tab.n_art == len(art_of_row)
             for col in range(tab.N):
                 rows = np.flatnonzero(a_all[:, col])
                 if col < std.n_std:
                     assert tab.unit_row[col] == -1
                 else:
                     assert rows.tolist() == [tab.unit_row[col]]
+
+
+class TestAppendedRows:
+    """Rows appended to a resident optimal tableau give the T and objective
+    rows that a refactorization of the grown basis gives."""
+
+    def appended_and_refactored(self, prob, m, k, objective=None):
+        bigger = first_rows(prob, m + k)
+        if objective is not None:
+            bigger = replace(bigger, objective=objective)
+        sol = solve_lp(first_rows(prob, m))
+        assert sol.status == "optimal"
+        tab = sol.resident.take(bigger)
+        old_basis = tab.basis.copy()
+        std = tab.std
+        tab.extend(*std.rows(bigger.ineq_coeffs[m:], bigger.ineq_rhs[m:]),
+                   std.costs(bigger.objective))
+        # the old basic columns (past the new surplus columns), then the new
+        q = tab.n_struct + m
+        assert tab.basis.tolist() == (old_basis + k * (old_basis >= q)).tolist() + list(
+            range(q, q + k))
+        appended = tab.T.copy(), tab.obj.copy()
+        tab._clean = False
+        tab.refactor(exact=True)
+        return appended, (tab.T, tab.obj)
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * max(1.0, float(np.abs(w).max()))
+
+    def test_random_ce_masters(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            dims = (int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+            full = unit_max_rows(build_ce_constraints(
+                PayoffTensor(dims, random_tensor(rng, dims).copy())))
+            total = full.ineq_coeffs.shape[0]
+            k = int(rng.integers(1, min(8, total) + 1))
+            m = int(rng.integers(0, total - k + 1))
+            self.assert_same(*self.appended_and_refactored(full, m, k))
+            self.assert_same(*self.appended_and_refactored(
+                full, m, k, rng.normal(size=full.n)))
+
+    def test_literal_commeq_master(self):
+        grid = build_power_grid(-20.0, 20.0, 4)
+        fam = GameFamily((grid, grid), alpha=0.01, noise=1.0, packet_len=100)
+        full = unit_max_rows(build_commeq_lp(build_type_space([0.01, 3.0], 2), fam))
+        assert full.n == 64 and full.eq_coeffs.shape[0] == 4
+        for m, k in ((0, 8), (6, 1), (10, 12), (24, 8)):
+            self.assert_same(*self.appended_and_refactored(full, m, k))
+
+    def test_row_met_within_noise_starts_at_zero(self):
+        # a refactorization zeroes basic values below 1e-11; so does an append
+        rng = np.random.default_rng(6)
+        full = unit_max_rows(build_ce_constraints(
+            PayoffTensor((3, 3), random_tensor(rng, (3, 3)).copy())))
+        x = solve_lp(first_rows(full, 4)).x
+        row = rng.normal(size=full.n)
+        row -= (row @ x - 5e-12) / (x @ x) * x
+        prob = replace(full, ineq_coeffs=np.vstack([full.ineq_coeffs[:4], row]),
+                       ineq_rhs=np.zeros(5))
+        appended, refactored = self.appended_and_refactored(prob, 4, 1)
+        assert appended[0][-1, -1] == 0.0 == refactored[0][-1, -1]
+        self.assert_same(appended, refactored)

@@ -1,13 +1,15 @@
-"""Warm-started simplex: a start basis is only a hint, never the answer's source."""
+"""Warm-started simplex: a resident tableau is only a hint, never the answer's source."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from powergames import correlated, simplex
 from powergames.correlated import CePolytopeSolver, build_ce_constraints, ce_payoff_region
 from powergames.model import ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor, build_power_grid
 from powergames.simplex import make_problem, solve_lp
-from oracles import random_bounded_lp, random_tensor
+from oracles import first_rows, random_bounded_lp, random_tensor, unit_max_rows
 
 
 def paper_game(gains, levels=25):
@@ -34,6 +36,19 @@ def small_ce_game():
     return tensor, build_ce_constraints(tensor)
 
 
+def count_cold_solves(monkeypatch) -> list:
+    """A list that grows by one on every cold two-phase solve."""
+    calls = []
+    cold = simplex._solve_cold
+
+    def counted(*args):
+        calls.append(1)
+        return cold(*args)
+
+    monkeypatch.setattr(simplex, "_solve_cold", counted)
+    return calls
+
+
 class TestRestart:
     def test_optimal_basis_restarts_with_no_pivots(self):
         problems = list(random_problems(11, 40)) + [small_ce_game()[1]]
@@ -41,49 +56,98 @@ class TestRestart:
         for k, prob in enumerate(problems):
             cold = solve_lp(prob)
             if cold.status != "optimal":
-                assert cold.basis is None
+                assert cold.resident is None
                 continue
-            assert len(cold.basis) == prob.row_count + int(
-                np.sum(np.isfinite(prob.lo) & np.isfinite(prob.hi)))
-            warm = solve_lp(prob, start=cold.basis)
+            warm = solve_lp(prob, start=cold.resident)
             assert warm.status == "optimal", f"LP {k}"
             assert warm.iterations == 0, f"LP {k}"
-            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-            assert np.abs(warm.x - cold.x).max() <= 1e-9, f"LP {k}"
+            assert warm.objective_value == cold.objective_value, f"LP {k}"
+            assert np.array_equal(warm.x, cold.x), f"LP {k}"
             restarted += 1
         assert restarted >= 20
-
-    def test_basis_labels_name_problem_columns(self):
-        # max x0 + x1 s.t. x0 + x1 <= 1, x0 - x1 = 0; x1 in [0, 5]
-        prob = make_problem([1.0, 1.0], ineq_rows=[([-1.0, -1.0], -1.0)],
-                            eq_rows=[([1.0, -1.0], 0.0)], bounds=[(0, None), (0, 5)])
-        sol = solve_lp(prob)
-        assert sol.status == "optimal"
-        assert sorted(sol.basis) == [("b", 1), ("x", 0), ("x", 1)]
 
     def test_new_cut_is_repaired(self):
         # max x0 + 2 x1 over x0 + x1 <= 1, then cut x1 <= 0.25: one dual pivot
         base = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0)])
         first = solve_lp(base)
         cut = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0), ([0.0, -1.0], -0.25)])
-        warm = solve_lp(cut, start=first.basis)
+        warm = solve_lp(cut, start=first.resident)
         cold = solve_lp(cut)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
         assert warm.objective_value == pytest.approx(1.25, abs=1e-12)
         assert warm.iterations == 1
 
+    def test_cuts_and_new_objective_match_cold(self, monkeypatch):
+        # CE masters grown a few rows at a time, each round under a new
+        # objective: every round after the first continues from the last
+        cold_solves = count_cold_solves(monkeypatch)
+        rng = np.random.default_rng(23)
+        for g in range(10):
+            m = int(rng.integers(2, 5))
+            tensor = PayoffTensor((m, m), random_tensor(rng, (m, m)).copy())
+            full = unit_max_rows(build_ce_constraints(tensor))
+            start, rows = None, 0
+            while rows < full.ineq_coeffs.shape[0]:
+                rows += int(rng.integers(1, 4))
+                prob = replace(first_rows(full, rows), objective=rng.normal(size=full.n))
+                before = len(cold_solves)
+                warm = solve_lp(prob, start=start)
+                assert len(cold_solves) == before + (start is None), f"game {g}, {rows} rows"
+                cold = solve_lp(prob)
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+                start = warm.resident
 
     def test_attempt_past_pivot_budget_falls_back(self, monkeypatch):
-        from powergames import simplex
-
         base = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0)])
         cut = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0), ([0.0, -1.0], -0.25)])
-        start = solve_lp(base).basis
+        start = solve_lp(base).resident
         cold = solve_lp(cut)
         monkeypatch.setattr(simplex, "WARM_PIVOT_SLACK", -cut.row_count)  # budget 0
         warm = solve_lp(cut, start=start)
         assert np.array_equal(warm.x, cold.x)
         assert warm.iterations == cold.iterations + 1  # the abandoned pivot counts
+
+
+def changed_n(prob):
+    pad = np.zeros((prob.ineq_coeffs.shape[0], 1))
+    return make_problem(np.append(prob.objective, 0.0),
+                        [(r, b) for r, b in zip(np.hstack([prob.ineq_coeffs, pad]), prob.ineq_rhs)],
+                        [(np.append(r, 1.0), b) for r, b in zip(prob.eq_coeffs, prob.eq_rhs)])
+
+
+def changed_bounds(prob):
+    hi = prob.hi.copy()
+    hi[0] = 0.05
+    return replace(prob, hi=hi)
+
+
+def changed_eq_rows(prob):
+    eq = prob.eq_coeffs.copy()
+    eq[0, 0] = 2.0
+    return replace(prob, eq_coeffs=eq)
+
+
+def changed_prefix_row(prob):
+    a = prob.ineq_coeffs.copy()
+    a[0, 0] += 0.5
+    return replace(prob, ineq_coeffs=a)
+
+
+def changed_prefix_rhs(prob):
+    b = prob.ineq_rhs.copy()
+    b[1] = -0.01
+    return replace(prob, ineq_rhs=b)
+
+
+def dropped_first_row(prob):
+    return replace(prob, ineq_coeffs=prob.ineq_coeffs[1:], ineq_rhs=prob.ineq_rhs[1:])
+
+
+def dropped_last_row(prob):
+    return first_rows(prob, BASE_ROWS - 1)
+
+
+BASE_ROWS = 6
 
 
 class TestStartThatDoesNotFit:
@@ -93,25 +157,31 @@ class TestStartThatDoesNotFit:
         assert warm.status == cold.status
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.x, cold.x)
-        assert warm.basis == cold.basis
+        assert start.take(prob) is None  # a start is used once
 
-    def test_wrong_length(self):
-        _, prob = small_ce_game()
-        basis = solve_lp(prob).basis
-        self.assert_cold(prob, basis + (("x", 0),))
-        self.assert_cold(prob, basis[:-1] + (("s", 10 ** 6),))
+    @pytest.mark.parametrize("change", [changed_n, changed_bounds, changed_eq_rows,
+                                        changed_prefix_row, changed_prefix_rhs,
+                                        dropped_first_row, dropped_last_row])
+    def test_ignored(self, change):
+        _, full = small_ce_game()
+        base = first_rows(full, BASE_ROWS)
+        self.assert_cold(change(full), solve_lp(base).resident)
 
-    def test_unknown_or_repeated_columns(self):
+    def test_used_start(self):
         _, prob = small_ce_game()
-        basis = solve_lp(prob).basis
-        self.assert_cold(prob, (("q", 0),) + basis[1:])
-        self.assert_cold(prob, (basis[1],) + basis[1:])
+        start = solve_lp(prob).resident
+        solve_lp(prob, start=start)
+        self.assert_cold(prob, start)
 
     def test_singular_basis(self):
         # columns 0 and 1 are equal, so a basis holding both is singular
         prob = make_problem([1.0, 1.0, 0.5],
                             ineq_rows=[([-1.0, -1.0, -1.0], -2.0), ([-2.0, -2.0, -1.0], -3.0)])
-        self.assert_cold(prob, (("x", 0), ("x", 1)))
+        start = solve_lp(prob).resident
+        tab = start._tab
+        tab.basis[:] = [0, 1]
+        tab._clean = False
+        self.assert_cold(prob, start)
 
 
 class TestRowGeneration:
@@ -129,6 +199,23 @@ class TestRowGeneration:
             _, value, _ = CePolytopeSolver.for_tensor(tensor).maximize(tensor.welfare_flat())
             cold = solve_lp(build_ce_constraints(tensor))
             assert abs(value - cold.objective_value) <= 1e-9, f"game {k}"
+
+    def test_rounds_continue_warm(self, monkeypatch):
+        # only a master's first round is a cold solve, across objectives too
+        tensor = paper_game([[2.33556, 0.67444], [3.0, 1.33889]], levels=10)
+        solver = CePolytopeSolver.for_tensor(tensor)
+        cold_solves = count_cold_solves(monkeypatch)
+        rounds = []
+        real = simplex.solve_lp
+
+        def counted(*args, **kwargs):
+            rounds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(correlated, "solve_lp", counted)
+        for w in ([1.0, 1.0], [1.0, -0.5], [-0.3, 1.0]):
+            solver.maximize(w[0] * tensor.flat(0) + w[1] * tensor.flat(1))
+        assert len(rounds) > 3 and len(cold_solves) == 1
 
     def test_region_matches_cold_per_direction_optima(self):
         tensor = paper_game([[2.98931, 1.92230], [1.26254, 1.68242]], levels=8)
