@@ -13,7 +13,7 @@ import os
 import sys
 
 from .communication import FORMULATIONS
-from .config import _number, key_reader, load_config
+from .config import _number, _text, key_reader, load_config
 from .errors import BudgetError, ConfigError, SolverStallError
 from .regret import RULES
 from . import experiments
@@ -39,15 +39,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium solvers for finite wireless power-control games.",
     )
     parser.add_argument("-c", "--config", required=True, help="path to a JSON config")
+    path = _flag(lambda v: _text(v, "PATH"), str)  # nonempty, as --out-dir is
     sub = parser.add_subparsers(dest="command", required=True)
 
     game = sub.add_parser("game", help="inspect the configured game")
     game_sub = game.add_subparsers(dest="game_command", required=True)
     game_dump = game_sub.add_parser("dump", help="dump grids, channel and payoffs")
-    game_dump.add_argument("--out", help="write JSON here instead of stdout")
+    game_dump.add_argument("--out", type=path, help="write JSON here instead of stdout")
 
     nash = sub.add_parser("nash", help="enumerate pure Nash equilibria")
-    nash.add_argument("--out")
+    nash.add_argument("--out", type=path)
 
     ce = sub.add_parser("ce", help="correlated equilibrium by LP")
     group = ce.add_mutually_exclusive_group()
@@ -56,29 +57,29 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--direction", type=_flag(lambda v: _number(v, "THETA"), float),
                        metavar="THETA",
                        help="maximize cos(THETA) u1 + sin(THETA) u2 (radians)")
-    ce.add_argument("--out")
+    ce.add_argument("--out", type=path)
 
     commeq = sub.add_parser("commeq", help="communication equilibrium by LP")
     commeq.add_argument("--formulation", type=_flag(key_reader("solver.formulation"), str),
                         help=f"one of {', '.join(FORMULATIONS)}")
-    commeq.add_argument("--out")
+    commeq.add_argument("--out", type=path)
 
     regret = sub.add_parser("regret", help="regret-matching run")
     regret.add_argument("--steps", type=_flag(key_reader("learning.steps")))
     regret.add_argument("--seed", type=_flag(key_reader("learning.seed")))
     regret.add_argument("--regret-rule", choices=REGRET_RULE_FLAGS)
-    regret.add_argument("--out")
-    regret.add_argument("--trace-out", help="write the step trace CSV here")
+    regret.add_argument("--out", type=path)
+    regret.add_argument("--trace-out", type=path, help="write the step trace CSV here")
 
     region = sub.add_parser("region", help="export 2-player payoff regions")
     region.add_argument("--directions", type=_flag(key_reader("solver.directions")))
-    region.add_argument("--out-dir")
+    region.add_argument("--out-dir", type=_flag(key_reader("output_dir"), str))
 
     sweep = sub.add_parser("sweep", help="channel-state / action-set sweeps")
     sweep.add_argument("--enumerate", action="store_true",
                        help="force full channel-grid enumeration")
     sweep.add_argument("--workers", type=_flag(key_reader("sweep.workers")))
-    sweep.add_argument("--out-dir")
+    sweep.add_argument("--out-dir", type=_flag(key_reader("output_dir"), str))
     return parser
 
 

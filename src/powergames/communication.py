@@ -22,11 +22,11 @@ Two incentive-constraint families are supported, each cut lazily on the
 reference for tests and for ``simplex.dump_problem``; the solve does not use
 it.
 
-With one joint type the canonical family is the CE polytope. The literal LP
+With one joint type the canonical family is the CE polytope, and CE is cut
+as that family by its oracle, ``correlated._canonical_cuts``. The literal LP
 is then the coarse-CE LP (no constant action pays more than obeying), which
-equals the CE LP only for binary actions. So CE and both families share
-their rows, not their builder: every deviation payoff is placed by
-``correlated._told``, which also builds the CE obedience rows.
+equals the CE LP only for binary actions. Every cut row of CE and of both
+families is assembled by ``correlated._reported``.
 """
 from __future__ import annotations
 
@@ -42,9 +42,10 @@ from .correlated import (
     ROW_GEN_BATCH,
     ROW_GEN_TOL,
     CePolytopeSolver,
+    _canonical_cuts,
     _deviation_table,
     _draw,
-    _most_violated,
+    _reported,
     _told,
 )
 from .errors import BudgetError, SolverStallError
@@ -330,14 +331,6 @@ def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
     return objective, eq_rows, blocks
 
 
-def _reported(terms, n: int, s: int, place) -> np.ndarray:
-    """Row over p(a|t): ``w * place(u)`` in each term's reported-type block."""
-    row = np.zeros(n)
-    for w, _, fr, u in terms:
-        row[fr * s:(fr + 1) * s] += w * place(u)
-    return row
-
-
 def _literal_row(terms, truth: np.ndarray, dims: tuple[int, ...], i: int,
                  b: int) -> np.ndarray:
     """Literal incentive row: reporting honestly and obeying is worth at
@@ -382,28 +375,6 @@ def _literal_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
                 yield (i, t_i, t_rep, int(b)), _literal_row(terms, truth, dims, i, b)
 
 
-def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
-    """Separation for the canonical family at the device ``x``. In each
-    block, D[a, b] is what playing b when told a is worth after the report.
-    An honest report gets the most violated obedience rows D[a, a] >= D[a, b];
-    a lie gets the cut of its best deviation map, truth >= sum_a D[a, d(a)]
-    with d(a) = argmax_b D[a, b], which no other map violates more."""
-    s = int(np.prod(dims))
-    p = x.reshape(-1, s)
-    for i, t_i, t_rep, terms, truth in blocks:
-        mi = dims[i]
-        d = _deviation_table(p, dims, i, terms)
-        if t_rep == t_i:
-            for a, b in _most_violated(d - np.diag(d)[:, None]):
-                yield (i, t_i, a, b), _reported(
-                    terms, x.size, s, lambda u: _told(u[a] - u[b], dims, i, a))
-            continue
-        dev = d.argmax(axis=1)
-        if d[np.arange(mi), dev].sum() - truth @ x > ROW_GEN_TOL:
-            yield (i, t_i, t_rep, tuple(dev)), truth - _reported(
-                terms, x.size, s, lambda u: sum(_told(u[dev[a]], dims, i, a) for a in range(mi)))
-
-
 def solve_commeq(space: TypeSpace, family: GameFamily,
                  formulation: str = "literal",
                  options: SimplexOptions | None = None,
@@ -437,7 +408,7 @@ def commeq_violation(device: CommDevice, family: GameFamily,
 
     Recomputes expected payoffs directly from the device and per-type games
     (``tensors``, built here when not given); shares no code with the LP row
-    builder.
+    builders, not even the posterior ``conditional_prior``.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
@@ -457,7 +428,12 @@ def commeq_violation(device: CommDevice, family: GameFamily,
     for i in range(k):
         mi = dims[i]
         for t_i in range(space.type_dims[i]):
-            cond = conditional_prior(space, i, t_i)
+            # q(t_-i | t_i), by conditional_prior's arithmetic
+            marginal = space.prior[(slice(None),) * i + (t_i,)]
+            total = float(marginal.sum())
+            if total <= 0.0:
+                raise ValueError("cannot condition on a zero-probability type")
+            cond = marginal / total
             others = [rest for rest in np.ndindex(cond.shape) if cond[rest] != 0.0]
             truth = 0.0
             for rest in others:

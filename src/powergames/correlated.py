@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def build_ce_constraints(tensor: PayoffTensor, objective: np.ndarray | None = No
         for a in range(tensor.dims[i]):
             for b in range(tensor.dims[i]):
                 if b != a:
-                    rows.append((_ce_row(u, tensor.dims, i, a, b), 0.0))
+                    rows.append((_told(u[a] - u[b], tensor.dims, i, a), 0.0))
     if objective is None:
         objective = tensor.welfare_flat()
     return make_problem(objective, ineq_rows=rows,
@@ -96,12 +97,6 @@ def build_ce_constraints(tensor: PayoffTensor, objective: np.ndarray | None = No
 def _moved_payoffs(tensor: PayoffTensor) -> list[np.ndarray]:
     """Each player's payoffs with the player's own action as axis 0."""
     return [np.moveaxis(tensor.player_payoffs(i), i, 0) for i in range(tensor.players)]
-
-
-def _ce_row(u: np.ndarray, dims: tuple[int, ...], i: int, a: int, b: int) -> np.ndarray:
-    """Coefficients of the (i, a -> b) obedience row over flat profiles, from
-    player i's payoffs ``u`` with its own action as axis 0."""
-    return _told(u[a] - u[b], dims, i, a)
 
 
 def _told(values: np.ndarray, dims: tuple[int, ...], i: int,
@@ -138,10 +133,42 @@ def _most_violated(gains: np.ndarray):
             yield a, b
 
 
+def _reported(terms, n: int, s: int, place) -> np.ndarray:
+    """Row over p(a|t): ``w * place(u)`` in each term's reported-type block."""
+    row = np.zeros(n)
+    for w, _, fr, u in terms:
+        row[fr * s:(fr + 1) * s] += w * place(u)
+    return row
+
+
+def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
+    """Separation for the canonical family at the device ``x``. In each
+    block, D[a, b] is what playing b when told a is worth after the report.
+    An honest report (its ``truth`` unused) gets the most violated obedience
+    rows D[a, a] >= D[a, b]; a lie gets the cut of its best deviation map,
+    truth >= sum_a D[a, d(a)] with d(a) = argmax_b D[a, b], which no other
+    map violates more."""
+    s = int(np.prod(dims))
+    p = x.reshape(-1, s)
+    for i, t_i, t_rep, terms, truth in blocks:
+        mi = dims[i]
+        d = _deviation_table(p, dims, i, terms)
+        if t_rep == t_i:
+            for a, b in _most_violated(d - np.diag(d)[:, None]):
+                yield (i, t_i, a, b), _reported(
+                    terms, x.size, s, lambda u: _told(u[a] - u[b], dims, i, a))
+            continue
+        dev = d.argmax(axis=1)
+        if d[np.arange(mi), dev].sum() - truth @ x > ROW_GEN_TOL:
+            yield (i, t_i, t_rep, tuple(dev)), truth - _reported(
+                terms, x.size, s, lambda u: sum(_told(u[dev[a]], dims, i, a) for a in range(mi)))
+
+
 class CePolytopeSolver:
     """Cutting-plane master over {x >= 0 : ``eq_rows`` hold, and so does every
     row ``row . x >= 0`` that ``separate(x)`` yields as ``(key, row)`` when
-    x violates it}. Each key is added once. ``for_tensor`` is the CE polytope.
+    x violates it}. Each key is added once. ``for_tensor`` is the CE polytope,
+    separated by ``_canonical_cuts`` as ``solve_commeq``'s canonical master is.
 
     Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
@@ -168,18 +195,13 @@ class CePolytopeSolver:
 
     @classmethod
     def for_tensor(cls, tensor: PayoffTensor, options: SimplexOptions | None = None):
-        """The CE polytope of ``tensor``: the profile simplex and obedience rows.
-        Its deviation table has one joint type and one term per player."""
-        moved = _moved_payoffs(tensor)
-        terms = [[(1.0, 0, 0, u)] for u in moved]
-
-        def separate(flat_probs):
-            p = flat_probs.reshape(1, -1)
-            for i, u in enumerate(moved):
-                d = _deviation_table(p, tensor.dims, i, terms[i])
-                for a, b in _most_violated(d - np.diag(d)[:, None]):
-                    yield (i, a, b), _ce_row(u, tensor.dims, i, a, b)
-        return cls([(np.ones(tensor.profile_count), 1.0)], separate, options)
+        """The CE polytope of ``tensor``: the profile simplex and obedience
+        rows, cut as the canonical family at one joint type (one honest block
+        per player, with one term)."""
+        blocks = [(i, 0, 0, [(1.0, 0, 0, u)], None)
+                  for i, u in enumerate(_moved_payoffs(tensor))]
+        return cls([(np.ones(tensor.profile_count), 1.0)],
+                   partial(_canonical_cuts, blocks, tensor.dims), options)
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Maximize a linear objective over the polytope.

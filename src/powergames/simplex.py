@@ -22,7 +22,8 @@ basic columns against the rows no basic unit column covers is factorized,
 in one solve for the whole of ``[A | b]``, and each unit row follows by
 substitution. That costs about 2m|P|N flops for |P| kernel columns against
 2m^2 N for a dense solve. Two basic unit columns on one row, or a singular
-kernel, mean a singular basis.
+kernel, mean a singular basis: a SolverStallError, which ends a cold solve
+and makes a warm start fall back to the cold one.
 
 Warm start: an optimal solution keeps its final tableau resident
 (``LpSolution.resident``), and ``solve_lp(problem, start=resident)``
@@ -302,11 +303,10 @@ class _Tableau:
         self._clean = False
         self._factored_b = self.b_active
 
-    def refactor(self, exact: bool = False) -> float:
+    def refactor(self) -> float:
         """Recompute T = B^-1 [A_all | b_active] from the original data by
-        one solve of the non-unit kernel (see the module docstring);
-        ``exact`` lets a singular basis raise LinAlgError instead of falling
-        back to least squares on the full B."""
+        one solve of the non-unit kernel (see the module docstring); a
+        singular basis raises SolverStallError."""
         if self._clean and np.array_equal(self.b_active, self._factored_b):
             return float(self.T[:, -1].min()) if self.m else 0.0
         ab, T = self._ab, self.T
@@ -316,22 +316,18 @@ class _Tableau:
         kernel = np.flatnonzero(unit_row < 0)
         free_rows = np.ones(self.m, dtype=bool)
         free_rows[unit_row[unit]] = False
-        factored = True
+        if np.count_nonzero(free_rows) != kernel.size:
+            raise SolverStallError("singular basis: two basic unit columns on one row")
         try:
-            if np.count_nonzero(free_rows) != kernel.size:
-                raise np.linalg.LinAlgError("two basic unit columns on one row")
             T[kernel] = np.linalg.solve(
                 self.A_all[np.ix_(free_rows, self.basis[kernel])], ab[free_rows])
-            self._substitute(unit, kernel)
         except np.linalg.LinAlgError:
-            if exact:
-                raise
-            T[:], *_ = np.linalg.lstsq(self.A_all[:, self.basis], ab, rcond=None)
-            factored = False  # a least-squares T factorizes nothing
+            raise SolverStallError("singular basis: its kernel is singular") from None
+        self._substitute(unit, kernel)
         xb = T[:, -1]
         xb[np.abs(xb) < 1e-11] = 0.0
         self._price()
-        self._clean = factored
+        self._clean = True
         self._factored_b = self.b_active
         return float(xb.min()) if self.m else 0.0
 
@@ -608,8 +604,9 @@ def solve_lp(problem: LpProblem, options: SimplexOptions | None = None,
     the cold two-phase solve runs and the abandoned pivots are counted in
     ``iterations``.
 
-    Raises SolverStallError when the iteration cap is exceeded or the final
-    basis cannot be certified; that is distinct from the three statuses.
+    Raises SolverStallError when the iteration cap is exceeded, a basis turns
+    singular or the final basis cannot be certified; that is distinct from
+    the three statuses.
     """
     opts = options or SimplexOptions()
     spent = 0
@@ -660,15 +657,15 @@ def _solve_warm(problem: LpProblem, opts: SimplexOptions,
     if tab is None:
         return None, 0
     tab.opts, tab.iters = opts, 0
+    std = tab.std
+    # _optimal left the tableau factorized, so the new rows extend it as is
+    tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
+               std.costs(problem.objective))
+    tab.max_iter = tab.m + WARM_PIVOT_SLACK
     try:
-        tab.refactor(exact=True)  # a no-op unless the last refactor fell back
-        std = tab.std
-        tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
-                   std.costs(problem.objective))
-        tab.max_iter = tab.m + WARM_PIVOT_SLACK
         if tab.dual_simplex(opts.feas_tol) and tab.run_phase(2) == "optimal":
             return _optimal(problem, tab, opts), tab.iters
-    except (np.linalg.LinAlgError, SolverStallError):
+    except SolverStallError:
         pass
     return None, tab.iters
 

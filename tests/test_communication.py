@@ -417,6 +417,35 @@ class TestViolationOracle:
         )
         assert gap == pytest.approx(expected, abs=1e-12)
 
+    def test_independent_of_builder_helpers(self, monkeypatch):
+        from powergames import correlated
+
+        fam = family(levels=(1.0, 4.0, 20.0))
+        space = build_type_space([0.5, 2.0], players=2, prior=[[0.1, 0.2], [0.3, 0.4]])
+        tensors = per_type_tensors(space, fam)
+        rng = np.random.default_rng(21)
+        raw = rng.uniform(0.0, 1.0, (space.joint_count, tensors[0].profile_count))
+        device = CommDevice(space, fam.dims, raw / raw.sum(axis=1, keepdims=True))
+        expected = {f: commeq_violation(device, fam, f, tensors) for f in ("literal", "canonical")}
+        zero_type = CommDevice(build_type_space([0.5, 2.0], players=2,
+                                                prior=[[0.5, 0.5], [0.0, 0.0]]),
+                               fam.dims, device.conditionals.copy())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("commeq_violation used a helper of the LP builders")
+
+        names = ("conditional_prior", "_incentive_terms", "_reported", "_told",
+                 "_deviation_table", "_literal_row", "_canonical_cuts")
+        for name in names:
+            owners = [m for m in (communication, correlated) if hasattr(m, name)]
+            assert owners, name
+            for module in owners:
+                monkeypatch.setattr(module, name, forbidden)
+        for f, value in expected.items():
+            assert commeq_violation(device, fam, f, tensors) == value
+        with pytest.raises(ValueError, match="zero-probability type"):
+            commeq_violation(zero_type, fam, "literal", tensors)
+
 
 class TestMediatorSession:
     def setup_method(self):

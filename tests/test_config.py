@@ -221,6 +221,9 @@ class TestCliErrors:
         (["sweep", "--workers", "-3"], "--workers"),
         (["commeq", "--formulation", "direct"], "--formulation"),
         (["regret", "--steps", "ten"], "--steps"),
+        (["region", "--out-dir", ""], "--out-dir"),
+        (["ce", "--out", ""], "--out"),
+        (["regret", "--trace-out", ""], "--trace-out"),
     ])
     def test_bad_flag_exits_2(self, command, flag, capsys):
         code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json")] + command, capsys)

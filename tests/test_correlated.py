@@ -185,7 +185,7 @@ class TestViolationOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("ce_violation used a helper of the LP master")
 
-        for name in ("_deviation_table", "_told", "_ce_row"):
+        for name in ("_deviation_table", "_told", "_canonical_cuts", "_reported"):
             monkeypatch.setattr(correlated, name, forbidden)
         assert ce_violation(t, dist) == expected
 

@@ -10,6 +10,7 @@ import pytest
 from powergames import simplex
 from powergames.communication import GameFamily, build_commeq_lp, build_type_space
 from powergames.correlated import build_ce_constraints
+from powergames.errors import SolverStallError
 from powergames.model import (ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor,
                               build_power_grid)
 from powergames.simplex import INF, SimplexOptions, make_problem, solve_lp
@@ -46,10 +47,10 @@ def unit_columns(tab):
     return np.flatnonzero(tab.unit_row >= 0)
 
 
-def refactored(tab, basis, exact=True):
+def refactored(tab, basis):
     tab.basis[:] = basis
     tab._clean = False
-    tab.refactor(exact=exact)
+    tab.refactor()
     return tab
 
 
@@ -108,7 +109,7 @@ class TestSlackAwareRefactor:
     def test_starting_basis_is_all_unit(self):
         tab = tableau(mixed_problem(np.random.default_rng(1)))
         assert (tab.unit_row[tab.basis] >= 0).all()
-        tab.refactor(exact=True)
+        tab.refactor()
         t, obj = dense_reference(tab)
         assert_close(tab.T, t)
         assert_close(tab.obj, obj)
@@ -137,9 +138,8 @@ class TestSlackAwareRefactor:
         tab = tableau(mixed_problem(rng, zero_col=6))
         basis = tab.basis.copy()
         basis[0], basis[1] = 5, 6
-        with pytest.raises(np.linalg.LinAlgError):
-            refactored(tab, basis, exact=True)
-        self.assert_least_squares(refactored(tab, basis, exact=False))
+        with pytest.raises(SolverStallError, match="singular basis"):
+            refactored(tab, basis)
 
     def test_surplus_and_artificial_of_one_row(self):
         # row 0 (x0 + x1 >= 1) starts on its artificial; adding its surplus
@@ -150,16 +150,16 @@ class TestSlackAwareRefactor:
         art = tab.basis[0]
         assert art >= tab.n_struct + tab.m_ge and tab.unit_row[art] == 0
         basis = np.array([art, tab.n_struct + 0, 0])
-        with pytest.raises(np.linalg.LinAlgError):
-            refactored(tab, basis, exact=True)
-        self.assert_least_squares(refactored(tab, basis, exact=False))
+        with pytest.raises(SolverStallError, match="singular basis"):
+            refactored(tab, basis)
 
-    @staticmethod
-    def assert_least_squares(tab):
-        ab = np.column_stack([tab.A_all, tab.b_active])
-        want, *_ = np.linalg.lstsq(tab.A_all[:, tab.basis], ab, rcond=None)
-        want[:, -1][np.abs(want[:, -1]) < 1e-11] = 0.0
-        assert_close(tab.T, want)
+    def test_singular_basis_stops_a_cold_solve(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SolverStallError, match="singular basis"):
+            solve_lp(mixed_problem(np.random.default_rng(2)))
 
 
 class TestDualRepair:
@@ -337,7 +337,7 @@ class TestAppendedRows:
             range(q, q + k))
         appended = tab.T.copy(), tab.obj.copy()
         tab._clean = False
-        tab.refactor(exact=True)
+        tab.refactor()
         return appended, (tab.T, tab.obj)
 
     @staticmethod
