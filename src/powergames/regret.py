@@ -25,7 +25,9 @@ switch. Each period still draws one uniform per player, in order, so the
 state, the trace and the generator's final state are byte-identical to
 stepping one period and one action at a time (``tests/oracles.py`` keeps
 that rule as the reference). At paper scale a period costs about 1 µs
-instead of 30 µs (one core of a 2-core Xeon, numpy 2.4).
+instead of 30 µs (one core of a 2-core Xeon, numpy 2.4). A block of one
+period, as ``rm_step`` plays, costs more than the old single step did
+(about 31 µs against 12 µs on a 2x2 game).
 """
 from __future__ import annotations
 
@@ -146,10 +148,6 @@ def _advance(state: RegretState, tensor: PayoffTensor, mu: float, u: np.ndarray)
         for i, d in enumerate(state.diffs):
             if state.rule == "conditional":
                 d[held[i]] = rows[i][end]
-            elif (d.view(np.uint64) == d[held[i]].view(np.uint64)).all():
-                # the literal rule keeps the rows of a fresh state bit-identical,
-                # so the held row's sums serve every row
-                d[...] = rows[i][end]
             else:
                 d[...] = _repeat(d, _deltas(tensor, i, held), end)[end]
         state.counts[held] += end
@@ -214,18 +212,15 @@ def rm_run(tensor: PayoffTensor, steps: int, seed: int, mu: float | None = None,
     welfare_flat = tensor.welfare_flat()
     out_trace: list[tuple[int, float, float, float]] = []
     rm_step(state, tensor, mu)
-    # row j holds the uniforms of period state.t + 1 + j; periods up to
-    # `drawn` have theirs, and no period past `steps` ever draws
+    # row j holds the uniforms of period state.t + 1 + j
     uniforms = np.empty((0, tensor.players))
-    drawn = 1
     for checkpoint in _trace_schedule(steps) if trace else [steps]:
         # blocks stop at every checkpoint, so the trace sees the exact state
         while state.t < checkpoint:
             n = min(checkpoint - state.t, _BLOCK)
-            if drawn < state.t + n:
-                fresh = state.rng.random((state.t + n - drawn, tensor.players))
+            if len(uniforms) < n:
+                fresh = state.rng.random((n - len(uniforms), tensor.players))
                 uniforms = np.concatenate((uniforms, fresh))
-                drawn = state.t + n
             uniforms = uniforms[_advance(state, tensor, mu, uniforms[:n]):]
         if trace:
             dist = empirical_distribution(state)

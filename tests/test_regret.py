@@ -263,7 +263,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
     def test_step_matches_reference_on_a_hand_set_state(self, rule):
-        # literal rows that differ take the general path, not the shared row
+        # a state rm_init never makes: the literal rule's rows differ
         tensor = PayoffTensor((3, 3), random_tensor(np.random.default_rng(4), (3, 3)))
         mu = default_mu(tensor)
         states = [rm_init(tensor, seed=6, rule=rule) for _ in range(2)]
