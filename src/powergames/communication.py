@@ -1,7 +1,8 @@
 """Communication equilibria over Bayesian channel-gain type spaces.
 
 Each player's private type is the vector of gains into its own receiver.
-Nature draws a joint type from a prior, players report types to a mediator,
+Nature draws a joint type from a prior (uniform from a config; a caller of
+``build_type_space`` may pass any table), players report types to a mediator,
 and the mediator draws a joint power profile from a per-report conditional
 distribution. The system of conditionals is a communication equilibrium when
 no player gains by lying about its type or disobeying its recommendation.
@@ -61,13 +62,12 @@ from .model import (
     _encode,
     build_payoff_tensor,
 )
-from .simplex import LpProblem, SimplexOptions, make_problem
+from .simplex import LpProblem, make_problem
 
 # rows * (vars + rows) cap: beyond this a dense tableau solve is hours-scale
 COMMEQ_TABLEAU_BUDGET = 12 * 10**6
 FORMULATIONS = ("literal", "canonical")   # incentive-constraint families
 TYPE_MODES = ("diagonal", "product")      # see build_type_space
-PRIORS = ("uniform",)   # named priors; build_type_space also takes a table
 
 
 @dataclass(frozen=True)
@@ -155,14 +155,14 @@ class TypeSpace:
 
 
 def build_type_space(gains, players: int, mode: str = "diagonal",
-                     prior="uniform") -> TypeSpace:
+                     prior=None) -> TypeSpace:
     """Type space from per-link gain grids.
 
     ``gains`` is one shared grid (sequence of values) or a K x K nested list
     ``gains[j][i]`` of per-link grids. ``diagonal`` indexes all gains into a
     receiver by a single superscript (type n takes the n-th value on every
     incoming link); ``product`` takes the Cartesian product of incoming-link
-    grids. ``prior`` is "uniform" or an explicit joint table.
+    grids. ``prior`` is an explicit joint table; ``None`` means uniform.
     """
     if mode not in TYPE_MODES:
         raise ValueError(f"mode must be one of {TYPE_MODES}")
@@ -191,9 +191,7 @@ def build_type_space(gains, players: int, mode: str = "diagonal",
             types.append(tuple(tuple(combo) for combo in itertools.product(*incoming)))
     types = tuple(types)
     dims = tuple(len(t) for t in types)
-    if isinstance(prior, str):
-        if prior not in PRIORS:
-            raise ValueError(f"prior must be one of {PRIORS} or an explicit table")
+    if prior is None:
         table = np.full(dims, 1.0 / int(np.prod(dims)))
     else:
         table = np.asarray(prior, dtype=float).reshape(dims)
@@ -377,7 +375,6 @@ def _literal_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
 
 def solve_commeq(space: TypeSpace, family: GameFamily,
                  formulation: str = "literal",
-                 options: SimplexOptions | None = None,
                  tensors: list[PayoffTensor] | None = None) -> CommEqResult:
     """Welfare-optimal communication equilibrium for the given deviation set,
     by that family's lazy cuts on a ``CePolytopeSolver``.
@@ -391,7 +388,7 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
     objective, eq_rows, blocks = _device_program(space, tensors)
     cuts = _literal_cuts if formulation == "literal" else _canonical_cuts
     master = CePolytopeSolver(eq_rows, partial(cuts, blocks, family.dims),
-                              options, partial(_check_tableau, formulation))
+                              partial(_check_tableau, formulation))
     x, value, iters = master.maximize(objective)
     device = CommDevice.from_raw(space, family.dims, x.reshape(space.joint_count, -1))
     violation = commeq_violation(device, family, formulation, tensors)

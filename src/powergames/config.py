@@ -18,12 +18,11 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Optional
 
-from .communication import FORMULATIONS, PRIORS, TYPE_MODES
+from .communication import FORMULATIONS, TYPE_MODES
 from .correlated import REGION_DIRECTIONS
 from .errors import ConfigError
 from .model import DEFAULT_ALPHA, DEFAULT_NOISE, DEFAULT_PACKET_LEN, db_to_linear
 from .regret import RULES
-from .simplex import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
 
 # ------------------------------------------------ readers of one JSON value
@@ -159,7 +158,6 @@ class ChannelSpec:
 class TypesSpec:
     enabled: bool = False          # derived: the config has a types section
     mode: str = _key("diagonal", _choice, options=TYPE_MODES)
-    prior: str = _key("uniform", _choice, options=PRIORS)
     min: float = _key(0.01, _number, positive=True)
     max: float = _key(3.0, _number, positive=True)
     points: int = _key(2, _integer, minimum=1)
@@ -169,8 +167,6 @@ class TypesSpec:
 class SolverSpec:
     formulation: str = _key("literal", _choice, options=FORMULATIONS)
     directions: int = _key(REGION_DIRECTIONS, _integer, minimum=4)
-    feas_tol: float = _key(DEFAULT_FEAS_TOL, _number, positive=True)
-    opt_tol: float = _key(DEFAULT_OPT_TOL, _number, positive=True)
 
 
 @dataclass(frozen=True)
@@ -231,6 +227,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     power, channel = cfg.power, cfg.channel
 
     if power.levels_linear is not None:
+        if cfg.sweep.action_levels is not None:
+            raise ConfigError("sweep.action_levels: cannot be combined with "
+                              "power.levels_linear, which fixes the action grid")
         power = replace(power, min_db=0.0, max_db=0.0, levels=len(power.levels_linear))
     elif power.min_db > power.max_db:
         raise ConfigError("power.min_db: must not exceed power.max_db")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import PayoffTensor, _decode
-from .simplex import LpProblem, SimplexOptions, make_problem, solve_lp
+from .simplex import LpProblem, make_problem, solve_lp
 
 # a freshly solved report must verify at least this cleanly
 ACCEPT_VIOLATION = 1e-8
@@ -183,25 +183,23 @@ class CePolytopeSolver:
     make one per worker.
     """
 
-    def __init__(self, eq_rows, separate, options: SimplexOptions | None = None,
-                 check_size=None):
+    def __init__(self, eq_rows, separate, check_size=None):
         self.eq_rows = eq_rows
         self.separate = separate
-        self.options = options or SimplexOptions()
         self.check_size = check_size
         self._cuts: np.ndarray | None = None   # (rows, columns), unit max each
         self._keys: set = set()
         self._start = None
 
     @classmethod
-    def for_tensor(cls, tensor: PayoffTensor, options: SimplexOptions | None = None):
+    def for_tensor(cls, tensor: PayoffTensor):
         """The CE polytope of ``tensor``: the profile simplex and obedience
         rows, cut as the canonical family at one joint type (one honest block
         per player, with one term)."""
         blocks = [(i, 0, 0, [(1.0, 0, 0, u)], None)
                   for i, u in enumerate(_moved_payoffs(tensor))]
         return cls([(np.ones(tensor.profile_count), 1.0)],
-                   partial(_canonical_cuts, blocks, tensor.dims), options)
+                   partial(_canonical_cuts, blocks, tensor.dims))
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Maximize a linear objective over the polytope.
@@ -217,7 +215,7 @@ class CePolytopeSolver:
             if self.check_size is not None:
                 self.check_size(m + len(self.eq_rows), len(objective))
             prob = replace(base, ineq_coeffs=self._cuts, ineq_rhs=np.zeros(m))
-            sol = solve_lp(prob, self.options, start=self._start)
+            sol = solve_lp(prob, start=self._start)
             total_iters += sol.iterations
             if sol.status != "optimal":
                 # the polytope is nonempty and bounded, so this is internal
@@ -246,16 +244,14 @@ def _report(tensor: PayoffTensor, flat: np.ndarray, iters: int) -> EquilibriumRe
     return EquilibriumReport(dist, values, float(sum(values)), violation, iters)
 
 
-def solve_welfare_ce(tensor: PayoffTensor,
-                     options: SimplexOptions | None = None) -> EquilibriumReport:
+def solve_welfare_ce(tensor: PayoffTensor) -> EquilibriumReport:
     """Correlated equilibrium maximizing the sum of expected utilities."""
-    solver = CePolytopeSolver.for_tensor(tensor, options)
+    solver = CePolytopeSolver.for_tensor(tensor)
     flat, _, iters = solver.maximize(tensor.welfare_flat())
     return _report(tensor, flat, iters)
 
 
 def solve_directional_ce(tensor: PayoffTensor, weights,
-                         options: SimplexOptions | None = None,
                          solver: CePolytopeSolver | None = None) -> EquilibriumReport:
     """CE maximizing a weighted sum of the players' expected utilities."""
     w = np.asarray(weights, dtype=float)
@@ -266,7 +262,7 @@ def solve_directional_ce(tensor: PayoffTensor, weights,
     objective = np.zeros(tensor.profile_count)
     for i in range(tensor.players):
         objective += w[i] * tensor.flat(i)
-    solver = solver or CePolytopeSolver.for_tensor(tensor, options)
+    solver = solver or CePolytopeSolver.for_tensor(tensor)
     flat, _, iters = solver.maximize(objective)
     return _report(tensor, flat, iters)
 
@@ -292,8 +288,8 @@ def ce_violation(tensor: PayoffTensor, dist: JointDistribution) -> float:
     return worst
 
 
-def ce_payoff_region(tensor: PayoffTensor, directions: int = REGION_DIRECTIONS,
-                     options: SimplexOptions | None = None) -> list[tuple[float, float]]:
+def ce_payoff_region(tensor: PayoffTensor,
+                     directions: int = REGION_DIRECTIONS) -> list[tuple[float, float]]:
     """Support-function trace of the 2-player CE payoff region.
 
     Solves one directional LP per angle 2*pi*k/directions, deduplicates the
@@ -304,7 +300,7 @@ def ce_payoff_region(tensor: PayoffTensor, directions: int = REGION_DIRECTIONS,
         raise ValueError("payoff-region export is 2-player only")
     if directions < 4:
         raise ValueError("need at least 4 directions")
-    solver = CePolytopeSolver.for_tensor(tensor, options)
+    solver = CePolytopeSolver.for_tensor(tensor)
     points = []
     for k in range(directions):
         theta = 2.0 * math.pi * k / directions

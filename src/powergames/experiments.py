@@ -50,7 +50,6 @@ from .model import (
 )
 from .nash import enumerate_pure_nash, mixed_nash_2x2
 from .regret import rm_run
-from .simplex import SimplexOptions
 
 
 def power_grids(cfg: ExperimentConfig, levels: int | None = None,
@@ -70,11 +69,6 @@ def power_grids(cfg: ExperimentConfig, levels: int | None = None,
         raise ConfigError(f"power: {m} levels from {p.min_db!r} to {p.max_db!r} dB: "
                           f"{exc}") from None
     return (grid,) * cfg.players
-
-
-def simplex_options(cfg: ExperimentConfig) -> SimplexOptions:
-    """The configured solver tolerances."""
-    return SimplexOptions(feas_tol=cfg.solver.feas_tol, opt_tol=cfg.solver.opt_tol)
 
 
 def game_from_config(cfg: ExperimentConfig, gains) -> GameInstance:
@@ -196,14 +190,15 @@ def run_nash(cfg: ExperimentConfig) -> dict:
 
 
 def run_ce(cfg: ExperimentConfig, direction: float | None = None) -> dict:
+    if direction is not None and cfg.players != 2:
+        raise ConfigError("ce --direction is limited to 2-player games")
     tensor = single_game_tensor(cfg)
-    options = simplex_options(cfg)
     if direction is None:
-        rep = solve_welfare_ce(tensor, options)
+        rep = solve_welfare_ce(tensor)
         objective = "welfare"
     else:
         weights = (math.cos(direction), math.sin(direction))
-        rep = solve_directional_ce(tensor, weights, options)
+        rep = solve_directional_ce(tensor, weights)
         objective = f"direction {direction!r} rad"
     return {
         "meta": metadata(cfg),
@@ -220,15 +215,14 @@ def types_from_config(cfg: ExperimentConfig):
     if not cfg.types.enabled:
         raise ConfigError("this command needs a 'types' section in the config")
     values = _pinned_linspace(cfg.types.min, cfg.types.max, cfg.types.points)
-    return build_type_space(values, cfg.players, mode=cfg.types.mode,
-                            prior=cfg.types.prior)
+    return build_type_space(values, cfg.players, mode=cfg.types.mode)
 
 
 def run_commeq(cfg: ExperimentConfig, formulation: str | None = None) -> dict:
     space = types_from_config(cfg)
     family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
     form = formulation or cfg.solver.formulation
-    res = solve_commeq(space, family, form, simplex_options(cfg))
+    res = solve_commeq(space, family, form)
     return {
         "meta": metadata(cfg),
         "formulation": form,
@@ -288,7 +282,7 @@ def _state_result(args):
     ne_payoffs = [[tensor.payoff(i, p) for i in range(tensor.players)]
                   for p in profiles]
     best_ne = max((sum(u) for u in ne_payoffs), default=None)
-    rep = solve_welfare_ce(tensor, simplex_options(cfg))
+    rep = solve_welfare_ce(tensor)
     row = {
         "state": idx,
         "gains": [list(r) for r in gains],
@@ -355,7 +349,6 @@ def run_action_sweep(cfg: ExperimentConfig) -> dict:
     equilibria as the action-set size grows."""
     space = types_from_config(cfg)
     levels = cfg.sweep.action_levels or (cfg.power.levels,)
-    options = simplex_options(cfg)
     rows = []
     for m in levels:
         grids = power_grids(cfg, levels=m, nested=cfg.sweep.nested_grids)
@@ -365,12 +358,12 @@ def run_action_sweep(cfg: ExperimentConfig) -> dict:
         per_state = 0.0
         for q, tensor in zip(prior_flat, tensors):
             if q > 0:
-                per_state += q * solve_welfare_ce(tensor, options).welfare
+                per_state += q * solve_welfare_ce(tensor).welfare
         avg_values = sum(q * t.values for q, t in zip(prior_flat, tensors))
         avg_tensor = PayoffTensor(family.dims, np.ascontiguousarray(avg_values))
-        avg_game_ce = solve_welfare_ce(avg_tensor, options).welfare
-        lit = solve_commeq(space, family, "literal", options, tensors)
-        can = solve_commeq(space, family, "canonical", options, tensors)
+        avg_game_ce = solve_welfare_ce(avg_tensor).welfare
+        lit = solve_commeq(space, family, "literal", tensors)
+        can = solve_commeq(space, family, "canonical", tensors)
         rows.append({
             "levels": m,
             "ce_per_state_avg": float(per_state),
@@ -440,7 +433,7 @@ def export_regions(cfg: ExperimentConfig, out_dir=None,
     feasible = convex_hull_ccw(
         dedup_points(zip(tensor.flat(0).tolist(), tensor.flat(1).tolist()), tol=0.0)
     )
-    region = ce_payoff_region(tensor, directions=d, options=simplex_options(cfg))
+    region = ce_payoff_region(tensor, directions=d)
     ne_rows = []
     for prof in enumerate_pure_nash(tensor):
         ne_rows.append((tensor.payoff(0, prof), tensor.payoff(1, prof), "pure"))

@@ -55,11 +55,11 @@ INF = float("inf")
 # a warm start is abandoned after (rows + this many) pivots
 WARM_PIVOT_SLACK = 100
 # every solve's last dual pass lifts basic values below -CLEAN_TOL; clipping
-# several within feas_tol to zero can break an equality row by over feas_tol
+# several within FEAS_TOL to zero can break an equality row by over FEAS_TOL
 CLEAN_TOL = 1e-11
 # primal feasibility and reduced-cost optimality tolerances
-DEFAULT_FEAS_TOL = 1e-9
-DEFAULT_OPT_TOL = 1e-9
+FEAS_TOL = 1e-9
+OPT_TOL = 1e-9
 # pivot magnitude floors: absolute, and relative to the column's largest entry
 PIV_ABS = 1e-11
 PIV_REL = 1e-9
@@ -151,12 +151,6 @@ class LpSolution:
     resident: Optional[Resident] = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class SimplexOptions:
-    feas_tol: float = DEFAULT_FEAS_TOL
-    opt_tol: float = DEFAULT_OPT_TOL
-
-
 class _Standardized:
     """The map of a problem's variables to standard form and back, and the
     rows its finite ranges add; ``rows`` and ``costs`` restate the problem's
@@ -241,8 +235,7 @@ class _Tableau:
     equality rows; columns the standard-form variables, one surplus per
     inequality and bound row in row order, then the artificials."""
 
-    def __init__(self, std: _Standardized, prob: LpProblem, opts: SimplexOptions):
-        self.opts = opts
+    def __init__(self, std: _Standardized, prob: LpProblem):
         self.std = std
         n = std.n_std
         a_ge, b_ge = std.rows(prob.ineq_coeffs, prob.ineq_rhs)
@@ -415,7 +408,7 @@ class _Tableau:
 
     def entering(self, jo: int, bland: bool, phase: int) -> int:
         rc = self.obj[jo, : self.N]
-        cand = np.where(self.allowed & (rc < -self.opts.opt_tol))[0]
+        cand = np.where(self.allowed & (rc < -OPT_TOL))[0]
         if cand.size == 0:
             return -1
         if bland:
@@ -507,7 +500,7 @@ class _Tableau:
         ``-tol``. The leaving row has the largest infeasibility relative to
         its norm (steepest edge in the dual); the entering column passes a
         Harris ratio test (the largest pivot among columns whose step is
-        within ``opt_tol`` of the shortest). True once primal feasible; False when a row blocks every column. Only
+        within ``OPT_TOL`` of the shortest). True once primal feasible; False when a row blocks every column. Only
         ``pivot_at``'s cap ends a run that does neither."""
         since_refactor = 0
         while True:
@@ -525,7 +518,7 @@ class _Tableau:
                 return False
             alpha = -row[cand]
             rc = np.maximum(self.obj[jo, cand], 0.0)
-            within = rc / alpha <= ((rc + self.opts.opt_tol) / alpha).min()
+            within = rc / alpha <= ((rc + OPT_TOL) / alpha).min()
             self.pivot_at(r, int(cand[within][np.argmax(alpha[within])]))
             since_refactor += 1
             if since_refactor >= REFACTOR_EVERY:
@@ -539,16 +532,16 @@ class _Tableau:
             if st == "unbounded":
                 return "unbounded"
             worst = self.drop_perturbation()
-            if worst < -self.opts.feas_tol:
-                self.dual_simplex(self.opts.feas_tol, jo)
+            if worst < -FEAS_TOL:
+                self.dual_simplex(FEAS_TOL, jo)
                 worst = float(self.T[:, -1].min()) if self.m else 0.0
-            if worst >= -self.opts.feas_tol and self.entering(jo, False, phase) < 0:
+            if worst >= -FEAS_TOL and self.entering(jo, False, phase) < 0:
                 return "optimal"
         raise SolverStallError(f"phase {phase} failed to certify a verdict")
 
     def crash(self):
         """Opening pivot whose ratio test can exit on a positive-rhs row."""
-        cand = np.where(self.allowed & (self.obj[1, : self.N] < -self.opts.opt_tol))[0]
+        cand = np.where(self.allowed & (self.obj[1, : self.N] < -OPT_TOL))[0]
         if cand.size == 0:
             return
         rhs = self.T[:, -1]
@@ -594,8 +587,7 @@ def _extends(old: LpProblem, new: LpProblem) -> bool:
             and np.array_equal(new.ineq_rhs[:m], old.ineq_rhs))
 
 
-def solve_lp(problem: LpProblem, options: SimplexOptions | None = None,
-             start: Resident | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
     """Solve an LpProblem; deterministic for identical inputs.
 
     ``start`` is the ``resident`` of an optimal solution of a problem that
@@ -608,23 +600,22 @@ def solve_lp(problem: LpProblem, options: SimplexOptions | None = None,
     singular or the final basis cannot be certified; that is distinct from
     the three statuses.
     """
-    opts = options or SimplexOptions()
     spent = 0
     if start is not None:
-        sol, spent = _solve_warm(problem, opts, start)
+        sol, spent = _solve_warm(problem, start)
         if sol is not None:
             return sol
-    sol = _solve_cold(problem, opts)
+    sol = _solve_cold(problem)
     return replace(sol, iterations=sol.iterations + spent) if spent else sol
 
 
-def _solve_cold(problem: LpProblem, opts: SimplexOptions) -> LpSolution:
+def _solve_cold(problem: LpProblem) -> LpSolution:
     std = _Standardized(problem)
-    tab = _Tableau(std, problem, opts)
+    tab = _Tableau(std, problem)
 
     if tab.m == 0:
         # only bounds; optimum at y = 0 unless some cost still improves
-        if (std.c > opts.opt_tol).any():
+        if (std.c > OPT_TOL).any():
             return LpSolution("unbounded", None, None, 0)
         y = np.zeros(std.n_std)
         x = std.map_back(y)
@@ -647,37 +638,36 @@ def _solve_cold(problem: LpProblem, opts: SimplexOptions) -> LpSolution:
     st = tab.run_phase(2)
     if st == "unbounded":
         return LpSolution("unbounded", None, None, tab.iters)
-    return _optimal(problem, tab, opts)
+    return _optimal(problem, tab)
 
 
-def _solve_warm(problem: LpProblem, opts: SimplexOptions,
-                start: Resident) -> tuple[LpSolution | None, int]:
+def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None, int]:
     """One attempt from ``start``: (certified optimum or None, pivots spent)."""
     tab = start.take(problem)
     if tab is None:
         return None, 0
-    tab.opts, tab.iters = opts, 0
+    tab.iters = 0
     std = tab.std
     # _optimal left the tableau factorized, so the new rows extend it as is
     tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
                std.costs(problem.objective))
     tab.max_iter = tab.m + WARM_PIVOT_SLACK
     try:
-        if tab.dual_simplex(opts.feas_tol) and tab.run_phase(2) == "optimal":
-            return _optimal(problem, tab, opts), tab.iters
+        if tab.dual_simplex(FEAS_TOL) and tab.run_phase(2) == "optimal":
+            return _optimal(problem, tab), tab.iters
     except SolverStallError:
         pass
     return None, tab.iters
 
 
-def _optimal(problem: LpProblem, tab: _Tableau, opts: SimplexOptions) -> LpSolution:
+def _optimal(problem: LpProblem, tab: _Tableau) -> LpSolution:
     """The finish of every solve, cold or warm, from an optimal basis."""
     tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
     tab.refactor()
     y = np.zeros(tab.N)
     y[tab.basis] = np.maximum(tab.T[:, -1], 0.0)
     x = tab.std.map_back(y[: tab.std.n_std])
-    _certify(problem, x, opts.feas_tol)
+    _certify(problem, x, FEAS_TOL)
     return LpSolution("optimal", x, float(problem.objective @ x), tab.iters,
                       Resident(problem, tab))
 

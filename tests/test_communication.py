@@ -190,7 +190,7 @@ DEFINITION_CASES = pytest.mark.parametrize("types, players, prior, levels", [
     ([0.5, 2.0], 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
     ([0.3, 1.0, 2.5], 2, np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3),
      (0.5, 2.0, 5.0, 12.0)),
-    ([0.5, 2.0], 3, "uniform", (0.5, 2.0, 8.0)),
+    ([0.5, 2.0], 3, None, (0.5, 2.0, 8.0)),
 ], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players"])
 
 

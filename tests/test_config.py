@@ -106,6 +106,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="power.levels"):
             parse_config(raw)
 
+    def test_levels_linear_excludes_action_levels(self):
+        # power_grids ignores the level count when levels_linear is set, so
+        # every action-sweep row would be the same game under another label
+        raw = self.base()
+        raw["power"] = {"levels_linear": [0.5, 1.0, 5.0]}
+        assert parse_config(raw).power.levels == 3
+        raw["sweep"] = {"action_levels": [2, 3]}
+        with pytest.raises(ConfigError, match=r"sweep\.action_levels"):
+            parse_config(raw)
+
     def test_levels_linear_must_increase(self):
         raw = self.base()
         raw["power"] = {"levels_linear": [2.0, 1.0]}
@@ -157,13 +167,24 @@ MALFORMED = [
     (with_section("learning", seed=-1), "learning.seed"),
     (with_section("sweep", include_regret="no"), "sweep.include_regret"),
     (with_section("learning", seed=1.7), "learning.seed"),
-    (with_section("solver", feas_tol=True), "solver.feas_tol"),
+    (with_section("solver", directions=True), "solver.directions"),
     ({**MATRIX, "alpha": 10**400}, "alpha"),
     (with_section("power", levels=1), "power.levels"),
 ]
 
 
+# keys that changed nothing and were removed from the schema
+REMOVED = [("solver", "feas_tol", 1e-9), ("solver", "opt_tol", 1e-9),
+           ("types", "prior", "uniform")]
+
+
 class TestReaders:
+    @pytest.mark.parametrize("section,key,value", REMOVED,
+                             ids=[f"{s}.{k}" for s, k, _ in REMOVED])
+    def test_removed_key_is_unknown(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}: unknown key.*'{key}'"):
+            parse_config(with_section(section, **{key: value}))
+
     @pytest.mark.parametrize("raw,key", MALFORMED, ids=[k for _, k in MALFORMED])
     def test_malformed_value_names_key(self, raw, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -212,6 +233,13 @@ class TestCliErrors:
         code, err = run_main(["-c", str(path), "nash"], capsys)
         assert code == 2
         assert key in err and "Traceback" not in err
+
+    def test_removed_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(with_section("solver", feas_tol=1e-9)))
+        code, err = run_main(["-c", str(path), "ce"], capsys)
+        assert code == 2
+        assert "feas_tol" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command,flag", [
         (["region", "--directions", "2"], "--directions"),

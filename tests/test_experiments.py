@@ -256,6 +256,15 @@ class TestCli:
         assert cli.main(["-c", str(bad), "nash"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_direction_needs_two_players_exit_2(self, tmp_path, capsys):
+        gains = [[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]]
+        cfg = self.write_cfg(tmp_path, players=3, channel={"matrix": gains})
+        assert cli.main(["-c", cfg, "ce"]) == 0
+        capsys.readouterr()
+        assert cli.main(["-c", cfg, "ce", "--direction", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "ce --direction" in err and "Traceback" not in err
+
     def test_regret_mu_too_small_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, power={"min_db": -20.0, "max_db": 20.0, "levels": 5},
                              channel={"matrix": [[1.0, 2.0], [2.0, 1.0]]},
@@ -354,38 +363,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "solver stall" in err and "infeasible" in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("module, command", [
-        ("correlated", ["ce"]),
-        ("correlated", ["region", "--directions", "4"]),
-        ("correlated", ["commeq"]),
-        ("correlated", ["sweep"]),
-    ])
-    def test_tolerances_reach_solver(self, tmp_path, monkeypatch, module, command):
-        import importlib
-
-        home = importlib.import_module(f"powergames.{module}")
-        real = home.solve_lp
-        seen = []
-
-        def spy(problem, options=None, **kwargs):
-            seen.append(options)
-            return real(problem, options, **kwargs)
-
-        monkeypatch.setattr(home, "solve_lp", spy)
-        cfg = self.write_cfg(
-            tmp_path, solver={"feas_tol": 2e-9, "opt_tol": 3e-9},
-            types={"mode": "diagonal", "points": 2, "min": 0.5, "max": 1.0})
-        if command == ["sweep"]:
-            raw = json.loads(Path(cfg).read_text())
-            raw["channel"] = {"grid": {"min": 0.5, "max": 1.0, "points": 2},
-                              "sweep": {"mode": "sample", "count": 2, "seed": 1}}
-            raw["sweep"] = {"workers": 1}
-            Path(cfg).write_text(json.dumps(raw))
-        out = ["--out-dir", str(tmp_path / "out")] if command[0] in ("region", "sweep") else []
-        assert cli.main(["-c", cfg] + command + out) == 0
-        assert seen
-        assert all(o.feas_tol == 2e-9 and o.opt_tol == 3e-9 for o in seen)
 
     def test_out_file(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

@@ -13,10 +13,8 @@ from powergames.correlated import build_ce_constraints
 from powergames.errors import SolverStallError
 from powergames.model import (ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor,
                               build_power_grid)
-from powergames.simplex import INF, SimplexOptions, make_problem, solve_lp
+from powergames.simplex import INF, make_problem, solve_lp
 from oracles import first_rows, random_tensor, unit_max_rows
-
-OPTS = SimplexOptions()
 
 
 def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):
@@ -40,7 +38,7 @@ def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):
 
 
 def tableau(prob):
-    return simplex._Tableau(simplex._Standardized(prob), prob, OPTS)
+    return simplex._Tableau(simplex._Standardized(prob), prob)
 
 
 def unit_columns(tab):
@@ -304,7 +302,7 @@ class TestVectorizedSetUp:
     def test_tableau_matches_loops(self):
         for prob in self.problems():
             std = simplex._Standardized(prob)
-            tab = simplex._Tableau(std, prob, OPTS)
+            tab = simplex._Tableau(std, prob)
             a_all, b, basis, art_of_row = tableau_reference(std, prob)
             assert same_bytes(tab.A_all, a_all) and same_bytes(tab.b_true, b)
             assert same_bytes(tab.basis, basis) and tab.n_art == len(art_of_row)

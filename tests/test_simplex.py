@@ -7,8 +7,8 @@ from powergames.simplex import dump_problem, make_problem, solve_lp
 from oracles import lp_vertex_reference, random_bounded_lp
 
 
-def solve(objective, ineq=(), eq=(), bounds=None, options=None):
-    return solve_lp(make_problem(objective, ineq, eq, bounds), options)
+def solve(objective, ineq=(), eq=(), bounds=None):
+    return solve_lp(make_problem(objective, ineq, eq, bounds))
 
 
 class TestBasics:
