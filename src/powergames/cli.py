@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 memory-budget error (a
 ``BudgetError``, or running out of memory), 4 LP solve without a certified
 answer (``SolverStallError``). The POWERGAMES_LOG environment variable sets
-the log level (e.g. DEBUG, INFO); there is no logging flag.
+the log level (e.g. DEBUG, INFO), and an unknown level exits 2; there is no
+logging flag.
 """
 from __future__ import annotations
 
@@ -11,6 +12,14 @@ import argparse
 import logging
 import os
 import sys
+
+# One BLAS thread unless the environment sets a count, before numpy loads
+# (the package itself loads none). The LP work is many small products, where
+# BLAS threads only contend, the more so under `sweep --workers`: on 2 cores
+# the paper sweep with 2 workers takes 7 s with one thread a process and
+# 54 s with OpenBLAS's default of one per core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .communication import FORMULATIONS
 from .config import _number, _text, key_reader, load_config
@@ -112,8 +121,13 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("POWERGAMES_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"config error: POWERGAMES_LOG: unknown log level {level!r}; use one of "
+              "DEBUG, INFO, WARNING, ERROR, CRITICAL", file=sys.stderr)
+        return 2
     logging.basicConfig(
-        level=os.environ.get("POWERGAMES_LOG", "WARNING").upper(),
+        level=level.upper(),
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )

@@ -172,11 +172,11 @@ class CePolytopeSolver:
 
     Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
-    first few solves). The master's tableau stays resident across rounds and
-    objectives: each solve starts from the last optimal one (``solve_lp``'s
-    ``start``), which takes a round's new rows with their surplus columns
-    basic for the dual simplex to repair, or a new objective for primal
-    phase 2 to follow. When ``solve_lp`` abandons that start it runs its cold
+    first few solves). The master's final basis stays resident across rounds
+    and objectives: each solve starts from the last optimal one
+    (``solve_lp``'s ``start``), which takes a round's new rows with their
+    surplus columns basic for the dual simplex to repair, or a new objective
+    for primal phase 2 to follow. When ``solve_lp`` abandons that start it runs its cold
     two-phase solve, so the answers never depend on it. ``check_size(rows,
     columns)``, when given, runs before each master solve and may raise to
     refuse a master that has grown too large. Not safe for concurrent use;

@@ -35,7 +35,7 @@ from .correlated import (
     solve_directional_ce,
     solve_welfare_ce,
 )
-from .errors import ConfigError, MuTooSmallError
+from .errors import ConfigError, MuTooSmallError, SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import (
     ChannelMatrix,
@@ -282,7 +282,11 @@ def _state_result(args):
     ne_payoffs = [[tensor.payoff(i, p) for i in range(tensor.players)]
                   for p in profiles]
     best_ne = max((sum(u) for u in ne_payoffs), default=None)
-    rep = solve_welfare_ce(tensor)
+    try:
+        rep = solve_welfare_ce(tensor)
+    except SolverStallError as exc:
+        raise SolverStallError(
+            f"sweep state {idx}, gains {[list(r) for r in gains]}: {exc}") from None
     row = {
         "state": idx,
         "gains": [list(r) for r in gains],

@@ -1,4 +1,4 @@
-"""Dense primal simplex for small linear programs.
+"""Revised primal simplex for small linear programs.
 
 Problems are stated as ``max c.x`` over ``A_ge x >= b_ge``, ``A_eq x = b_eq``
 and per-variable bounds. The solver works on the standard-form reformulation
@@ -8,38 +8,48 @@ identity column) with a two-phase start.
 Pivoting: steepest-edge pricing with a Harris-style ratio test (largest pivot
 among near-tied rows, relative pivot floor). Long runs of degenerate pivots
 trigger a deterministic right-hand-side perturbation in the current basis
-frame and, as a last resort, Bland's rule. The tableau is refactorized from
-the original data periodically and before any verdict is accepted (a
-refactorization is skipped when neither the basis nor the right-hand side
-changed since the last one); dropping the perturbation is followed by a
-dual simplex repair, the same dual simplex that warm starts use. Identical
-inputs take identical pivot sequences.
+frame and, as a last resort, Bland's rule. Dropping the perturbation is
+followed by a dual simplex repair, the same dual simplex that warm starts
+use. Identical inputs take identical pivot sequences.
 
-Refactorization is slack-aware. Every surplus and artificial column is a
-+-1 unit vector on one row, and in CE masters most basic columns are of that
-kind, so B is a permuted block triangle: only the square kernel of the other
-basic columns against the rows no basic unit column covers is factorized,
-in one solve for the whole of ``[A | b]``, and each unit row follows by
-substitution. That costs about 2m|P|N flops for |P| kernel columns against
-2m^2 N for a dense solve. Two basic unit columns on one row, or a singular
-kernel, mean a singular basis: a SolverStallError, which ends a cold solve
-and makes a warm start fall back to the cold one.
+No tableau is kept. Only the data ``[A_all | b]``, the basis and a
+factorization of the basis are stored, and after every basis change each
+quantity a pivot rule reads is computed afresh from them, so nothing drifts
+and nothing needs cleaning. The factorization is slack-aware. Every surplus
+and artificial column is a +-1 unit vector on one row, and in CE masters
+most basic columns are of that kind, so B is a permuted block triangle:
+only the square kernel K of the other basic columns against the rows no
+basic unit column covers is inverted, and each unit position follows by
+substitution. With k kernel columns, m rows and N columns:
 
-Warm start: an optimal solution keeps its final tableau resident
+- basic values: one product with K^-1, then the unit rows, O(mk);
+- reduced costs: the duals from one product with K^-1 and the basic unit
+  costs, then y A_all over the free rows (and, in phase 1, the rows of
+  basic artificials), O(kN);
+- columns of B^-1 A_all: the entering column for the ratio test, and the
+  block of every candidate for the exact steepest-edge norms, O(mk) each;
+- rows of B^-1 A_all: the infeasible rows in one block for the dual
+  simplex's normalized leaving row and its Harris test, O(kN) each.
+
+Appending rows keeps the kernel, and a bitwise equal kernel keeps its
+inverse. Two basic unit columns on one row, or a singular kernel, mean a
+singular basis: a SolverStallError, which ends a cold solve and makes a
+warm start fall back to the cold one.
+
+Warm start: an optimal solution keeps its final basis resident
 (``LpSolution.resident``), and ``solve_lp(problem, start=resident)``
 continues from it when ``problem`` only appends inequality rows to the
-solved one or changes its objective. The old rows stay as they are; each
-appended row enters with its surplus column basic, as ``a - a_B T`` times
-the surplus sign (the formula a refactorization gives unit rows), so the
-basis stays dual feasible; a new objective re-prices the objective rows.
+solved one or changes its objective. The appended rows and their surplus
+columns go after the old rows and columns of ``A_all``; each new row
+enters with its surplus column basic, so the basis stays dual feasible.
 Dual simplex pivots then restore primal feasibility and primal phase 2
-handles the objective. A start is used once, and only when the problem
-passes an exact fit check (same variables, bounds and equality rows, the
-old inequality rows an exact prefix of the new ones). The attempt is
-abandoned for the cold two-phase solve when the start does not fit, its
-basis matrix is singular, it spends more than ``WARM_PIVOT_SLACK`` pivots
-beyond the row count, or its point fails certification. A start is only a
-hint: no answer depends on it being good.
+handles the objective. A start is used once, and only
+when the problem passes an exact fit check (same variables, bounds and
+equality rows, the old inequality rows an exact prefix of the new ones).
+The attempt is abandoned for the cold two-phase solve when the start does
+not fit, its basis matrix is singular, it spends more than
+``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
+certification. A start is only a hint: no answer depends on it being good.
 Every solve ends in ``_optimal``: a dual pass to ``CLEAN_TOL``, then certification.
 """
 from __future__ import annotations
@@ -65,8 +75,6 @@ PIV_ABS = 1e-11
 PIV_REL = 1e-9
 # consecutive degenerate pivots before perturbing (and, later, Bland's rule)
 STALL_THRESHOLD = 64
-# pivots between scheduled refactorizations
-REFACTOR_EVERY = 200
 # a solve stops after this many pivots per standard-form column and row
 PIVOT_CAP_FACTOR = 50
 
@@ -142,7 +150,7 @@ def make_problem(objective, ineq_rows=(), eq_rows=(), bounds=None, name="lp") ->
 @dataclass(frozen=True)
 class LpSolution:
     """``resident`` (present when optimal and the problem has rows) is the
-    final tableau, to pass as the next ``solve_lp``'s ``start``."""
+    final basis with its data, to pass as the next ``solve_lp``'s ``start``."""
 
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]          # present iff optimal
@@ -212,28 +220,16 @@ def _pert_u(m: int) -> np.ndarray:
     return (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
 
 
-def _insert(a: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
-    """``np.insert(a, at, values)`` for a 1-D ``a``, without its overhead."""
-    return np.concatenate((a[:at], values, a[at:]))
-
-
-def _spread(a: np.ndarray, p: int, q: int, k: int) -> np.ndarray:
-    """A copy of ``a`` with k zero rows before row p and k zero columns
-    before column q."""
-    out = np.zeros((a.shape[0] + k, a.shape[1] + k))
-    out[:p, :q] = a[:p, :q]
-    out[:p, q + k:] = a[:p, q:]
-    out[p + k:, :q] = a[p:, :q]
-    out[p + k:, q + k:] = a[p:, q:]
-    return out
-
-
 class _Tableau:
-    """Two-phase dense tableau with refactorization against original data.
+    """The simplex tableau in revised form: the data ``A_all`` and
+    ``b_active``, the basis, and the inverse of the basis's kernel, from
+    which every row, column, basic value and reduced cost a pivot rule reads
+    is computed.
 
     Rows are the problem's inequality rows, the bound rows, then the
     equality rows; columns the standard-form variables, one surplus per
-    inequality and bound row in row order, then the artificials."""
+    inequality and bound row in row order, then the artificials. Rows that
+    ``extend`` appends, and their surplus columns, come after all of these."""
 
     def __init__(self, std: _Standardized, prob: LpProblem):
         self.std = std
@@ -253,6 +249,7 @@ class _Tableau:
         b[flip] = -b[flip]
         sur_sign[flip] *= -1.0
 
+        # m_ge counts the fresh tableau's rows with a surplus column
         self.m, self.m_ge = m, m_ge
         # rows whose surplus column starts basic; every other row gets an
         # artificial, numbered in row order
@@ -269,9 +266,7 @@ class _Tableau:
         self.N = N
         self.basis = basis
 
-        # [A_all | b_active], the right-hand side filled in by refactor
-        self._ab = np.zeros((m, N + 1))
-        A_all = self._ab[:, :N]
+        A_all = np.zeros((m, N))
         A_all[:, :n] = rows
         A_all[np.arange(m_ge), n + np.arange(m_ge)] = sur_sign[:m_ge]
         A_all[art_rows, n + m_ge + np.arange(k)] = 1.0
@@ -279,163 +274,178 @@ class _Tableau:
         # the one row of each surplus or artificial (unit) column; -1 for
         # structural columns
         self.unit_row = np.concatenate([np.full(n, -1), np.arange(m_ge), art_rows])
-        self.b_true = b
-        self.b_active = b.copy()
+        # b_active is b_true itself unless perturbed; neither is changed in place
+        self.b_true = self.b_active = b
+        # cost rows, minimized: the phase-2 objective and the phase-1 sum of
+        # artificials
         self.d2 = np.zeros(N)
         self.d2[:n] = -std.c
         self.d1 = np.zeros(N)
         self.d1[n + m_ge:] = 1.0
-        self.T = np.empty((m, N + 1))
-        self.obj = np.empty((2, N + 1))
         self.allowed = np.ones(N, dtype=bool)
         self.iters = 0
         self.max_iter = PIVOT_CAP_FACTOR * (N + m)
-        self.pert_u = _pert_u(m)
-        # T is exactly the factorization of the basis against _factored_b
-        # until the next pivot or perturbation
-        self._clean = False
-        self._factored_b = self.b_active
+        self._K = self._K_inv = np.zeros((0, 0))
+        self._entered = None
 
     def refactor(self) -> float:
-        """Recompute T = B^-1 [A_all | b_active] from the original data by
-        one solve of the non-unit kernel (see the module docstring); a
-        singular basis raises SolverStallError."""
-        if self._clean and np.array_equal(self.b_active, self._factored_b):
-            return float(self.T[:, -1].min()) if self.m else 0.0
-        ab, T = self._ab, self.T
-        ab[:, -1] = self.b_active
-        unit_row = self.unit_row[self.basis]
-        unit = np.flatnonzero(unit_row >= 0)
-        kernel = np.flatnonzero(unit_row < 0)
-        free_rows = np.ones(self.m, dtype=bool)
-        free_rows[unit_row[unit]] = False
-        if np.count_nonzero(free_rows) != kernel.size:
+        """Factorize the basis (see the module docstring) and compute its
+        basic values; a singular basis raises SolverStallError. Returns the
+        smallest basic value."""
+        basis = self.basis
+        unit_row = self.unit_row[basis]
+        is_unit = unit_row >= 0
+        self._unit = unit = is_unit.nonzero()[0]
+        self._kernel = kernel = (~is_unit).nonzero()[0]
+        self._srows = srows = unit_row[unit]
+        free = np.ones(self.m, dtype=bool)
+        free[srows] = False
+        self._free = free.nonzero()[0]
+        if self._free.size != kernel.size:
             raise SolverStallError("singular basis: two basic unit columns on one row")
-        try:
-            T[kernel] = np.linalg.solve(
-                self.A_all[np.ix_(free_rows, self.basis[kernel])], ab[free_rows])
-        except np.linalg.LinAlgError:
-            raise SolverStallError("singular basis: its kernel is singular") from None
-        self._substitute(unit, kernel)
-        xb = T[:, -1]
+        kernel_cols = basis[kernel]
+        self._sign = self.A_all[srows, basis[unit]]
+        self._A_F = self.A_all[self._free]
+        A_K = self.A_all[:, kernel_cols]
+        self._A_SK = A_K[srows]
+        K = A_K[self._free]
+        # appending rows keeps the kernel, so its inverse is kept too
+        if not np.array_equal(K, self._K):
+            try:
+                self._K_inv = np.linalg.inv(K)
+            except np.linalg.LinAlgError:
+                raise SolverStallError("singular basis: its kernel is singular") from None
+            self._K = K
+        self._rc = [None, None]
+        self._entered = None
+        return self._values()
+
+    def _ftran(self, v_free: np.ndarray, v_unit: np.ndarray) -> np.ndarray:
+        """B^-1 v by basis position, from v's free rows and its unit rows
+        (in the order of ``_srows``): the kernel part, then each unit
+        position by substitution, times the unit's sign."""
+        z_kernel = self._K_inv @ v_free
+        sign = self._sign if v_free.ndim == 1 else self._sign[:, None]
+        z = np.empty((self.m,) + v_free.shape[1:])
+        z[self._kernel] = z_kernel
+        z[self._unit] = sign * (v_unit - self._A_SK @ z_kernel)
+        return z
+
+    def _values(self) -> float:
+        xb = self._ftran(self.b_active[self._free], self.b_active[self._srows])
         xb[np.abs(xb) < 1e-11] = 0.0
-        self._price()
-        self._clean = True
-        self._factored_b = self.b_active
+        self.xb = xb
         return float(xb.min()) if self.m else 0.0
 
-    def _substitute(self, unit: np.ndarray, kernel: np.ndarray):
-        """T at basis positions ``unit``, which hold unit columns, from T at
-        positions ``kernel``: each unit's row of [A_all | b_active] less its
-        kernel part, times the unit's sign."""
-        cols = self.basis[unit]
-        s = self.unit_row[cols]
-        rest = self._ab[s]
-        rest -= self.A_all[np.ix_(s, self.basis[kernel])] @ self.T[kernel]
-        rest *= self.A_all[s, cols][:, None]
-        self.T[unit] = rest
+    def reduced_costs(self, jo: int) -> np.ndarray:
+        """Reduced costs of cost row ``jo`` (0 phase 2, 1 phase 1): the duals
+        y, a unit's from its own cost and the free rows' from the kernel,
+        then d - y A_all, exactly 0 on the basic columns."""
+        if self._rc[jo] is None:
+            d = (self.d2, self.d1)[jo]
+            d_basic = d[self.basis]
+            y_unit = d_basic[self._unit] * self._sign
+            y_free = (d_basic[self._kernel] - y_unit @ self._A_SK) @ self._K_inv
+            rc = d - y_free @ self._A_F
+            priced = y_unit.nonzero()[0]
+            if priced.size:
+                rc -= y_unit[priced] @ self.A_all[self._srows[priced]]
+            rc[self.basis] = 0.0
+            self._rc[jo] = rc
+        return self._rc[jo]
 
-    def _price(self):
-        """Both objective rows from T: reduced costs and (negated) values."""
-        binv_a, xb = self.T[:, : self.N], self.T[:, -1]
-        for j, d in ((0, self.d2), (1, self.d1)):
-            dB = d[self.basis]
-            self.obj[j, : self.N] = d - dB @ binv_a
-            self.obj[j, -1] = -(dB @ xb)
-            self.obj[j, self.basis] = 0.0
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """B^-1 A_all[:, cols]: rows by basis position."""
+        return self._ftran(self._A_F[:, cols], self.A_all[np.ix_(self._srows, cols)])
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """Rows ``positions`` of B^-1 A_all. Row p of B^-1 is a row of K^-1
+        on the free rows for a kernel position; for a unit position it is
+        -sign A_SK[p] K^-1 there and its sign on the unit's own row."""
+        is_unit = self.unit_row[self.basis[positions]] >= 0
+        at_kernel, at_unit = (~is_unit).nonzero()[0], is_unit.nonzero()[0]
+        u = np.searchsorted(self._unit, positions[at_unit])
+        signs = self._sign[u][:, None]
+        rho = np.empty((positions.size, self._kernel.size))
+        rho[at_kernel] = self._K_inv[np.searchsorted(self._kernel, positions[at_kernel])]
+        rho[at_unit] = -(signs * self._A_SK[u]) @ self._K_inv
+        out = rho @ self._A_F
+        out[at_unit] += signs * self.A_all[self._srows[u]]
+        return out
 
     def extend(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-        """Continue from this factorization for the problem with standard-form
-        rows ``a . y >= b`` after the inequality rows and costs ``c``. Each
-        new row is flipped as __init__ flips rows and enters with its surplus
-        column basic, so a negative rhs marks a violated row; its T row is
-        the one a refactorization gives it. Each array is replaced by its
-        grown copy in turn, so no more than one is ever held twice."""
-        k, p = b.size, self.m_ineq
+        """Continue from this basis for the problem with standard-form rows
+        ``a . y >= b`` after the inequality rows and costs ``c``. The rows
+        and their surplus columns are appended to A_all. Each new row is
+        flipped as __init__ flips rows and enters with its surplus column
+        basic, so a negative rhs marks a violated row."""
+        k, m, N = b.size, self.m, self.N
         if k:
-            q, at = self.n_struct + p, self.m   # new rows, columns, basis positions
-            new_rows, new_cols, new_pos = p + np.arange(k), q + np.arange(k), at + np.arange(k)
+            new_rows, new_cols = m + np.arange(k), N + np.arange(k)
             sign = np.where(b <= 0, 1.0, -1.0)  # the surplus column's sign
-            new = np.zeros((k, self.N + k + 1))
-            new[:, : self.n_struct] = a * -sign[:, None]
-            new[np.arange(k), new_cols] = sign
-            new[:, -1] = b * -sign
-            self.m, self.m_ge, self.m_ineq, self.N = self.m + k, self.m_ge + k, p + k, self.N + k
-            self._ab = _spread(self._ab, p, q, k)
-            self._ab[new_rows] = new
-            self.A_all = self._ab[:, : self.N]
-            # T's rows follow the basis positions, so the new ones come last
-            self.T = _spread(self.T, at, q, k)
-            self.obj = np.empty((2, self.N + 1))
-            self.basis = np.concatenate((self.basis + k * (self.basis >= q), new_cols))
-            self.unit_row = _insert(self.unit_row + k * (self.unit_row >= p), q, new_rows)
-            self.b_true = _insert(self.b_true, p, new[:, -1])
-            self.b_active = _insert(self.b_active, p, new[:, -1])
-            self.d1 = _insert(self.d1, q, np.zeros(k))
-            self.d2 = _insert(self.d2, q, np.zeros(k))
-            self.allowed = _insert(self.allowed, q, np.ones(k, dtype=bool))
-            self.pert_u = _pert_u(self.m)
-            self._substitute(new_pos, np.flatnonzero(self.unit_row[self.basis] < 0))
-            xb = self.T[new_pos, -1]
-            self.T[new_pos, -1] = np.where(np.abs(xb) < 1e-11, 0.0, xb)
-            self._clean = False
+            A_all = np.zeros((m + k, N + k))
+            A_all[:m, :N] = self.A_all
+            A_all[m:, : self.n_struct] = a * -sign[:, None]
+            A_all[new_rows, new_cols] = sign
+            self.A_all = A_all
+            self.m, self.m_ineq, self.N = m + k, self.m_ineq + k, N + k
+            # the new surplus columns are basic at the new positions
+            self.basis = np.concatenate((self.basis, new_cols))
+            self.unit_row = np.concatenate((self.unit_row, new_rows))
+            # a resident basis is unperturbed
+            self.b_true = self.b_active = np.concatenate((self.b_true, b * -sign))
+            self.d1 = np.concatenate((self.d1, np.zeros(k)))
+            self.d2 = np.concatenate((self.d2, np.zeros(k)))
+            self.allowed = np.concatenate((self.allowed, np.ones(k, dtype=bool)))
         self.d2[: self.n_struct] = -c
-        self._price()
+        # a kept kernel keeps its inverse, so this recomputes little more
+        # than the basic values; a singular basis is found here
+        self.refactor()
 
     def pivot_at(self, r: int, q: int):
-        T = self.T
-        piv = T[r, q]
-        T[r, :] /= piv
-        col = T[:, q].copy()
-        col[r] = 0.0
-        T[:, :] -= np.outer(col, T[r, :])
-        T[:, q] = 0.0
-        T[r, q] = 1.0
-        for j in range(2):
-            f = self.obj[j, q]
-            if f != 0.0:
-                self.obj[j, :] -= f * T[r, :]
-                self.obj[j, q] = 0.0
+        """Column ``q`` replaces basis position ``r``; everything is then
+        computed afresh from the new basis."""
         self.basis[r] = q
-        self._clean = False
-        rhs = T[:, -1]
-        np.copyto(rhs, 0.0, where=np.abs(rhs) < 1e-12)
         self.iters += 1
         if self.iters > self.max_iter:
             raise SolverStallError(
                 f"simplex exceeded {self.max_iter} pivots without a verdict"
             )
+        self.refactor()
 
     def entering(self, jo: int, bland: bool, phase: int) -> int:
-        rc = self.obj[jo, : self.N]
-        cand = np.where(self.allowed & (rc < -OPT_TOL))[0]
+        rc = self.reduced_costs(jo)
+        cand = (self.allowed & (rc < -OPT_TOL)).nonzero()[0]
         if cand.size == 0:
             return -1
         if bland:
             return int(cand[0])
-        rcc = rc[cand]
-        if cand.size > 1:
-            cols = self.T[:, cand]
-            norms = np.sqrt(1.0 + np.einsum("ij,ij->j", cols, cols))
-            score = rcc / norms
-        else:
-            score = rcc
+        if cand.size == 1:
+            return int(cand[0])
+        cols = self.columns(cand)
+        score = rc[cand] / np.sqrt(1.0 + np.einsum("ij,ij->j", cols, cols))
         best = score.min()
-        near = cand[score <= best * (1 - 1e-12)]
+        near = (score <= best * (1 - 1e-12)).nonzero()[0]
         if near.size == 0:
-            near = cand[score <= best]
+            near = (score <= best).nonzero()[0]
+        i = near[0]
         if phase == 1 and near.size > 1:
             # toward the eventual phase-2 objective among equally good columns
-            return int(near[np.argmin(self.obj[0, near])])
-        return int(near[0])
+            i = near[np.argmin(self.reduced_costs(0)[cand[near]])]
+        # the ratio test reads this column next
+        self._entered = (int(cand[i]), cols[:, i])
+        return int(cand[i])
 
     def ratio_row(self, q: int, bland: bool) -> tuple[int, float]:
-        col = self.T[:, q]
+        if self._entered is not None and self._entered[0] == q:
+            col = self._entered[1]
+        else:
+            col = self.columns(np.array([q]))[:, 0]
         floor = max(PIV_ABS, PIV_REL * float(np.abs(col).max(initial=0.0)))
         pos = col > floor
         if not pos.any():
             return -1, 0.0
-        rhs = np.maximum(self.T[:, -1], 0.0)
+        rhs = np.maximum(self.xb, 0.0)
         ratios = np.full(self.m, np.inf)
         ratios[pos] = rhs[pos] / col[pos]
         rmin = float(ratios.min())
@@ -448,36 +458,29 @@ class _Tableau:
         return int(r), rmin
 
     def perturb(self):
-        eps = 1e-8 * (1.0 + float(np.abs(self.b_true).max(initial=0.0))) * self.pert_u
+        eps = 1e-8 * (1.0 + float(np.abs(self.b_true).max(initial=0.0))) * _pert_u(self.m)
         self.b_active = self.b_active + self.A_all[:, self.basis] @ eps
-        self.T[:, -1] += eps
-        self._clean = False
+        self._values()
 
     def drop_perturbation(self) -> float:
-        self.b_active = self.b_true.copy()
-        return self.refactor()
+        if self.b_active is not self.b_true:
+            self.b_active = self.b_true
+            self._values()
+        return float(self.xb.min()) if self.m else 0.0
 
     def pivot_loop(self, phase: int) -> str:
         jo = 0 if phase == 2 else 1
         degen = 0
         bland = False
         perturbs = 0
-        since_refactor = 0
         while True:
             q = self.entering(jo, bland, phase)
             if q < 0:
-                self.refactor()
-                q = self.entering(jo, bland, phase)
-                if q < 0:
-                    return "optimal"
+                return "optimal"
             r, rmin = self.ratio_row(q, bland)
             if r < 0:
-                self.refactor()
-                r, rmin = self.ratio_row(q, bland)
-                if r < 0:
-                    return "unbounded"
+                return "unbounded"
             self.pivot_at(r, q)
-            since_refactor += 1
             if rmin <= 1e-12:
                 degen += 1
             else:
@@ -490,40 +493,33 @@ class _Tableau:
                     perturbs += 1
                 else:
                     bland = True
-            elif since_refactor >= REFACTOR_EVERY or abs(self.obj[jo, -1]) > 1e13:
-                self.refactor()
-                since_refactor = 0
 
     def dual_simplex(self, tol: float, jo: int = 0) -> bool:
-        """Dual simplex from a basis that is dual feasible for objective row
+        """Dual simplex from a basis that is dual feasible for cost row
         ``jo`` (0 phase 2, 1 phase 1) until every basic value is at least
         ``-tol``. The leaving row has the largest infeasibility relative to
-        its norm (steepest edge in the dual); the entering column passes a
-        Harris ratio test (the largest pivot among columns whose step is
-        within ``OPT_TOL`` of the shortest). True once primal feasible; False when a row blocks every column. Only
-        ``pivot_at``'s cap ends a run that does neither."""
-        since_refactor = 0
+        its norm (steepest edge in the dual), over one block of the
+        infeasible rows; the entering column passes a Harris ratio test (the
+        largest pivot among columns whose step is within ``OPT_TOL`` of the
+        shortest). True once primal feasible; False when a row blocks every
+        column. Only ``pivot_at``'s cap ends a run that does neither."""
         while True:
-            rhs = self.T[:, -1]
-            if rhs.min() >= -tol:
+            xb = self.xb
+            bad = (xb < -tol).nonzero()[0]
+            if bad.size == 0:
                 return True
-            bad = np.where(rhs < -tol)[0]
-            rows = self.T[bad, : self.N]
+            rows = self.rows(bad)
             norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-            r = int(bad[np.argmin(rhs[bad] / norms)])
-            row = self.T[r, : self.N]
+            i = int(np.argmin(xb[bad] / norms))
+            row = rows[i]
             floor = max(PIV_ABS, PIV_REL * float(np.abs(row).max()))
-            cand = np.where(self.allowed & (row < -floor))[0]
+            cand = (self.allowed & (row < -floor)).nonzero()[0]
             if cand.size == 0:
                 return False
             alpha = -row[cand]
-            rc = np.maximum(self.obj[jo, cand], 0.0)
+            rc = np.maximum(self.reduced_costs(jo)[cand], 0.0)
             within = rc / alpha <= ((rc + OPT_TOL) / alpha).min()
-            self.pivot_at(r, int(cand[within][np.argmax(alpha[within])]))
-            since_refactor += 1
-            if since_refactor >= REFACTOR_EVERY:
-                self.refactor()
-                since_refactor = 0
+            self.pivot_at(int(bad[i]), int(cand[within][np.argmax(alpha[within])]))
 
     def run_phase(self, phase: int) -> str:
         jo = 0 if phase == 2 else 1
@@ -534,35 +530,35 @@ class _Tableau:
             worst = self.drop_perturbation()
             if worst < -FEAS_TOL:
                 self.dual_simplex(FEAS_TOL, jo)
-                worst = float(self.T[:, -1].min()) if self.m else 0.0
+                worst = float(self.xb.min()) if self.m else 0.0
             if worst >= -FEAS_TOL and self.entering(jo, False, phase) < 0:
                 return "optimal"
         raise SolverStallError(f"phase {phase} failed to certify a verdict")
 
     def crash(self):
         """Opening pivot whose ratio test can exit on a positive-rhs row."""
-        cand = np.where(self.allowed & (self.obj[1, : self.N] < -OPT_TOL))[0]
+        cand = (self.allowed & (self.reduced_costs(1) < -OPT_TOL)).nonzero()[0]
         if cand.size == 0:
             return
-        rhs = self.T[:, -1]
-        zero_rows = rhs <= 1e-12
+        zero_rows = self.xb <= 1e-12
         if zero_rows.any():
-            blocked = (self.T[zero_rows][:, cand] > PIV_ABS).any(axis=0)
+            blocked = (self.columns(cand)[zero_rows] > PIV_ABS).any(axis=0)
             good = cand[~blocked]
         else:
             good = cand
         if good.size == 0:
             return
-        q = int(good[np.argmin(self.obj[0, good])])
+        q = int(good[np.argmin(self.reduced_costs(0)[good])])
         r, _ = self.ratio_row(q, False)
         if r >= 0:
             self.pivot_at(r, q)
 
 
 class Resident:
-    """The final tableau of an optimal solve and the problem it solved,
-    kept for one later ``solve_lp(..., start=)`` to continue from (see the
-    module docstring). ``take`` hands the tableau over, or drops it."""
+    """The final basis of an optimal solve, with its data (a ``_Tableau``),
+    and the problem it solved, kept for one later ``solve_lp(..., start=)``
+    to continue from (see the module docstring). ``take`` hands the tableau
+    over, or drops it."""
 
     def __init__(self, problem: LpProblem, tab: _Tableau):
         self._problem, self._tab = problem, tab
@@ -625,16 +621,15 @@ def _solve_cold(problem: LpProblem) -> LpSolution:
     if tab.n_art:
         tab.crash()
         st = tab.run_phase(1)
-        if tab.obj[1, -1] < -1e-7:
+        if tab.d1[tab.basis] @ tab.xb > 1e-7:  # the basic artificials' sum
             return LpSolution("infeasible", None, None, tab.iters)
-        tab.allowed[tab.n_struct + tab.m_ge:] = False
+        tab.allowed[tab.n_struct + tab.m_ge:] = False  # the artificials
         for r in range(tab.m):
-            if tab.basis[r] >= tab.n_struct + tab.m_ge:
-                row = tab.T[r, : tab.n_struct + tab.m_ge]
-                nz = np.where(np.abs(row) > 1e-9)[0]
+            if not tab.allowed[tab.basis[r]]:
+                row = tab.rows(np.array([r]))[0]
+                nz = (tab.allowed & (np.abs(row) > 1e-9)).nonzero()[0]
                 if nz.size:
                     tab.pivot_at(r, int(nz[0]))
-        tab.refactor()
     st = tab.run_phase(2)
     if st == "unbounded":
         return LpSolution("unbounded", None, None, tab.iters)
@@ -648,11 +643,10 @@ def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None,
         return None, 0
     tab.iters = 0
     std = tab.std
-    # _optimal left the tableau factorized, so the new rows extend it as is
-    tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
-               std.costs(problem.objective))
-    tab.max_iter = tab.m + WARM_PIVOT_SLACK
     try:
+        tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
+                   std.costs(problem.objective))
+        tab.max_iter = tab.m + WARM_PIVOT_SLACK
         if tab.dual_simplex(FEAS_TOL) and tab.run_phase(2) == "optimal":
             return _optimal(problem, tab), tab.iters
     except SolverStallError:
@@ -663,9 +657,8 @@ def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None,
 def _optimal(problem: LpProblem, tab: _Tableau) -> LpSolution:
     """The finish of every solve, cold or warm, from an optimal basis."""
     tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
-    tab.refactor()
     y = np.zeros(tab.N)
-    y[tab.basis] = np.maximum(tab.T[:, -1], 0.0)
+    y[tab.basis] = np.maximum(tab.xb, 0.0)
     x = tab.std.map_back(y[: tab.std.n_std])
     _certify(problem, x, FEAS_TOL)
     return LpSolution("optimal", x, float(problem.objective @ x), tab.iters,
@@ -678,13 +671,17 @@ def _certify(prob: LpProblem, x: np.ndarray, tol: float):
     def scale(coeffs):
         return np.maximum(1.0, np.abs(coeffs).max(axis=1, initial=0.0))
 
+    # a row's scale is at least 1, so only a row off by more than tol can
+    # fail, and only those rows are scaled
     if prob.ineq_coeffs.shape[0]:
         resid = prob.ineq_coeffs @ x - prob.ineq_rhs
-        if (resid / scale(prob.ineq_coeffs) < -tol).any():
+        off = resid < -tol
+        if off.any() and (resid[off] / scale(prob.ineq_coeffs[off]) < -tol).any():
             raise SolverStallError("optimal point failed inequality certification")
     if prob.eq_coeffs.shape[0]:
         resid = np.abs(prob.eq_coeffs @ x - prob.eq_rhs)
-        if (resid / scale(prob.eq_coeffs) > tol).any():
+        off = resid > tol
+        if off.any() and (resid[off] / scale(prob.eq_coeffs[off]) > tol).any():
             raise SolverStallError("optimal point failed equality certification")
     lo_ok = x >= np.where(np.isfinite(prob.lo), prob.lo - tol * np.maximum(1, np.abs(prob.lo)), -INF)
     hi_ok = x <= np.where(np.isfinite(prob.hi), prob.hi + tol * np.maximum(1, np.abs(prob.hi)), INF)

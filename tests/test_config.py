@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,6 +244,13 @@ class TestCliErrors:
         assert code == 2
         assert "feas_tol" in err and "Traceback" not in err
 
+    def test_unknown_log_level_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("POWERGAMES_LOG", "foo")
+        code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json"), "nash"], capsys)
+        assert code == 2
+        assert err.startswith("config error: POWERGAMES_LOG") and "'foo'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,flag", [
         (["region", "--directions", "2"], "--directions"),
         (["regret", "--steps", "0"], "--steps"),
@@ -257,3 +267,29 @@ class TestCliErrors:
         code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json")] + command, capsys)
         assert code == 2
         assert flag in err and "Traceback" not in err
+
+
+class TestBlasThreads:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def probe(self, code, **env):
+        """``code``'s stdout in a fresh interpreter without the BLAS variables."""
+        clean = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        clean["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        return subprocess.run([sys.executable, "-c", code], env={**clean, **env},
+                              capture_output=True, text=True, check=True).stdout.split()
+
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        code = ("import os, sys, powergames; "
+                "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert self.probe(code) == ["False", "False"]
+        # the exported names and their modules load on first use
+        code = ("import powergames; "
+                "print(powergames.simplex.dump_problem is powergames.dump_problem)")
+        assert self.probe(code) == ["True"]
+
+    def test_cli_pins_one_thread_unless_set(self):
+        code = ("import os, powergames.cli; "
+                "print(*(os.environ[v] for v in %r))" % (self.BLAS_VARS,))
+        assert self.probe(code) == ["1", "1", "1"]
+        assert self.probe(code, OMP_NUM_THREADS="2") == ["1", "2", "1"]

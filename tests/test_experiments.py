@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from powergames import cli
+from powergames import cli, experiments
 from powergames.config import load_config, parse_config
 from powergames.correlated import solve_welfare_ce
 from powergames.errors import SolverStallError
@@ -284,6 +284,25 @@ class TestCli:
         err = capsys.readouterr().err
         # the first state of this seeded sample whose regrets outgrow mu
         assert "learning.mu: sweep state 1: mu=0.001" in err
+        assert "Traceback" not in err
+
+    def test_sweep_stall_names_state_exit_4(self, tmp_path, monkeypatch, capsys):
+        path = small_sweep_config(tmp_path, count=3, workers=1)
+        states, _ = channel_states(load_config(path))
+        stalled = [list(r) for r in states[2]]
+        calls = []
+
+        def stall_third(tensor):
+            calls.append(1)
+            if len(calls) == 3:
+                raise SolverStallError("phase 2 failed to certify a verdict")
+            return solve_welfare_ce(tensor)
+
+        monkeypatch.setattr(experiments, "solve_welfare_ce", stall_third)
+        assert cli.main(["-c", str(path), "sweep"]) == 4
+        err = capsys.readouterr().err
+        assert (f"solver stall: sweep state 2, gains {stalled}: "
+                "phase 2 failed to certify a verdict") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides, command, message", [

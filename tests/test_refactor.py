@@ -1,7 +1,8 @@
-"""Tableau internals: slack-aware refactorization, the dual-simplex repair
-after a dropped perturbation, the vectorized standard-form set-up, each
-against a direct dense or loop reference written here, and rows appended to
-a resident tableau, against a refactorization."""
+"""Tableau internals: the basic values, reduced costs, rows and columns
+computed from the slack-aware kernel factorization, fresh and after rows are
+appended to a resident tableau, the dual-simplex repair after a dropped
+perturbation and the vectorized standard-form set-up, each against a direct
+dense or loop reference written here."""
 from dataclasses import replace
 
 import numpy as np
@@ -47,26 +48,40 @@ def unit_columns(tab):
 
 def refactored(tab, basis):
     tab.basis[:] = basis
-    tab._clean = False
     tab.refactor()
     return tab
 
 
 def dense_reference(tab):
-    """T and both objective rows from one dense solve of the full basis."""
+    """B^-1 [A_all | b_active] and the reduced costs of both cost rows, from
+    one dense solve of the full basis."""
     ab = np.column_stack([tab.A_all, tab.b_active])
     t = np.linalg.solve(tab.A_all[:, tab.basis], ab)
-    obj = np.empty((2, tab.N + 1))
-    for j, d in ((0, tab.d2), (1, tab.d1)):
-        d_ext = np.append(d, 0.0)
-        obj[j] = d_ext - d[tab.basis] @ t
-        obj[j, tab.basis] = 0.0
-    return t, obj
+    rc = []
+    for d in (tab.d2, tab.d1):
+        r = d - d[tab.basis] @ t[:, :-1]
+        r[tab.basis] = 0.0
+        rc.append(r)
+    return t, rc
 
 
 def assert_close(got, want):
-    scale = max(1.0, float(np.abs(want).max()))
-    assert np.abs(got - want).max() <= 1e-10 * scale
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(got - want).max(initial=0.0) <= 1e-10 * scale
+
+
+def assert_matches_dense(tab):
+    """Basic values, both reduced-cost rows, every column and every row of
+    B^-1 A_all, as the kernel gives them, against the dense solve."""
+    t, rc = dense_reference(tab)
+    xb = t[:, -1]
+    xb[np.abs(xb) < 1e-11] = 0.0
+    assert_close(tab.xb, xb)
+    for jo in (0, 1):
+        assert_close(tab.reduced_costs(jo), rc[jo])
+    assert_close(tab.columns(np.arange(tab.N)), t[:, :-1])
+    assert_close(tab.rows(np.arange(tab.m)), t[:, :-1])
 
 
 def random_basis(rng, tab, unit_share):
@@ -98,37 +113,42 @@ class TestSlackAwareRefactor:
             unit_count = int(np.count_nonzero(tab.unit_row[basis] >= 0))
             assert unit_count == round(unit_share * tab.m)
             tab.b_active = tab.b_active + rng.normal(scale=1e-3, size=tab.m)
-            refactored(tab, basis)
-            t, obj = dense_reference(tab)
-            t[:, -1][np.abs(t[:, -1]) < 1e-11] = 0.0
-            assert_close(tab.T, t)
-            assert_close(tab.obj, obj)
+            assert_matches_dense(refactored(tab, basis))
 
     def test_starting_basis_is_all_unit(self):
         tab = tableau(mixed_problem(np.random.default_rng(1)))
         assert (tab.unit_row[tab.basis] >= 0).all()
         tab.refactor()
-        t, obj = dense_reference(tab)
-        assert_close(tab.T, t)
-        assert_close(tab.obj, obj)
+        assert tab._kernel.size == 0
+        assert_matches_dense(tab)
 
     def test_one_solve_of_kernel_size(self, monkeypatch):
         rng = np.random.default_rng(8)
         tab = tableau(mixed_problem(rng, n=14))
         basis = random_basis(rng, tab, 0.4)
         sizes = []
-        solve = np.linalg.solve
+        inv = np.linalg.inv
 
-        def counted(a, b):
+        def counted(a):
             sizes.append(a.shape)
-            return solve(a, b)
+            return inv(a)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "inv", counted)
         refactored(tab, basis)
         kernel = int(np.count_nonzero(tab.unit_row[basis] < 0))
         assert sizes == [(kernel, kernel)]
-        tab.refactor()  # nothing changed: skipped
+        # the same kernel keeps its inverse; values and prices still follow
+        # the data
+        tab.b_active = tab.b_active + 1e-3
+        tab.d2 = tab.d2 + 1.0
+        tab.refactor()
         assert len(sizes) == 1
+        assert_matches_dense(tab)
+        # a basis change that changes the kernel inverts the new one
+        nonbasic = np.setdiff1d(np.arange(tab.n_struct), tab.basis)
+        tab.pivot_at(int(tab._kernel[0]), int(nonbasic[0]))
+        assert sizes == [(kernel, kernel)] * 2
+        assert_matches_dense(tab)
 
     def test_singular_kernel(self):
         rng = np.random.default_rng(4)
@@ -152,10 +172,10 @@ class TestSlackAwareRefactor:
             refactored(tab, basis)
 
     def test_singular_basis_stops_a_cold_solve(self, monkeypatch):
-        def singular(a, b):
+        def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(SolverStallError, match="singular basis"):
             solve_lp(mixed_problem(np.random.default_rng(2)))
 
@@ -315,34 +335,25 @@ class TestVectorizedSetUp:
 
 
 class TestAppendedRows:
-    """Rows appended to a resident optimal tableau give the T and objective
-    rows that a refactorization of the grown basis gives."""
+    """Rows appended to a resident optimal tableau, under the old or a new
+    objective: the grown basis's values, prices, rows and columns against a
+    dense solve of it."""
 
-    def appended_and_refactored(self, prob, m, k, objective=None):
+    def appended(self, prob, m, k, objective=None):
         bigger = first_rows(prob, m + k)
         if objective is not None:
             bigger = replace(bigger, objective=objective)
         sol = solve_lp(first_rows(prob, m))
         assert sol.status == "optimal"
         tab = sol.resident.take(bigger)
-        old_basis = tab.basis.copy()
+        old_basis, old_n = tab.basis.copy(), tab.N
         std = tab.std
         tab.extend(*std.rows(bigger.ineq_coeffs[m:], bigger.ineq_rhs[m:]),
                    std.costs(bigger.objective))
-        # the old basic columns (past the new surplus columns), then the new
-        q = tab.n_struct + m
-        assert tab.basis.tolist() == (old_basis + k * (old_basis >= q)).tolist() + list(
-            range(q, q + k))
-        appended = tab.T.copy(), tab.obj.copy()
-        tab._clean = False
-        tab.refactor()
-        return appended, (tab.T, tab.obj)
-
-    @staticmethod
-    def assert_same(got, want):
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.abs(g - w).max() <= 1e-12 * max(1.0, float(np.abs(w).max()))
+        # the old basis, then the new surplus columns, appended
+        assert tab.basis.tolist() == old_basis.tolist() + list(range(old_n, old_n + k))
+        assert (tab.unit_row[old_n:] == np.arange(tab.m - k, tab.m)).all()
+        return tab
 
     def test_random_ce_masters(self):
         rng = np.random.default_rng(31)
@@ -353,9 +364,8 @@ class TestAppendedRows:
             total = full.ineq_coeffs.shape[0]
             k = int(rng.integers(1, min(8, total) + 1))
             m = int(rng.integers(0, total - k + 1))
-            self.assert_same(*self.appended_and_refactored(full, m, k))
-            self.assert_same(*self.appended_and_refactored(
-                full, m, k, rng.normal(size=full.n)))
+            assert_matches_dense(self.appended(full, m, k))
+            assert_matches_dense(self.appended(full, m, k, rng.normal(size=full.n)))
 
     def test_literal_commeq_master(self):
         grid = build_power_grid(-20.0, 20.0, 4)
@@ -363,10 +373,10 @@ class TestAppendedRows:
         full = unit_max_rows(build_commeq_lp(build_type_space([0.01, 3.0], 2), fam))
         assert full.n == 64 and full.eq_coeffs.shape[0] == 4
         for m, k in ((0, 8), (6, 1), (10, 12), (24, 8)):
-            self.assert_same(*self.appended_and_refactored(full, m, k))
+            assert_matches_dense(self.appended(full, m, k))
 
     def test_row_met_within_noise_starts_at_zero(self):
-        # a refactorization zeroes basic values below 1e-11; so does an append
+        # the basic values are zeroed below 1e-11, an appended row's too
         rng = np.random.default_rng(6)
         full = unit_max_rows(build_ce_constraints(
             PayoffTensor((3, 3), random_tensor(rng, (3, 3)).copy())))
@@ -375,6 +385,6 @@ class TestAppendedRows:
         row -= (row @ x - 5e-12) / (x @ x) * x
         prob = replace(full, ineq_coeffs=np.vstack([full.ineq_coeffs[:4], row]),
                        ineq_rhs=np.zeros(5))
-        appended, refactored = self.appended_and_refactored(prob, 4, 1)
-        assert appended[0][-1, -1] == 0.0 == refactored[0][-1, -1]
-        self.assert_same(appended, refactored)
+        tab = self.appended(prob, 4, 1)
+        assert tab.xb[-1] == 0.0
+        assert_matches_dense(tab)

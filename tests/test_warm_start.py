@@ -173,15 +173,28 @@ class TestStartThatDoesNotFit:
         solve_lp(prob, start=start)
         self.assert_cold(prob, start)
 
-    def test_singular_basis(self):
+    def test_singular_basis(self, monkeypatch):
         # columns 0 and 1 are equal, so a basis holding both is singular
         prob = make_problem([1.0, 1.0, 0.5],
                             ineq_rows=[([-1.0, -1.0, -1.0], -2.0), ([-2.0, -2.0, -1.0], -3.0)])
         start = solve_lp(prob).resident
         tab = start._tab
         tab.basis[:] = [0, 1]
-        tab._clean = False
+        # the start appends no rows; its refactorization finds the singular
+        # kernel before any pivot or certification
+        stalls = []
+        refactor = simplex._Tableau.refactor
+
+        def recording(self):
+            try:
+                return refactor(self)
+            except simplex.SolverStallError as exc:
+                stalls.append(str(exc))
+                raise
+
+        monkeypatch.setattr(simplex._Tableau, "refactor", recording)
         self.assert_cold(prob, start)
+        assert stalls == ["singular basis: its kernel is singular"]
 
 
 class TestRowGeneration:
