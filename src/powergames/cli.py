@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 memory-budget error (a
-``BudgetError``, or running out of memory), 4 LP solve without a certified
-answer (``SolverStallError``). The POWERGAMES_LOG environment variable sets
+Exit codes: 0 success, 1 stdout closed before the output was written, 2
+configuration error, 3 memory-budget error (a ``BudgetError``, or running
+out of memory), 4 LP solve without a certified answer
+(``SolverStallError``). The POWERGAMES_LOG environment variable sets
 the log level (e.g. DEBUG, INFO), and an unknown level exits 2; there is no
 logging flag.
 """
@@ -26,9 +27,6 @@ from .config import _number, _text, key_reader, load_config
 from .errors import BudgetError, ConfigError, SolverStallError
 from .regret import RULES
 from . import experiments
-
-# --regret-rule spells the conditional rule (the first of RULES) "std"
-REGRET_RULE_FLAGS = {"std": RULES[0], **{r: r for r in RULES[1:]}}
 
 
 def _flag(read, parse=int):
@@ -76,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     regret = sub.add_parser("regret", help="regret-matching run")
     regret.add_argument("--steps", type=_flag(key_reader("learning.steps")))
     regret.add_argument("--seed", type=_flag(key_reader("learning.seed")))
-    regret.add_argument("--regret-rule", choices=REGRET_RULE_FLAGS)
+    regret.add_argument("--regret-rule", type=_flag(key_reader("learning.rule"), str),
+                        help=f"one of {', '.join(RULES)}")
     regret.add_argument("--out", type=path)
     regret.add_argument("--trace-out", type=path, help="write the step trace CSV here")
 
@@ -103,8 +102,8 @@ def run(args) -> int:
     elif args.command == "commeq":
         payload = experiments.run_commeq(cfg, args.formulation)
     elif args.command == "regret":
-        rule = REGRET_RULE_FLAGS.get(args.regret_rule)
-        payload = experiments.run_regret(cfg, args.steps, args.seed, rule, args.trace_out)
+        payload = experiments.run_regret(cfg, args.steps, args.seed, args.regret_rule,
+                                         args.trace_out)
     elif args.command == "region":
         payload = experiments.export_regions(cfg, out_dir=args.out_dir,
                                              directions=args.directions)
@@ -150,6 +149,11 @@ def main(argv=None) -> int:
     except SolverStallError as exc:
         print(f"solver stall: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # stdout closed early (`| head`); what is left unwritten goes to
+        # devnull, so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -156,40 +156,24 @@ class TypeSpace:
 
 def build_type_space(gains, players: int, mode: str = "diagonal",
                      prior=None) -> TypeSpace:
-    """Type space from per-link gain grids.
+    """Type space from one gain grid shared by every link.
 
-    ``gains`` is one shared grid (sequence of values) or a K x K nested list
-    ``gains[j][i]`` of per-link grids. ``diagonal`` indexes all gains into a
+    ``gains`` is a sequence of values. ``diagonal`` indexes all gains into a
     receiver by a single superscript (type n takes the n-th value on every
-    incoming link); ``product`` takes the Cartesian product of incoming-link
-    grids. ``prior`` is an explicit joint table; ``None`` means uniform.
+    incoming link); ``product`` takes the Cartesian product of the grid over
+    the incoming links. ``prior`` is an explicit joint table; ``None`` means
+    uniform.
     """
     if mode not in TYPE_MODES:
         raise ValueError(f"mode must be one of {TYPE_MODES}")
-    if not len(gains):
+    grid = [float(v) for v in gains]
+    if not grid:
         raise ValueError("empty gain grid")
-    first = gains[0]
-    if np.isscalar(first):
-        grid = [float(v) for v in gains]
-        link = [[grid for _ in range(players)] for _ in range(players)]
+    if mode == "diagonal":
+        own = tuple((g,) * players for g in grid)
     else:
-        link = [[[float(v) for v in gains[j][i]] for i in range(players)]
-                for j in range(players)]
-    for j in range(players):
-        for i in range(players):
-            if not link[j][i]:
-                raise ValueError("empty gain grid")
-    types = []
-    for i in range(players):
-        incoming = [link[j][i] for j in range(players)]
-        if mode == "diagonal":
-            n = len(incoming[0])
-            if any(len(g) != n for g in incoming):
-                raise ValueError("diagonal mode needs equal grid lengths per receiver")
-            types.append(tuple(tuple(g[t] for g in incoming) for t in range(n)))
-        else:
-            types.append(tuple(tuple(combo) for combo in itertools.product(*incoming)))
-    types = tuple(types)
+        own = tuple(itertools.product(grid, repeat=players))
+    types = (own,) * players
     dims = tuple(len(t) for t in types)
     if prior is None:
         table = np.full(dims, 1.0 / int(np.prod(dims)))

@@ -249,11 +249,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if channel.grid is not None and channel.grid.min > channel.grid.max:
         raise ConfigError("channel.grid.min: must not exceed channel.grid.max")
 
-    if "types" in raw:  # keys the types section leaves out follow the channel grid
-        grid = asdict(channel.grid) if channel.grid else {}
-        cfg = replace(cfg, types=replace(cfg.types, enabled=True, **{
-            k: v for k, v in grid.items() if k not in raw["types"]}))
-    return replace(cfg, power=power)
+    return replace(cfg, power=power, types=replace(cfg.types, enabled="types" in raw))
 
 
 def load_config(path) -> ExperimentConfig:

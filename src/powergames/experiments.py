@@ -31,12 +31,11 @@ from .communication import (
 from .config import ExperimentConfig
 from .correlated import (
     ce_payoff_region,
-    ce_violation,
     solve_directional_ce,
     solve_welfare_ce,
 )
 from .errors import ConfigError, MuTooSmallError, SolverStallError
-from .geometry import convex_hull_ccw, dedup_points
+from .geometry import convex_hull_ccw
 from .model import (
     ChannelMatrix,
     GameInstance,
@@ -146,12 +145,13 @@ def write_csv(path, meta: dict, header, rows) -> str:
 
 def emit_json(payload: dict, path=None):
     """Write ``payload`` as JSON to ``path``, or print it to stdout when no
-    path is given; both get the same text."""
+    path is given; both get the same text. Printing flushes, so a closed
+    stdout raises here."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 # ---------------------------------------------------------------- single runs
@@ -257,7 +257,7 @@ def run_regret(cfg: ExperimentConfig, steps: int | None = None,
         res = rm_run(tensor, steps, seed, mu=cfg.learning.mu, rule=rule)
     except MuTooSmallError as exc:
         raise ConfigError(f"learning.mu: {exc}") from None
-    welfare = float(res.empirical.probs @ tensor.welfare_flat())
+    _, max_regret, ce_gap, welfare = res.trace[-1]  # the trace ends at ``steps``
     meta = metadata(cfg, seeds_used={"learning": seed})
     if trace_out:
         write_csv(trace_out, meta, ("step", "max_regret", "ce_gap", "welfare"), res.trace)
@@ -266,8 +266,8 @@ def run_regret(cfg: ExperimentConfig, steps: int | None = None,
         "rule": rule,
         "steps": steps,
         "welfare": welfare,
-        "ce_gap": ce_violation(tensor, res.empirical),
-        "max_regret": max(float(r.max()) for r in res.state.regrets()),
+        "ce_gap": ce_gap,
+        "max_regret": max_regret,
         "empirical": res.empirical.probs.tolist(),
         "trace": [list(row) for row in res.trace],
     }
@@ -306,7 +306,7 @@ def _state_result(args):
         except MuTooSmallError as exc:
             raise ConfigError(f"learning.mu: sweep state {idx}: {exc}") from None
         row["regret_welfare"] = float(res.empirical.probs @ tensor.welfare_flat())
-    return idx, row
+    return row
 
 
 def _aggregate(samples: list[float]) -> dict:
@@ -326,10 +326,9 @@ def run_channel_sweep(cfg: ExperimentConfig, force_enumerate: bool = False,
         n_workers = os.cpu_count() or 1
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = dict(pool.map(_state_result, jobs))
+            rows = list(pool.map(_state_result, jobs))
     else:
-        results = dict(map(_state_result, jobs))
-    rows = [results[i] for i in range(len(jobs))]  # order-independent by key
+        rows = list(map(_state_result, jobs))
     report = {
         "mode": mode,
         "states": rows,
@@ -434,9 +433,7 @@ def export_regions(cfg: ExperimentConfig, out_dir=None,
     tensor = single_game_tensor(cfg)
     d = directions if directions is not None else cfg.solver.directions
 
-    feasible = convex_hull_ccw(
-        dedup_points(zip(tensor.flat(0).tolist(), tensor.flat(1).tolist()), tol=0.0)
-    )
+    feasible = convex_hull_ccw(zip(tensor.flat(0).tolist(), tensor.flat(1).tolist()))
     region = ce_payoff_region(tensor, directions=d)
     ne_rows = []
     for prof in enumerate_pure_nash(tensor):

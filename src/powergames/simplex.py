@@ -149,8 +149,8 @@ def make_problem(objective, ineq_rows=(), eq_rows=(), bounds=None, name="lp") ->
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``resident`` (present when optimal and the problem has rows) is the
-    final basis with its data, to pass as the next ``solve_lp``'s ``start``."""
+    """``resident`` (present when optimal) is the final basis with its data,
+    to pass as the next ``solve_lp``'s ``start``."""
 
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]          # present iff optimal
@@ -425,9 +425,8 @@ class _Tableau:
         cols = self.columns(cand)
         score = rc[cand] / np.sqrt(1.0 + np.einsum("ij,ij->j", cols, cols))
         best = score.min()
+        # best itself is within: best * (1 - 1e-12) >= best, as best < 0
         near = (score <= best * (1 - 1e-12)).nonzero()[0]
-        if near.size == 0:
-            near = (score <= best).nonzero()[0]
         i = near[0]
         if phase == 1 and near.size > 1:
             # toward the eventual phase-2 objective among equally good columns
@@ -606,17 +605,7 @@ def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
 
 
 def _solve_cold(problem: LpProblem) -> LpSolution:
-    std = _Standardized(problem)
-    tab = _Tableau(std, problem)
-
-    if tab.m == 0:
-        # only bounds; optimum at y = 0 unless some cost still improves
-        if (std.c > OPT_TOL).any():
-            return LpSolution("unbounded", None, None, 0)
-        y = np.zeros(std.n_std)
-        x = std.map_back(y)
-        return LpSolution("optimal", x, float(problem.objective @ x), 0)
-
+    tab = _Tableau(_Standardized(problem), problem)
     tab.refactor()
     if tab.n_art:
         tab.crash()

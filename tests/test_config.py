@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from powergames import cli
-from powergames.config import load_config, parse_config
+from powergames.config import TypesSpec, load_config, parse_config
 from powergames.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -204,12 +204,17 @@ class TestReaders:
         with pytest.raises(ConfigError, match="learning.steps"):
             parse_config(with_section("learning", steps=None))
 
-    def test_types_follow_the_grid(self):
-        raw = {"channel": {"grid": {"min": 0.5, "max": 2.0, "points": 3}},
-               "types": {"points": 2}}
-        types = parse_config(raw).types
-        assert (types.enabled, types.min, types.max, types.points) == (True, 0.5, 2.0, 2)
+    def test_empty_types_take_the_schema_defaults(self):
+        # the channel grid's own keys do not leak into the types section
+        raw = {"channel": {"grid": {"min": 0.5, "max": 2.0, "points": 3}}, "types": {}}
+        assert parse_config(raw).types == TypesSpec(enabled=True)
         assert not parse_config(MATRIX).types.enabled
+        # so the paper setup reads the same with its types section emptied
+        paper = json.loads((CONFIG_DIR / "paper_setup.json").read_text())
+        cfg = parse_config(paper)
+        emptied = parse_config({**paper, "types": {}})
+        assert emptied.types == cfg.types
+        assert emptied.sha256() == cfg.sha256()
 
     def test_single_level_grid_needs_one_point(self):
         with pytest.raises(ConfigError, match="sweep.action_levels"):
@@ -262,11 +267,33 @@ class TestCliErrors:
         (["region", "--out-dir", ""], "--out-dir"),
         (["ce", "--out", ""], "--out"),
         (["regret", "--trace-out", ""], "--trace-out"),
+        (["regret", "--regret-rule", "std"], "--regret-rule"),
     ])
     def test_bad_flag_exits_2(self, command, flag, capsys):
         code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json")] + command, capsys)
         assert code == 2
         assert flag in err and "Traceback" not in err
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        argv = [sys.executable, "-m", "powergames.cli",
+                "-c", str(CONFIG_DIR / "region_demo.json"), "game", "dump"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        # a reader gone before anything is written: the write itself fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+        os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        # a reader that stops after one line, as `| head -1` does
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1)
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestBlasThreads:

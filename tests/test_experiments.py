@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from powergames import cli, experiments
 from powergames.config import load_config, parse_config
-from powergames.correlated import solve_welfare_ce
+from powergames.correlated import JointDistribution, ce_violation, solve_welfare_ce
 from powergames.errors import SolverStallError
 from powergames.experiments import (
     channel_states,
@@ -230,12 +231,24 @@ class TestCli:
         cfg = self.write_cfg(tmp_path)
         trace = tmp_path / "trace.csv"
         code = cli.main(["-c", cfg, "regret", "--steps", "300", "--seed", "4",
-                         "--regret-rule", "std", "--trace-out", str(trace)])
+                         "--regret-rule", "conditional", "--trace-out", str(trace)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["steps"] == 300
         lines = [l for l in trace.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "step,max_regret,ce_gap,welfare"
+
+    def test_regret_summary_is_the_last_trace_row(self, tmp_path):
+        cfg = load_config(self.write_cfg(tmp_path))
+        payload = experiments.run_regret(cfg, steps=300, seed=4)
+        last = payload["trace"][-1]
+        assert last[0] == 300
+        assert [payload["max_regret"], payload["ce_gap"], payload["welfare"]] == last[1:]
+        # and the row is what it names: the empirical distribution's CE gap and welfare
+        tensor = single_game_tensor(cfg)
+        dist = JointDistribution(tensor.dims, np.array(payload["empirical"]))
+        assert payload["ce_gap"] == ce_violation(tensor, dist)
+        assert payload["welfare"] == float(dist.probs @ tensor.welfare_flat())
 
     def test_region_command(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
