@@ -17,7 +17,7 @@ _EXPORTS = {
               "grid_from_levels", "sinr", "utility"),
     "simplex": ("LpProblem", "LpSolution", "dump_problem", "make_problem",
                 "solve_lp"),
-    "nash": ("best_response_set", "enumerate_pure_nash", "mixed_nash_2x2"),
+    "nash": ("enumerate_pure_nash", "mixed_nash_2x2"),
     "correlated": ("CePolytopeSolver", "EquilibriumReport",
                    "JointDistribution", "build_ce_constraints",
                    "ce_payoff_region", "ce_violation", "mediator_sample",

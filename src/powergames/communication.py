@@ -64,7 +64,8 @@ from .model import (
 )
 from .simplex import LpProblem, make_problem
 
-# rows * (vars + rows) cap: beyond this a dense tableau solve is hours-scale
+# cap on the entries of the simplex data A_all, rows * (vars + rows) with a
+# surplus or artificial column per row; 12e6 float64 entries are 96 MB
 COMMEQ_TABLEAU_BUDGET = 12 * 10**6
 FORMULATIONS = ("literal", "canonical")   # incentive-constraint families
 TYPE_MODES = ("diagonal", "product")      # see build_type_space
@@ -267,7 +268,7 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
 
 def _check_budget(space: TypeSpace, family: GameFamily, formulation: str):
     """BudgetError when the master, before its first cut (one row per joint
-    type), needs too large a dense tableau."""
+    type), needs too large a simplex data ``A_all``."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
     n_x = space.joint_count * int(np.prod(family.dims))
@@ -275,14 +276,16 @@ def _check_budget(space: TypeSpace, family: GameFamily, formulation: str):
 
 
 def _check_tableau(formulation: str, n_rows: int, n_x: int):
-    """BudgetError when an LP of ``n_rows`` rows over ``n_x`` variables needs
-    more dense tableau entries than COMMEQ_TABLEAU_BUDGET; the master runs
-    this before each solve, as its cuts grow it."""
+    """BudgetError when an LP of ``n_rows`` rows over ``n_x`` variables has
+    more entries in its simplex data ``A_all``, rows x (columns + rows), than
+    COMMEQ_TABLEAU_BUDGET; the master runs this before each solve, as its
+    cuts grow it."""
     work = n_rows * (n_x + n_rows)
     if work > COMMEQ_TABLEAU_BUDGET:
         raise BudgetError(
             f"{formulation} communication LP with {n_x} variables and {n_rows} rows "
-            f"needs a {work}-entry dense tableau (budget {COMMEQ_TABLEAU_BUDGET}); "
+            f"needs {work} entries of simplex data, rows x (columns + rows) "
+            f"(budget {COMMEQ_TABLEAU_BUDGET}); "
             "shrink the action grid or the type space"
         )
 

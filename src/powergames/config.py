@@ -248,6 +248,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("channel.matrix: must be a players x players array")
     if channel.grid is not None and channel.grid.min > channel.grid.max:
         raise ConfigError("channel.grid.min: must not exceed channel.grid.max")
+    if cfg.types.min > cfg.types.max:
+        raise ConfigError("types.min: must not exceed types.max")
 
     return replace(cfg, power=power, types=replace(cfg.types, enabled="types" in raw))
 

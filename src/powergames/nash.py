@@ -1,30 +1,9 @@
 """Pure Nash enumeration and the 2x2 mixed-equilibrium closed form."""
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .model import PayoffTensor
-
-
-def best_response_set(i: int, others: Sequence[int], tensor: PayoffTensor) -> set[int]:
-    """Argmax actions of player i against ``others`` (actions of j != i, in
-    player order). Ties compare exactly on stored tensor values."""
-    k = tensor.players
-    if not 0 <= i < k:
-        raise IndexError("player index out of range")
-    if len(others) != k - 1:
-        raise ValueError("partial profile must list all other players")
-    idx = list(others)
-    for j, a in enumerate(idx):
-        d = tensor.dims[j if j < i else j + 1]
-        if not 0 <= a < d:
-            raise IndexError("action index out of range")
-    idx.insert(i, slice(None))
-    payoffs = tensor.player_payoffs(i)[tuple(idx)]
-    best = payoffs.max()
-    return set(int(a) for a in np.flatnonzero(payoffs == best))
 
 
 def enumerate_pure_nash(tensor: PayoffTensor) -> list[tuple[int, ...]]:

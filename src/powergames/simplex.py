@@ -1,9 +1,9 @@
 """Revised primal simplex for small linear programs.
 
-Problems are stated as ``max c.x`` over ``A_ge x >= b_ge``, ``A_eq x = b_eq``
-and per-variable bounds. The solver works on the standard-form reformulation
-(shifted/split variables, surplus columns, artificials for rows without an
-identity column) with a two-phase start.
+Problems have one shape: ``max c.x`` over ``x >= 0``, ``A_ge x >= b_ge`` and
+``A_eq x = b_eq``, as every LP over probabilities is. The solver adds a
+surplus column to each inequality row and an artificial to each row without
+an identity column, and starts in two phases.
 
 Pivoting: steepest-edge pricing with a Harris-style ratio test (largest pivot
 among near-tied rows, relative pivot floor). Long runs of degenerate pivots
@@ -44,7 +44,7 @@ columns go after the old rows and columns of ``A_all``; each new row
 enters with its surplus column basic, so the basis stays dual feasible.
 Dual simplex pivots then restore primal feasibility and primal phase 2
 handles the objective. A start is used once, and only
-when the problem passes an exact fit check (same variables, bounds and
+when the problem passes an exact fit check (same variables and
 equality rows, the old inequality rows an exact prefix of the new ones).
 The attempt is abandoned for the cold two-phase solve when the start does
 not fit, its basis matrix is singular, it spends more than
@@ -61,7 +61,6 @@ import numpy as np
 
 from .errors import SolverStallError
 
-INF = float("inf")
 # a warm start is abandoned after (rows + this many) pivots
 WARM_PIVOT_SLACK = 100
 # every solve's last dual pass lifts basic values below -CLEAN_TOL; clipping
@@ -75,17 +74,15 @@ PIV_ABS = 1e-11
 PIV_REL = 1e-9
 # consecutive degenerate pivots before perturbing (and, later, Bland's rule)
 STALL_THRESHOLD = 64
-# a solve stops after this many pivots per standard-form column and row
+# a solve stops after this many pivots per column and row of A_all
 PIVOT_CAP_FACTOR = 50
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """``max objective . x`` subject to rows and bounds.
-
-    ``ineq_rows`` entries mean ``coeffs . x >= rhs``; ``eq_rows`` entries mean
-    ``coeffs . x = rhs``. ``bounds[j]`` is ``(lo, hi)``, default ``(0, +inf)``.
-    """
+    """``max objective . x`` over ``x >= 0`` subject to rows: each
+    inequality row means ``coeffs . x >= rhs``, each equality row
+    ``coeffs . x = rhs``."""
 
     n: int
     objective: np.ndarray
@@ -93,8 +90,6 @@ class LpProblem:
     ineq_rhs: np.ndarray      # (m_ge,)
     eq_coeffs: np.ndarray     # (m_eq, n)
     eq_rhs: np.ndarray        # (m_eq,)
-    lo: np.ndarray            # (n,)
-    hi: np.ndarray            # (n,)
     name: str = "lp"
 
     def __post_init__(self):
@@ -114,17 +109,13 @@ class LpProblem:
                     self.eq_coeffs, self.eq_rhs):
             if arr.size and not np.isfinite(arr).all():
                 raise ValueError("coefficients must be finite")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lower bound exceeds upper bound")
-        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
-            raise ValueError("bounds must not be NaN")
 
     @property
     def row_count(self) -> int:
         return self.ineq_coeffs.shape[0] + self.eq_coeffs.shape[0]
 
 
-def make_problem(objective, ineq_rows=(), eq_rows=(), bounds=None, name="lp") -> LpProblem:
+def make_problem(objective, ineq_rows=(), eq_rows=(), *, name="lp") -> LpProblem:
     """Convenience constructor from (coeffs, rhs) pair lists."""
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
@@ -138,13 +129,7 @@ def make_problem(objective, ineq_rows=(), eq_rows=(), bounds=None, name="lp") ->
 
     a_ge, b_ge = split(list(ineq_rows))
     a_eq, b_eq = split(list(eq_rows))
-    lo = np.zeros(n)
-    hi = np.full(n, INF)
-    if bounds is not None:
-        for j, (l, h) in enumerate(bounds):
-            lo[j] = -INF if l is None else float(l)
-            hi[j] = INF if h is None else float(h)
-    return LpProblem(n, c, a_ge, b_ge, a_eq, b_eq, lo, hi, name)
+    return LpProblem(n, c, a_ge, b_ge, a_eq, b_eq, name)
 
 
 @dataclass(frozen=True)
@@ -159,62 +144,6 @@ class LpSolution:
     resident: Optional[Resident] = field(default=None, repr=False, compare=False)
 
 
-class _Standardized:
-    """The map of a problem's variables to standard form and back, and the
-    rows its finite ranges add; ``rows`` and ``costs`` restate the problem's
-    rows and objective over the standard-form variables."""
-
-    def __init__(self, prob: LpProblem):
-        n = prob.n
-        lo, hi = prob.lo, prob.hi
-        has_lo, has_hi = lo > -INF, hi < INF
-        # per-variable transform: 0 shift (x = lo + y), 1 mirror (x = hi - y),
-        # 2 split (x = y - y_extra)
-        self.kind = np.where(has_lo, 0, np.where(has_hi, 1, 2))
-        self.offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-        self.free = np.flatnonzero(self.kind == 2)
-        self.n = n
-        self.n_std = n + self.free.size
-        # residual finite ranges become -y_j >= -(hi - lo)
-        ranged = np.flatnonzero(has_lo & has_hi & (hi > lo))
-        fixed = np.flatnonzero(has_lo & (hi == lo))
-        bound_vars = np.concatenate([ranged, fixed])
-        self.bound_a = np.zeros((bound_vars.size, self.n_std))
-        self.bound_a[np.arange(bound_vars.size), bound_vars] = -1.0
-        self.bound_b = np.concatenate([-(hi[ranged] - lo[ranged]), np.zeros(fixed.size)])
-        self.c = self.costs(prob.objective)
-
-    def rows(self, coeffs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``coeffs . x (>=, =) rhs`` over the standard-form variables."""
-        n = self.n
-        if coeffs.shape[0] == 0:
-            return np.zeros((0, self.n_std)), rhs.copy()
-        out = np.zeros((coeffs.shape[0], self.n_std))
-        out[:, :n] = coeffs
-        new_rhs = rhs - coeffs @ self.offset
-        mirror = self.kind == 1
-        if mirror.any():
-            out[:, :n][:, mirror] *= -1.0
-        out[:, n:] = -coeffs[:, self.free]
-        return out, new_rhs
-
-    def costs(self, objective: np.ndarray) -> np.ndarray:
-        c = np.zeros(self.n_std)
-        c[:self.n] = objective
-        c[:self.n][self.kind == 1] *= -1.0
-        c[self.n:] = -objective[self.free]
-        return c
-
-    def map_back(self, y: np.ndarray) -> np.ndarray:
-        x = y[: self.n].copy()
-        shift, mirror = self.kind == 0, self.kind == 1
-        x[shift] = self.offset[shift] + x[shift]
-        x[mirror] = self.offset[mirror] - x[mirror]
-        # a free variable is exactly y[j] - y[n + k], so -0.0 stays -0.0
-        x[self.free] -= y[self.n:self.n_std]
-        return x
-
-
 def _pert_u(m: int) -> np.ndarray:
     """Per-row weights of the right-hand-side perturbation."""
     return (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
@@ -226,21 +155,17 @@ class _Tableau:
     which every row, column, basic value and reduced cost a pivot rule reads
     is computed.
 
-    Rows are the problem's inequality rows, the bound rows, then the
-    equality rows; columns the standard-form variables, one surplus per
-    inequality and bound row in row order, then the artificials. Rows that
-    ``extend`` appends, and their surplus columns, come after all of these."""
+    Rows are the problem's inequality rows, then its equality rows; columns
+    the problem's variables, one surplus per inequality row in row order,
+    then the artificials. Rows that ``extend`` appends, and their surplus
+    columns, come after all of these."""
 
-    def __init__(self, std: _Standardized, prob: LpProblem):
-        self.std = std
-        n = std.n_std
-        a_ge, b_ge = std.rows(prob.ineq_coeffs, prob.ineq_rhs)
-        a_eq, b_eq = std.rows(prob.eq_coeffs, prob.eq_rhs)
-        rows = np.vstack([a_ge, std.bound_a, a_eq])
-        b = np.concatenate([b_ge, std.bound_b, b_eq])
-        self.m_ineq = a_ge.shape[0]
-        m_ge = self.m_ineq + std.bound_b.size
-        m = m_ge + a_eq.shape[0]
+    def __init__(self, prob: LpProblem):
+        n = prob.n
+        rows = np.vstack([prob.ineq_coeffs, prob.eq_coeffs])
+        b = np.concatenate([prob.ineq_rhs, prob.eq_rhs])
+        self.m_ineq = m_ge = prob.ineq_coeffs.shape[0]
+        m = rows.shape[0]
         sur_sign = np.zeros(m)
         sur_sign[:m_ge] = -1.0
         flip = b < 0
@@ -279,7 +204,7 @@ class _Tableau:
         # cost rows, minimized: the phase-2 objective and the phase-1 sum of
         # artificials
         self.d2 = np.zeros(N)
-        self.d2[:n] = -std.c
+        self.d2[:n] = -prob.objective
         self.d1 = np.zeros(N)
         self.d1[n + m_ge:] = 1.0
         self.allowed = np.ones(N, dtype=bool)
@@ -374,11 +299,11 @@ class _Tableau:
         return out
 
     def extend(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-        """Continue from this basis for the problem with standard-form rows
-        ``a . y >= b`` after the inequality rows and costs ``c``. The rows
-        and their surplus columns are appended to A_all. Each new row is
-        flipped as __init__ flips rows and enters with its surplus column
-        basic, so a negative rhs marks a violated row."""
+        """Continue from this basis for the problem with rows ``a . x >= b``
+        after the inequality rows and costs ``c``. The rows and their
+        surplus columns are appended to A_all. Each new row is flipped as
+        __init__ flips rows and enters with its surplus column basic, so a
+        negative rhs marks a violated row."""
         k, m, N = b.size, self.m, self.N
         if k:
             new_rows, new_cols = m + np.arange(k), N + np.arange(k)
@@ -571,11 +496,10 @@ class Resident:
 
 
 def _extends(old: LpProblem, new: LpProblem) -> bool:
-    """True when ``new`` has ``old``'s variables, bounds and equality rows,
-    and ``old``'s inequality rows as an exact prefix of its own."""
+    """True when ``new`` has ``old``'s variables and equality rows, and
+    ``old``'s inequality rows as an exact prefix of its own."""
     m = old.ineq_coeffs.shape[0]
     return (new.n == old.n and new.ineq_coeffs.shape[0] >= m
-            and np.array_equal(new.lo, old.lo) and np.array_equal(new.hi, old.hi)
             and np.array_equal(new.eq_coeffs, old.eq_coeffs)
             and np.array_equal(new.eq_rhs, old.eq_rhs)
             and np.array_equal(new.ineq_coeffs[:m], old.ineq_coeffs)
@@ -605,7 +529,7 @@ def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
 
 
 def _solve_cold(problem: LpProblem) -> LpSolution:
-    tab = _Tableau(_Standardized(problem), problem)
+    tab = _Tableau(problem)
     tab.refactor()
     if tab.n_art:
         tab.crash()
@@ -631,10 +555,9 @@ def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None,
     if tab is None:
         return None, 0
     tab.iters = 0
-    std = tab.std
     try:
-        tab.extend(*std.rows(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:]),
-                   std.costs(problem.objective))
+        tab.extend(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:],
+                   problem.objective)
         tab.max_iter = tab.m + WARM_PIVOT_SLACK
         if tab.dual_simplex(FEAS_TOL) and tab.run_phase(2) == "optimal":
             return _optimal(problem, tab), tab.iters
@@ -648,7 +571,7 @@ def _optimal(problem: LpProblem, tab: _Tableau) -> LpSolution:
     tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
     y = np.zeros(tab.N)
     y[tab.basis] = np.maximum(tab.xb, 0.0)
-    x = tab.std.map_back(y[: tab.std.n_std])
+    x = y[: tab.n_struct]
     _certify(problem, x, FEAS_TOL)
     return LpSolution("optimal", x, float(problem.objective @ x), tab.iters,
                       Resident(problem, tab))
@@ -672,10 +595,8 @@ def _certify(prob: LpProblem, x: np.ndarray, tol: float):
         off = resid > tol
         if off.any() and (resid[off] / scale(prob.eq_coeffs[off]) > tol).any():
             raise SolverStallError("optimal point failed equality certification")
-    lo_ok = x >= np.where(np.isfinite(prob.lo), prob.lo - tol * np.maximum(1, np.abs(prob.lo)), -INF)
-    hi_ok = x <= np.where(np.isfinite(prob.hi), prob.hi + tol * np.maximum(1, np.abs(prob.hi)), INF)
-    if not (lo_ok.all() and hi_ok.all()):
-        raise SolverStallError("optimal point failed bound certification")
+    if (x < -tol).any():
+        raise SolverStallError("optimal point failed nonnegativity certification")
 
 
 def dump_problem(problem: LpProblem) -> str:
@@ -713,19 +634,7 @@ def dump_problem(problem: LpProblem) -> str:
     for r in range(problem.eq_coeffs.shape[0]):
         if problem.eq_rhs[r] != 0.0:
             lines.append(f"    RHS       E{r + 1:07d}  {val(problem.eq_rhs[r])}")
+    # every variable is x >= 0, the default, which takes no entry
     lines.append("BOUNDS")
-    for j in range(problem.n):
-        name = f"X{j + 1:07d}"
-        lo, hi = problem.lo[j], problem.hi[j]
-        if lo == -INF and hi == INF:
-            lines.append(f" FR BND       {name}")
-            continue
-        if lo != 0.0:
-            if lo == -INF:
-                lines.append(f" MI BND       {name}")
-            else:
-                lines.append(f" LO BND       {name}  {val(lo)}")
-        if hi < INF:
-            lines.append(f" UP BND       {name}  {val(hi)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

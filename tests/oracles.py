@@ -55,6 +55,64 @@ def pure_nash_reference(values):
     return result
 
 
+def best_response_set(i, others, tensor):
+    """Argmax actions of player i against ``others`` (actions of j != i, in
+    player order). Ties compare exactly on stored tensor values."""
+    k = tensor.players
+    if not 0 <= i < k:
+        raise IndexError("player index out of range")
+    if len(others) != k - 1:
+        raise ValueError("partial profile must list all other players")
+    idx = list(others)
+    for j, a in enumerate(idx):
+        d = tensor.dims[j if j < i else j + 1]
+        if not 0 <= a < d:
+            raise IndexError("action index out of range")
+    idx.insert(i, slice(None))
+    payoffs = tensor.player_payoffs(i)[tuple(idx)]
+    best = payoffs.max()
+    return set(int(a) for a in np.flatnonzero(payoffs == best))
+
+
+def polygon_contains(polygon, point, tol=1e-7):
+    """Point-in-convex-polygon with absolute slack ``tol``.
+
+    Accepts degenerate polygons (one point, a segment).
+    """
+    x, y = float(point[0]), float(point[1])
+    verts = [(float(p[0]), float(p[1])) for p in polygon]
+    if not verts:
+        return False
+    if len(verts) == 1:
+        # by multiplication: a float ``** 2`` raises OverflowError where a
+        # product goes to inf
+        dx, dy = x - verts[0][0], y - verts[0][1]
+        return dx * dx + dy * dy <= tol * tol
+    if len(verts) == 2:
+        return _segment_distance(verts[0], verts[1], (x, y)) <= tol
+    n = len(verts)
+    for k in range(n):
+        ax, ay = verts[k]
+        bx, by = verts[(k + 1) % n]
+        cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        edge = max(abs(bx - ax), abs(by - ay), 1.0)
+        if cross < -tol * edge:
+            return False
+    return True
+
+
+def _segment_distance(a, b, p):
+    av = np.asarray(a)
+    bv = np.asarray(b)
+    pv = np.asarray(p)
+    d = bv - av
+    denom = float(d @ d)
+    if denom == 0.0:
+        return float(np.hypot(*(pv - av)))
+    t = float(np.clip((pv - av) @ d / denom, 0.0, 1.0))
+    return float(np.hypot(*(pv - (av + t * d))))
+
+
 def ce_gain_reference(values, probs):
     """Worst deviation gain of a joint distribution, by explicit loops."""
     k = values.shape[0]
@@ -160,6 +218,18 @@ def random_bounded_lp(rng):
         eq = np.zeros((0, n))
         eb = np.zeros(0)
     return c, a, b, eq, eb, lo, hi
+
+
+def shifted_box_lp(c, a, b, eq, eb, lo, hi):
+    """A ``random_bounded_lp`` box LP over y = x - lo >= 0: the rows
+    ``a y >= b - a lo``, then ``-y >= -(hi - lo)``, and ``eq y = eb - eq lo``.
+    Its optimum is x = y + lo, of value ``c y + c lo``."""
+    from powergames.simplex import make_problem
+
+    ge = np.vstack([a, np.diag(-np.ones(c.shape[0]))])
+    ge_rhs = np.concatenate([b - a @ lo, -(hi - lo)])
+    return make_problem(c, ineq_rows=list(zip(ge, ge_rhs)),
+                        eq_rows=list(zip(eq, eb - eq @ lo)))
 
 
 def random_tensor(rng, dims, spread=2.0):

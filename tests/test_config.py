@@ -98,6 +98,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel.grid.min"):
             parse_config({"channel": {"grid": {"min": 3.0, "max": 0.01}}})
 
+    def test_types_inverted(self):
+        raw = self.base()
+        raw["types"] = {"min": 3.0, "max": 0.5}
+        with pytest.raises(ConfigError, match="types.min: must not exceed types.max"):
+            parse_config(raw)
+        # a single type point is fine
+        raw["types"] = {"min": 0.5, "max": 0.5, "points": 1}
+        assert parse_config(raw).types.min == 0.5
+
     def test_bad_sweep_mode(self):
         with pytest.raises(ConfigError, match="channel.sweep.mode"):
             parse_config({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]],

@@ -11,7 +11,7 @@ from powergames.correlated import (
     solve_directional_ce,
     solve_welfare_ce,
 )
-from powergames.geometry import convex_hull_ccw, polygon_contains
+from powergames.geometry import convex_hull_ccw
 from powergames.model import (
     ChannelMatrix,
     GameInstance,
@@ -20,7 +20,7 @@ from powergames.model import (
     build_power_grid,
 )
 from powergames.nash import enumerate_pure_nash
-from oracles import ce_gain_reference, random_tensor
+from oracles import ce_gain_reference, polygon_contains, random_tensor
 from test_nash import CHICKEN, DOMINANT, MATCHING_PENNIES, tensor_from
 
 

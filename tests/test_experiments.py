@@ -15,7 +15,7 @@ from powergames.experiments import (
     run_equilibrium_sweep,
     single_game_tensor,
 )
-from powergames.geometry import polygon_contains
+from oracles import polygon_contains
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 

@@ -3,8 +3,8 @@ import pytest
 
 from powergames.correlated import JointDistribution, ce_violation
 from powergames.model import PayoffTensor
-from powergames.nash import best_response_set, enumerate_pure_nash, mixed_nash_2x2
-from oracles import pure_nash_reference, random_tensor
+from powergames.nash import enumerate_pure_nash, mixed_nash_2x2
+from oracles import best_response_set, pure_nash_reference, random_tensor
 
 
 def tensor_from(values) -> PayoffTensor:

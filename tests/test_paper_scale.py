@@ -60,7 +60,7 @@ def test_25_level_region_support():
 
 
 def test_canonical_commeq_at_paper_scale():
-    # the 25-level canonical family once exceeded the dense tableau budget
+    # the 25-level canonical family once exceeded the budget on its simplex data
     cfg = load_config(PAPER_CONFIG)
     family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
     res = solve_commeq(types_from_config(cfg), family, "canonical")

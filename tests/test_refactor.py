@@ -1,8 +1,8 @@
 """Tableau internals: the basic values, reduced costs, rows and columns
 computed from the slack-aware kernel factorization, fresh and after rows are
 appended to a resident tableau, the dual-simplex repair after a dropped
-perturbation and the vectorized standard-form set-up, each against a direct
-dense or loop reference written here."""
+perturbation and the vectorized tableau set-up, each against a direct dense
+or loop reference written here."""
 from dataclasses import replace
 
 import numpy as np
@@ -14,13 +14,13 @@ from powergames.correlated import build_ce_constraints
 from powergames.errors import SolverStallError
 from powergames.model import (ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor,
                               build_power_grid)
-from powergames.simplex import INF, make_problem, solve_lp
+from powergames.simplex import make_problem, solve_lp
 from oracles import first_rows, random_tensor, unit_max_rows
 
 
 def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):
-    """Inequality rows of both signs of rhs, equality rows, and one variable
-    of each bound kind: ranged, fixed, mirrored (upper bound only), free."""
+    """Inequality rows of both signs of rhs and one of zero rhs, and equality
+    rows; column ``zero_col``, when given, is zero in every row."""
     a = rng.normal(size=(m_ge, n))
     b = rng.normal(size=m_ge)
     b[:1] = 0.0
@@ -29,17 +29,12 @@ def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):
     if zero_col is not None:
         a[:, zero_col] = 0.0
         eq[:, zero_col] = 0.0
-    bounds = [(0.0, None)] * n
-    bounds[1] = (-1.0, 2.0)     # ranged
-    bounds[2] = (0.5, 0.5)      # fixed
-    bounds[3] = (None, 3.0)     # mirrored
-    bounds[4] = (None, None)    # free
     return make_problem(rng.normal(size=n), [(a[r], b[r]) for r in range(m_ge)],
-                        [(eq[r], eb[r]) for r in range(m_eq)], bounds)
+                        [(eq[r], eb[r]) for r in range(m_eq)])
 
 
 def tableau(prob):
-    return simplex._Tableau(simplex._Standardized(prob), prob)
+    return simplex._Tableau(prob)
 
 
 def unit_columns(tab):
@@ -209,55 +204,11 @@ class TestDualRepair:
         assert len(calls) >= 1
 
 
-def standardized_reference(prob):
-    """The per-variable loops the vectorized set-up replaced."""
-    n, lo, hi = prob.n, prob.lo, prob.hi
-    kind, offset, free = np.empty(n, dtype=int), np.zeros(n), []
-    for j in range(n):
-        if lo[j] > -INF:
-            kind[j], offset[j] = 0, lo[j]
-        elif hi[j] < INF:
-            kind[j], offset[j] = 1, hi[j]
-        else:
-            kind[j] = 2
-            free.append(j)
-    ranged = [j for j in range(n) if lo[j] > -INF and hi[j] < INF and hi[j] > lo[j]]
-    fixed = [j for j in range(n) if lo[j] > -INF and hi[j] == lo[j]]
-    n_std = n + len(free)
-    c = np.zeros(n_std)
-    for j in range(n):
-        c[j] = -prob.objective[j] if kind[j] == 1 else prob.objective[j]
-    for k, j in enumerate(free):
-        c[n + k] = -prob.objective[j]
-    extra = np.zeros((len(ranged) + len(fixed), n_std))
-    extra_rhs = []
-    for k, j in enumerate(ranged + fixed):
-        extra[k, j] = -1.0
-        extra_rhs.append(-(hi[j] - lo[j]) if j in ranged else 0.0)
-    return kind, offset, free, c, extra, np.asarray(extra_rhs)
-
-
-def map_back_reference(std, y):
-    x = np.empty(std.n)
-    for j in range(std.n):
-        if std.kind[j] == 0:
-            x[j] = std.offset[j] + y[j]
-        elif std.kind[j] == 1:
-            x[j] = std.offset[j] - y[j]
-        else:
-            x[j] = y[j]
-    for k, j in enumerate(std.free):
-        x[j] -= y[std.n + k]
-    return x
-
-
-def tableau_reference(std, prob):
+def tableau_reference(prob):
     """Row flips, starting basis and artificial columns, one row at a time."""
-    a_ge, b_ge = std.rows(prob.ineq_coeffs, prob.ineq_rhs)
-    a_eq, b_eq = std.rows(prob.eq_coeffs, prob.eq_rhs)
-    a = np.vstack([a_ge, std.bound_a, a_eq])
-    b = np.concatenate([b_ge, std.bound_b, b_eq])
-    m, m_ge, n = a.shape[0], a_ge.shape[0] + std.bound_b.size, std.n_std
+    a = np.vstack([prob.ineq_coeffs, prob.eq_coeffs])
+    b = np.concatenate([prob.ineq_rhs, prob.eq_rhs])
+    m, m_ge, n = a.shape[0], prob.ineq_coeffs.shape[0], prob.n
     sur_sign = np.where(np.arange(m) < m_ge, -1.0, 0.0)
     for r in range(m):
         if b[r] < 0 or (r < m_ge and b[r] <= 0):
@@ -291,44 +242,21 @@ class TestVectorizedSetUp:
         yield mixed_problem(rng)
         yield mixed_problem(rng, m_eq=0)
         yield mixed_problem(rng, m_ge=0)
-        # bounds only, in every kind, and a negative zero bound
-        yield make_problem([1.0, -2.0, 0.5, 3.0], bounds=[(-0.0, 1.0), (None, -0.0),
-                                                          (None, None), (2.0, 2.0)])
+        # no rows at all
+        yield make_problem([1.0, -2.0, 0.5, 3.0])
         for _ in range(20):
             yield mixed_problem(rng, n=int(rng.integers(5, 12)), m_ge=int(rng.integers(0, 6)),
                                 m_eq=int(rng.integers(0, 3)))
 
-    def test_standardized_matches_loops(self):
-        for prob in self.problems():
-            std = simplex._Standardized(prob)
-            kind, offset, free, c, extra, extra_rhs = standardized_reference(prob)
-            assert same_bytes(std.kind, kind) and same_bytes(std.offset, offset)
-            assert std.free.tolist() == free
-            assert same_bytes(std.c, c)
-            assert same_bytes(std.bound_a, extra)
-            assert same_bytes(std.bound_b, extra_rhs.reshape(-1))
-
-    def test_map_back_matches_loop(self):
-        rng = np.random.default_rng(3)
-        for prob in self.problems():
-            std = simplex._Standardized(prob)
-            for y in (rng.normal(size=std.n_std), np.full(std.n_std, -0.0),
-                      np.zeros(std.n_std)):
-                assert same_bytes(std.map_back(y), map_back_reference(std, y))
-        # a free variable maps back to y[j] - y[n + k]: -0.0 - 0.0 stays -0.0
-        std = simplex._Standardized(make_problem([1.0], bounds=[(None, None)]))
-        assert np.signbit(std.map_back(np.array([-0.0, 0.0]))[0])
-
     def test_tableau_matches_loops(self):
         for prob in self.problems():
-            std = simplex._Standardized(prob)
-            tab = simplex._Tableau(std, prob)
-            a_all, b, basis, art_of_row = tableau_reference(std, prob)
+            tab = tableau(prob)
+            a_all, b, basis, art_of_row = tableau_reference(prob)
             assert same_bytes(tab.A_all, a_all) and same_bytes(tab.b_true, b)
             assert same_bytes(tab.basis, basis) and tab.n_art == len(art_of_row)
             for col in range(tab.N):
                 rows = np.flatnonzero(a_all[:, col])
-                if col < std.n_std:
+                if col < prob.n:
                     assert tab.unit_row[col] == -1
                 else:
                     assert rows.tolist() == [tab.unit_row[col]]
@@ -347,9 +275,7 @@ class TestAppendedRows:
         assert sol.status == "optimal"
         tab = sol.resident.take(bigger)
         old_basis, old_n = tab.basis.copy(), tab.N
-        std = tab.std
-        tab.extend(*std.rows(bigger.ineq_coeffs[m:], bigger.ineq_rhs[m:]),
-                   std.costs(bigger.objective))
+        tab.extend(bigger.ineq_coeffs[m:], bigger.ineq_rhs[m:], bigger.objective)
         # the old basis, then the new surplus columns, appended
         assert tab.basis.tolist() == old_basis.tolist() + list(range(old_n, old_n + k))
         assert (tab.unit_row[old_n:] == np.arange(tab.m - k, tab.m)).all()

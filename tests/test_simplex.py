@@ -4,11 +4,11 @@ import pytest
 from powergames import simplex
 from powergames.errors import SolverStallError
 from powergames.simplex import dump_problem, make_problem, solve_lp
-from oracles import lp_vertex_reference, random_bounded_lp
+from oracles import lp_vertex_reference, random_bounded_lp, shifted_box_lp
 
 
-def solve(objective, ineq=(), eq=(), bounds=None):
-    return solve_lp(make_problem(objective, ineq, eq, bounds))
+def solve(objective, ineq=(), eq=()):
+    return solve_lp(make_problem(objective, ineq, eq))
 
 
 class TestBasics:
@@ -35,25 +35,14 @@ class TestBasics:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
-    def test_bounds_only(self):
-        sol = solve([-1.0, 2.0], bounds=[(0.5, 2.0), (-1.0, 3.0)])
-        assert sol.status == "optimal"
-        assert sol.x[0] == pytest.approx(0.5, abs=1e-9)
-        assert sol.x[1] == pytest.approx(3.0, abs=1e-9)
-
-    def test_free_variable(self):
-        # max -|ish| via free var pushed negative: max -x, x free, x >= -3 as a row
-        sol = solve([-1.0], ineq=[([1.0], -3.0)], bounds=[(None, None)])
-        assert sol.status == "optimal"
-        assert sol.x[0] == pytest.approx(-3.0, abs=1e-9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             make_problem([1.0, np.inf])
         with pytest.raises(ValueError):
             make_problem([1.0], ineq_rows=[([1.0, 2.0], 0.0)])
-        with pytest.raises(ValueError):
-            make_problem([1.0], bounds=[(2.0, 1.0)])
+        # the name is keyword-only, so a stale positional bounds list fails
+        with pytest.raises(TypeError):
+            make_problem([1.0], [], [], [(0.0, 1.0)])
 
 
 class TestAgainstVertexEnumeration:
@@ -61,37 +50,26 @@ class TestAgainstVertexEnumeration:
         rng = np.random.default_rng(42)
         for k in range(60):
             c, a, b, eq, eb, lo, hi = random_bounded_lp(rng)
-            prob = make_problem(
-                c,
-                ineq_rows=[(a[r], b[r]) for r in range(a.shape[0])],
-                eq_rows=[(eq[r], eb[r]) for r in range(eq.shape[0])],
-                bounds=list(zip(lo, hi)),
-            )
-            sol = solve_lp(prob)
+            sol = solve_lp(shifted_box_lp(c, a, b, eq, eb, lo, hi))
             status, value = lp_vertex_reference(c, a, b, eq, eb, lo, hi)
             assert sol.status == status, f"case {k}"
             if status == "optimal":
-                assert sol.objective_value == pytest.approx(value, abs=1e-8), f"case {k}"
+                assert sol.objective_value + c @ lo == pytest.approx(value, abs=1e-8), f"case {k}"
 
     def test_feasibility_certificate(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             c, a, b, eq, eb, lo, hi = random_bounded_lp(rng)
-            sol = solve_lp(make_problem(
-                c,
-                ineq_rows=[(a[r], b[r]) for r in range(a.shape[0])],
-                eq_rows=[(eq[r], eb[r]) for r in range(eq.shape[0])],
-                bounds=list(zip(lo, hi)),
-            ))
+            sol = solve_lp(shifted_box_lp(c, a, b, eq, eb, lo, hi))
             if sol.status != "optimal":
                 continue
-            x = sol.x
+            x = sol.x + lo
             scale = np.maximum(1.0, np.abs(a).max(axis=1))
             assert ((a @ x - b) / scale >= -1e-9).all()
             if eq.shape[0]:
                 assert (np.abs(eq @ x - eb) <= 1e-9 * np.maximum(1.0, np.abs(eb))).all()
             assert (x >= lo - 1e-9).all() and (x <= hi + 1e-9).all()
-            assert sol.objective_value == pytest.approx(float(c @ x), rel=1e-9, abs=1e-12)
+            assert sol.objective_value + c @ lo == pytest.approx(float(c @ x), rel=1e-9, abs=1e-12)
 
 
 class TestDegeneracy:
@@ -127,13 +105,7 @@ class TestDegeneracy:
 class TestDeterminism:
     def test_identical_runs(self):
         rng = np.random.default_rng(17)
-        c, a, b, eq, eb, lo, hi = random_bounded_lp(rng)
-        prob = make_problem(
-            c,
-            ineq_rows=[(a[r], b[r]) for r in range(a.shape[0])],
-            eq_rows=[(eq[r], eb[r]) for r in range(eq.shape[0])],
-            bounds=list(zip(lo, hi)),
-        )
+        prob = shifted_box_lp(*random_bounded_lp(rng))
         s1 = solve_lp(prob)
         s2 = solve_lp(prob)
         assert s1.status == s2.status
@@ -150,10 +122,10 @@ class TestStall:
         a = rng.normal(size=(40, n))
         x0 = rng.uniform(0.2, 1.0, n)
         b = a @ x0 - rng.uniform(0.1, 1.0, 40)
+        box = [(-e, -2.0) for e in np.eye(n)]  # x <= 2
         monkeypatch.setattr(simplex, "PIVOT_CAP_FACTOR", 0)  # no pivot allowed
         with pytest.raises(SolverStallError, match="exceeded 0 pivots"):
-            solve(rng.normal(size=n), ineq=[(a[r], b[r]) for r in range(40)],
-                  bounds=[(0.0, 2.0)] * n)
+            solve(rng.normal(size=n), ineq=[(a[r], b[r]) for r in range(40)] + box)
 
 
 class TestDump:
@@ -162,7 +134,6 @@ class TestDump:
             [1.0, -0.25],
             ineq_rows=[([2.0, 0.0], 1.0)],
             eq_rows=[([1.0, 1.0], 1.0)],
-            bounds=[(0.0, 1.0), (None, None)],
             name="demo",
         )
         expected = (
@@ -182,8 +153,26 @@ class TestDump:
             "    RHS       R0000001  +1.00000000000000000e+00\n"
             "    RHS       E0000001  +1.00000000000000000e+00\n"
             "BOUNDS\n"
-            " UP BND       X0000001  +1.00000000000000000e+00\n"
-            " FR BND       X0000002\n"
             "ENDATA\n"
         )
         assert dump_problem(prob) == expected
+
+
+class TestCertify:
+    """The feasibility check of every claimed optimum, called directly, on
+    unit-scale rows: x0 >= 0.25 and x0 + x1 = 1."""
+
+    PROB = make_problem([1.0, 1.0], ineq_rows=[([1.0, 0.0], 0.25)], eq_rows=[([1.0, 1.0], 1.0)])
+    TOL = simplex.FEAS_TOL
+
+    def test_within_tolerance_passes(self):
+        simplex._certify(self.PROB, np.array([1.0 + self.TOL / 2, -self.TOL / 2]), self.TOL)
+
+    @pytest.mark.parametrize("x, failed", [
+        ([1.0 + 2 * TOL, -2 * TOL], "nonnegativity"),
+        ([0.5, 0.5 + 2 * TOL], "equality"),
+        ([0.25 - 2 * TOL, 0.75 + 2 * TOL], "inequality"),
+    ], ids=["negative-entry", "equality-residual", "inequality-residual"])
+    def test_violation_fails(self, x, failed):
+        with pytest.raises(SolverStallError, match=f"failed {failed} certification"):
+            simplex._certify(self.PROB, np.array(x), self.TOL)
