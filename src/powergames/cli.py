@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 stdout closed before the output was written, 2
-configuration error, 3 memory-budget error (a ``BudgetError``, or running
-out of memory), 4 LP solve without a certified answer
-(``SolverStallError``). The POWERGAMES_LOG environment variable sets
-the log level (e.g. DEBUG, INFO), and an unknown level exits 2; there is no
-logging flag.
+configuration error (an output path that cannot be written among them), 3
+memory-budget error (a ``BudgetError``, or running out of memory), 4 LP
+solve without a certified answer (``SolverStallError``). The POWERGAMES_LOG
+environment variable sets the log level (e.g. DEBUG, INFO), and an unknown
+level exits 2; there is no logging flag.
 """
 from __future__ import annotations
 

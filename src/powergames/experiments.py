@@ -139,8 +139,29 @@ def write_csv(path, meta: dict, header, rows) -> str:
     lines.append(",".join(header))
     lines += [",".join(map(_cell, row)) for row in rows]
     text = "\n".join(lines) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(path, text)
     return text
+
+
+def _write_text(path, text: str):
+    """Write ``text`` to ``path``; a path that cannot be written is a
+    ConfigError naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+
+
+def _out_dir(path) -> Path:
+    """Create the output directory ``path``; one that cannot be made is a
+    ConfigError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        msg = f"cannot create directory {str(path)!r}: {exc.strerror or exc}"
+        raise ConfigError(msg) from None
+    return out
 
 
 def emit_json(payload: dict, path=None):
@@ -149,7 +170,7 @@ def emit_json(payload: dict, path=None):
     stdout raises here."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        _write_text(path, text + "\n")
     else:
         print(text, flush=True)
 
@@ -381,17 +402,16 @@ def run_equilibrium_sweep(cfg: ExperimentConfig, force_enumerate: bool = False,
                           workers: int | None = None, out_dir=None) -> dict:
     """Full sweep per config: channel-state section when the channel is a
     grid, action-set section when a type space is configured. Writes
-    sweep.json plus one CSV per section."""
+    sweep.json plus one CSV per section, to a directory made before any
+    solve."""
+    if cfg.channel.grid is None and not cfg.types.enabled:
+        raise ConfigError("sweep: config has neither a channel grid nor types")
+    out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
     report = {"meta": metadata(cfg)}
     if cfg.channel.grid is not None:
         report["channel_sweep"] = run_channel_sweep(cfg, force_enumerate, workers)
     if cfg.types.enabled:
         report["action_sweep"] = run_action_sweep(cfg)
-    if "channel_sweep" not in report and "action_sweep" not in report:
-        raise ConfigError("sweep: config has neither a channel grid nor types")
-
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     emit_json(report, out / "sweep.json")
     if "channel_sweep" in report:
         columns = ["state", "n_pure_ne", "best_ne_welfare", "ce_welfare", "ce_violation"]
@@ -427,10 +447,12 @@ def sweep_summary(report: dict) -> dict:
 def export_regions(cfg: ExperimentConfig, out_dir=None,
                    directions: int | None = None) -> dict:
     """Three CSVs for a 2-player game: feasible payoff hull, CE payoff
-    polygon, NE payoff points; plus a manifest with checksums."""
+    polygon, NE payoff points; plus a manifest with checksums. The output
+    directory is made before any solve."""
     if cfg.players != 2:
         raise ConfigError("region export is limited to 2-player games")
     tensor = single_game_tensor(cfg)
+    out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
     d = directions if directions is not None else cfg.solver.directions
 
     feasible = convex_hull_ccw(zip(tensor.flat(0).tolist(), tensor.flat(1).tolist()))
@@ -444,8 +466,6 @@ def export_regions(cfg: ExperimentConfig, out_dir=None,
                 ne_rows.append((payoffs[0], payoffs[1], "mixed"))
 
     meta = metadata(cfg, directions=d)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     files = {
         name: write_csv(out / name, meta, header, rows)

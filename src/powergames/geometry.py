@@ -36,7 +36,7 @@ def convex_hull_ccw(points) -> list[tuple[float, float]]:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 3 else pts[:1] if len(pts) == 1 else [pts[0], pts[-1]]
+    return hull if len(hull) >= 3 else [pts[0], pts[-1]]
 
 
 def _square_distance(p, q) -> float:

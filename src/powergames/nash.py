@@ -20,7 +20,8 @@ def enumerate_pure_nash(tensor: PayoffTensor) -> list[tuple[int, ...]]:
 
 def mixed_nash_2x2(tensor: PayoffTensor):
     """All equilibria of a 2x2 game: pure NE plus the interior indifference
-    point when it exists. Only intended as a test/plot oracle.
+    point when it exists. The ``nash`` command and the region export emit
+    these for 2x2 games.
 
     Returns a list of ``((p0, p1), (u0, u1))`` where ``p_i`` is player i's
     mixed strategy and ``u_i`` its expected payoff. Games with a degenerate

@@ -5,8 +5,10 @@ Problems have one shape: ``max c.x`` over ``x >= 0``, ``A_ge x >= b_ge`` and
 surplus column to each inequality row and an artificial to each row without
 an identity column, and starts in two phases.
 
-Pivoting: steepest-edge pricing with a Harris-style ratio test (largest pivot
-among near-tied rows, relative pivot floor). Long runs of degenerate pivots
+Pivoting: the entering column has the most negative reduced cost (Dantzig's
+rule; in phase 1, ties go to the best phase-2 reduced cost), and a
+Harris-style ratio test picks its row (largest pivot among near-tied rows,
+relative pivot floor). Long runs of degenerate pivots
 trigger a deterministic right-hand-side perturbation in the current basis
 frame and, as a last resort, Bland's rule. Dropping the perturbation is
 followed by a dual simplex repair, the same dual simplex that warm starts
@@ -26,8 +28,7 @@ substitution. With k kernel columns, m rows and N columns:
 - reduced costs: the duals from one product with K^-1 and the basic unit
   costs, then y A_all over the free rows (and, in phase 1, the rows of
   basic artificials), O(kN);
-- columns of B^-1 A_all: the entering column for the ratio test, and the
-  block of every candidate for the exact steepest-edge norms, O(mk) each;
+- the entering column of B^-1 A_all, for the ratio test, O(mk);
 - rows of B^-1 A_all: the infeasible rows in one block for the dual
   simplex's normalized leaving row and its Harris test, O(kN) each.
 
@@ -211,7 +212,6 @@ class _Tableau:
         self.iters = 0
         self.max_iter = PIVOT_CAP_FACTOR * (N + m)
         self._K = self._K_inv = np.zeros((0, 0))
-        self._entered = None
 
     def refactor(self) -> float:
         """Factorize the basis (see the module docstring) and compute its
@@ -242,7 +242,6 @@ class _Tableau:
                 raise SolverStallError("singular basis: its kernel is singular") from None
             self._K = K
         self._rc = [None, None]
-        self._entered = None
         return self._values()
 
     def _ftran(self, v_free: np.ndarray, v_unit: np.ndarray) -> np.ndarray:
@@ -345,10 +344,7 @@ class _Tableau:
             return -1
         if bland:
             return int(cand[0])
-        if cand.size == 1:
-            return int(cand[0])
-        cols = self.columns(cand)
-        score = rc[cand] / np.sqrt(1.0 + np.einsum("ij,ij->j", cols, cols))
+        score = rc[cand]
         best = score.min()
         # best itself is within: best * (1 - 1e-12) >= best, as best < 0
         near = (score <= best * (1 - 1e-12)).nonzero()[0]
@@ -356,15 +352,10 @@ class _Tableau:
         if phase == 1 and near.size > 1:
             # toward the eventual phase-2 objective among equally good columns
             i = near[np.argmin(self.reduced_costs(0)[cand[near]])]
-        # the ratio test reads this column next
-        self._entered = (int(cand[i]), cols[:, i])
         return int(cand[i])
 
     def ratio_row(self, q: int, bland: bool) -> tuple[int, float]:
-        if self._entered is not None and self._entered[0] == q:
-            col = self._entered[1]
-        else:
-            col = self.columns(np.array([q]))[:, 0]
+        col = self.columns(np.array([q]))[:, 0]
         floor = max(PIV_ABS, PIV_REL * float(np.abs(col).max(initial=0.0)))
         pos = col > floor
         if not pos.any():
@@ -459,24 +450,6 @@ class _Tableau:
                 return "optimal"
         raise SolverStallError(f"phase {phase} failed to certify a verdict")
 
-    def crash(self):
-        """Opening pivot whose ratio test can exit on a positive-rhs row."""
-        cand = (self.allowed & (self.reduced_costs(1) < -OPT_TOL)).nonzero()[0]
-        if cand.size == 0:
-            return
-        zero_rows = self.xb <= 1e-12
-        if zero_rows.any():
-            blocked = (self.columns(cand)[zero_rows] > PIV_ABS).any(axis=0)
-            good = cand[~blocked]
-        else:
-            good = cand
-        if good.size == 0:
-            return
-        q = int(good[np.argmin(self.reduced_costs(0)[good])])
-        r, _ = self.ratio_row(q, False)
-        if r >= 0:
-            self.pivot_at(r, q)
-
 
 class Resident:
     """The final basis of an optimal solve, with its data (a ``_Tableau``),
@@ -532,7 +505,6 @@ def _solve_cold(problem: LpProblem) -> LpSolution:
     tab = _Tableau(problem)
     tab.refactor()
     if tab.n_art:
-        tab.crash()
         st = tab.run_phase(1)
         if tab.d1[tab.basis] @ tab.xb > 1e-7:  # the basic artificials' sum
             return LpSolution("infeasible", None, None, tab.iters)

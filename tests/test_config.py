@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from powergames import cli
+from powergames import cli, experiments
 from powergames.config import TypesSpec, load_config, parse_config
 from powergames.errors import ConfigError
 
@@ -282,6 +282,24 @@ class TestCliErrors:
         code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json")] + command, capsys)
         assert code == 2
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,target", [
+        (["nash", "--out"], "missing/x.json"),
+        (["regret", "--steps", "10", "--trace-out"], "missing/t.csv"),
+        (["region", "--out-dir"], "file/sub"),
+    ])
+    def test_unwritable_output_exits_2(self, command, target, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / target)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before making the output directory")
+
+        monkeypatch.setattr(experiments, "ce_payoff_region", unreachable)
+        code, err = run_main(["-c", str(CONFIG_DIR / "region_demo.json")] + command + [path],
+                             capsys)
+        assert code == 2
+        assert path in err and "Traceback" not in err
 
     def test_closed_stdout_exits_1_without_traceback(self):
         argv = [sys.executable, "-m", "powergames.cli",

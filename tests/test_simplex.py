@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from powergames import simplex
+from powergames.correlated import build_ce_constraints
 from powergames.errors import SolverStallError
+from powergames.model import PayoffTensor
 from powergames.simplex import dump_problem, make_problem, solve_lp
-from oracles import lp_vertex_reference, random_bounded_lp, shifted_box_lp
+from oracles import lp_vertex_reference, random_bounded_lp, random_tensor, shifted_box_lp
 
 
 def solve(objective, ineq=(), eq=()):
@@ -100,6 +102,34 @@ class TestDegeneracy:
             coeffs = np.array([r[0] for r in rows])
             assert (coeffs @ sol.x >= -1e-8).all()
             assert sol.x.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestPricing:
+    def test_one_column_per_pivot(self, monkeypatch):
+        """The entering column is chosen by its reduced cost alone, so a cold
+        solve over many candidate columns forms one column of B^-1 A at a
+        time, for the ratio test."""
+        tensor = PayoffTensor((6, 6), random_tensor(np.random.default_rng(5), (6, 6)))
+        widths = []
+        columns = simplex._Tableau.columns
+
+        def counted(tab, cols):
+            widths.append(len(cols))
+            return columns(tab, cols)
+
+        monkeypatch.setattr(simplex._Tableau, "columns", counted)
+        sol = solve_lp(build_ce_constraints(tensor))
+        assert sol.status == "optimal"
+        assert widths and max(widths) == 1
+
+    def test_simplex_row_takes_one_pivot(self):
+        """With only the row ``sum x = 1``, phase 1 prices every column alike
+        and breaks the tie toward the phase-2 objective, which is optimal."""
+        c = np.array([0.3, -1.0, 2.5, 0.7, 2.4])
+        sol = solve(c, eq=[(np.ones(5), 1.0)])
+        assert sol.status == "optimal"
+        assert sol.iterations == 1
+        assert sol.x.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 class TestDeterminism:
