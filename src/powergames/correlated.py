@@ -13,7 +13,7 @@ dense simplex handles comfortably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -112,25 +112,31 @@ def _told(values: np.ndarray, dims: tuple[int, ...], i: int,
     return out.reshape(-1)
 
 
+def _own_first(dims: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Axis order with player i's action first, the others after in order
+    (what np.moveaxis(_, i, 0) does, without its argument checks)."""
+    return (i,) + tuple(k for k in range(len(dims)) if k != i)
+
+
 def _deviation_table(p: np.ndarray, dims: tuple[int, ...], i: int, terms) -> np.ndarray:
     """D[a, b]: what playing b when told a is worth to player i at ``p`` (one
     row per joint type): per term (w, _, fr, u), w times the expectation under
     row fr of u, player i's payoffs with its own action as axis 0."""
-    mi = dims[i]
+    mi, order = dims[i], _own_first(dims, i)
     d = np.zeros((mi, mi))
     for w, _, fr, u in terms:
-        pm = np.moveaxis(p[fr].reshape(dims), i, 0).reshape(mi, -1)
+        pm = p[fr].reshape(dims).transpose(order).reshape(mi, -1)
         d += w * (pm @ u.reshape(mi, -1).T)
     return d
 
 
-def _most_violated(gains: np.ndarray):
-    """(a, b) of the ROW_GEN_BATCH largest gains, a != b, above ROW_GEN_TOL."""
-    m = gains.shape[0]
-    for f in np.argsort(gains, axis=None)[::-1][:ROW_GEN_BATCH]:
-        a, b = divmod(int(f), m)
-        if a != b and gains[a, b] > ROW_GEN_TOL:
-            yield a, b
+def _most_violated(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the ROW_GEN_BATCH largest gains, a != b, above ROW_GEN_TOL,
+    largest first."""
+    top = np.argsort(gains, axis=None)[::-1][:ROW_GEN_BATCH]
+    a, b = np.divmod(top, gains.shape[0])
+    keep = (a != b) & (gains.reshape(-1)[top] > ROW_GEN_TOL)
+    return a[keep], b[keep]
 
 
 def _reported(terms, n: int, s: int, place) -> np.ndarray:
@@ -145,23 +151,32 @@ def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
     """Separation for the canonical family at the device ``x``. In each
     block, D[a, b] is what playing b when told a is worth after the report.
     An honest report (its ``truth`` unused) gets the most violated obedience
-    rows D[a, a] >= D[a, b]; a lie gets the cut of its best deviation map,
-    truth >= sum_a D[a, d(a)] with d(a) = argmax_b D[a, b], which no other
-    map violates more."""
+    rows D[a, a] >= D[a, b], built in one array; a lie gets the cut of its
+    best deviation map, truth >= sum_a D[a, d(a)] with d(a) = argmax_b
+    D[a, b], which no other map violates more. A row places player i's
+    payoffs u[c] (over the others' actions) on the profiles where i is told
+    a, which are row a of ``told``."""
     s = int(np.prod(dims))
     p = x.reshape(-1, s)
     for i, t_i, t_rep, terms, truth in blocks:
         mi = dims[i]
+        told = np.arange(s).reshape(dims).transpose(_own_first(dims, i)).reshape(mi, -1)
         d = _deviation_table(p, dims, i, terms)
         if t_rep == t_i:
-            for a, b in _most_violated(d - np.diag(d)[:, None]):
-                yield (i, t_i, a, b), _reported(
-                    terms, x.size, s, lambda u: _told(u[a] - u[b], dims, i, a))
+            a, b = _most_violated(d - np.diag(d)[:, None])
+            if a.size:
+                rows = np.zeros((a.size, x.size))
+                for w, _, fr, u in terms:
+                    u = u.reshape(mi, -1)
+                    rows[np.arange(a.size)[:, None], fr * s + told[a]] += w * (u[a] - u[b])
+                yield from zip([(i, t_i, int(ak), int(bk)) for ak, bk in zip(a, b)], rows)
             continue
         dev = d.argmax(axis=1)
         if d[np.arange(mi), dev].sum() - truth @ x > ROW_GEN_TOL:
-            yield (i, t_i, t_rep, tuple(dev)), truth - _reported(
-                terms, x.size, s, lambda u: sum(_told(u[dev[a]], dims, i, a) for a in range(mi)))
+            row = np.zeros(x.size)
+            for w, _, fr, u in terms:
+                row[fr * s + told] += w * u.reshape(mi, -1)[dev]
+            yield (i, t_i, t_rep, tuple(dev)), truth - row
 
 
 class CePolytopeSolver:
@@ -187,7 +202,10 @@ class CePolytopeSolver:
         self.eq_rows = eq_rows
         self.separate = separate
         self.check_size = check_size
-        self._cuts: np.ndarray | None = None   # (rows, columns), unit max each
+        # the generated rows, unit max each, are the first _m rows of _rows;
+        # a round's rows are appended and no row is changed once written
+        self._rows: np.ndarray | None = None
+        self._m = 0
         self._keys: set = set()
         self._start = None
 
@@ -207,32 +225,46 @@ class CePolytopeSolver:
         Returns (point, objective value, simplex pivots).
         """
         base = make_problem(objective, eq_rows=self.eq_rows, name="master")
-        if self._cuts is None:
-            self._cuts = base.ineq_coeffs
+        if self._rows is None:
+            self._rows = np.empty((0, base.n))
         total_iters = 0
         for _ in range(10 * len(objective) + 100):
-            m = self._cuts.shape[0]
+            m = self._m
             if self.check_size is not None:
                 self.check_size(m + len(self.eq_rows), len(objective))
-            prob = replace(base, ineq_coeffs=self._cuts, ineq_rhs=np.zeros(m))
+            # only this round's rows were checked; solve_lp sees the earlier
+            # ones as the same memory as the last problem's
+            prob = base._with_rows(self._rows[:m], np.zeros(m))
             sol = solve_lp(prob, start=self._start)
             total_iters += sol.iterations
             if sol.status != "optimal":
                 # the polytope is nonempty and bounded, so this is internal
                 raise SolverStallError(f"master LP reported {sol.status}")
             self._start = sol.resident
-            added = []
             for key, row in self.separate(sol.x):
                 if key not in self._keys:
                     self._keys.add(key)
-                    # scaled to unit max coefficient: payoff differences span
-                    # orders of magnitude, and unscaled rows give bases
-                    # ill-conditioned enough that pricing cycles on noise
-                    added.append(row / np.abs(row).max())
-            if not added:
+                    self._append(row)
+            if self._m == m:
                 return sol.x, float(sol.objective_value), total_iters
-            self._cuts = np.vstack([self._cuts] + added)
+            # scaled to unit max coefficient: payoff differences span orders
+            # of magnitude, and unscaled rows give bases ill-conditioned
+            # enough that pricing cycles on noise
+            new = self._rows[m:self._m]
+            new /= np.abs(new).max(axis=1, keepdims=True)
+            if not np.isfinite(new).all():
+                raise ValueError("coefficients must be finite")
         raise SolverStallError("row generation failed to converge")
+
+    def _append(self, row: np.ndarray):
+        """Write ``row`` after the others, in a buffer grown to twice the
+        rows when full."""
+        if self._m == self._rows.shape[0]:
+            grown = np.empty((max(16, 2 * self._m), self._rows.shape[1]))
+            grown[:self._m] = self._rows[:self._m]
+            self._rows = grown
+        self._rows[self._m] = row
+        self._m += 1
 
 
 def _report(tensor: PayoffTensor, flat: np.ndarray, iters: int) -> EquilibriumReport:

@@ -16,26 +16,39 @@ use. Identical inputs take identical pivot sequences.
 
 No tableau is kept. Only the data ``[A_all | b]``, the basis and a
 factorization of the basis are stored, and after every basis change each
-quantity a pivot rule reads is computed afresh from them, so nothing drifts
-and nothing needs cleaning. The factorization is slack-aware. Every surplus
-and artificial column is a +-1 unit vector on one row, and in CE masters
-most basic columns are of that kind, so B is a permuted block triangle:
-only the square kernel K of the other basic columns against the rows no
-basic unit column covers is inverted, and each unit position follows by
-substitution. With k kernel columns, m rows and N columns:
+quantity a pivot rule reads is computed from them. The factorization is
+slack-aware. Every surplus and artificial column is a +-1 unit vector on one
+row, and in CE masters most basic columns are of that kind, so B is a
+permuted block triangle: only the square kernel K of the other basic
+columns against the rows no basic unit column covers is inverted, and each
+unit position follows by substitution. With k kernel columns, m rows and N
+columns:
 
 - basic values: one product with K^-1, then the unit rows, O(mk);
 - reduced costs: the duals from one product with K^-1 and the basic unit
   costs, then y A_all over the free rows (and, in phase 1, the rows of
   basic artificials), O(kN);
 - the entering column of B^-1 A_all, for the ratio test, O(mk);
-- rows of B^-1 A_all: the infeasible rows in one block for the dual
-  simplex's normalized leaving row and its Harris test, O(kN) each.
+- the dual simplex's leaving row: the norms of the infeasible rows of
+  B^-1, O(k^2) each, then the one chosen row of B^-1 A_all, O(kN).
 
-Appending rows keeps the kernel, and a bitwise equal kernel keeps its
-inverse. Two basic unit columns on one row, or a singular kernel, mean a
-singular basis: a SolverStallError, which ends a cold solve and makes a
-warm start fall back to the cold one.
+K^-1 is updated across pivots, in O(k^2) by the kind of pivot: a kernel
+column replaced (a product-form rank-one update, Forrest and Tomlin 1972);
+a structural column taking a unit's place (K bordered by a row and a
+column); a unit taking a structural column's place (K loses a row and a
+column, by the Schur complement of one entry of K^-1); and a unit on one
+row replacing a unit on another (a rank-one replacement of a row of K).
+The basis is factorized afresh instead when the kernel has fewer than
+``UPDATE_MIN_KERNEL`` columns, after ``UPDATE_LIMIT`` updates, or when the
+update's pivot is below ``UPDATE_PIV_REL`` of its column. An updated K^-1
+carries rounding error, so before any verdict (optimal, unbounded, or a dual
+row that blocks every column) a residual guard checks K K^-1 - I and
+K (K^-1 b_F) - b_F against ``RESIDUAL_TOL``; when either fails, the basis is
+factorized afresh and the rule looks again. Appending rows to the basis the
+factors belong to keeps them, with one unit row more for each new row. Two
+basic unit columns on one row, or a singular kernel, mean a singular basis:
+a SolverStallError, which ends a cold solve and makes a warm start fall
+back to the cold one.
 
 Warm start: an optimal solution keeps its final basis resident
 (``LpSolution.resident``), and ``solve_lp(problem, start=resident)``
@@ -46,7 +59,9 @@ enters with its surplus column basic, so the basis stays dual feasible.
 Dual simplex pivots then restore primal feasibility and primal phase 2
 handles the objective. A start is used once, and only
 when the problem passes an exact fit check (same variables and
-equality rows, the old inequality rows an exact prefix of the new ones).
+equality rows, the old inequality rows an exact prefix of the new ones;
+rows held in the same memory as the solved problem's count as unchanged,
+so a caller that appends rows to one buffer is not compared row by row).
 The attempt is abandoned for the cold two-phase solve when the start does
 not fit, its basis matrix is singular, it spends more than
 ``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
@@ -77,6 +92,17 @@ PIV_REL = 1e-9
 STALL_THRESHOLD = 64
 # a solve stops after this many pivots per column and row of A_all
 PIVOT_CAP_FACTOR = 50
+# the kernel inverse is updated across at most this many pivots, then
+# computed afresh
+UPDATE_LIMIT = 32
+# kernels with fewer columns are inverted afresh on every pivot: there an
+# inversion costs no more than an update
+UPDATE_MIN_KERNEL = 16
+# an update whose pivot is below this share of its column's largest entry
+# (in the kernel) refactorizes instead
+UPDATE_PIV_REL = 1e-6
+# the residual guard on updated factors, K K^-1 - I and K (K^-1 b_F) - b_F
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,6 +141,14 @@ class LpProblem:
     def row_count(self) -> int:
         return self.ineq_coeffs.shape[0] + self.eq_coeffs.shape[0]
 
+    def _with_rows(self, ineq_coeffs: np.ndarray, ineq_rhs: np.ndarray) -> LpProblem:
+        """This problem with the inequality rows ``ineq_coeffs . x >=
+        ineq_rhs`` in place of its own. The caller has checked their shapes
+        and finiteness, so ``__post_init__`` does not pass over them again."""
+        prob = object.__new__(LpProblem)
+        prob.__dict__.update(self.__dict__, ineq_coeffs=ineq_coeffs, ineq_rhs=ineq_rhs)
+        return prob
+
 
 def make_problem(objective, ineq_rows=(), eq_rows=(), *, name="lp") -> LpProblem:
     """Convenience constructor from (coeffs, rhs) pair lists."""
@@ -145,6 +179,11 @@ class LpSolution:
     resident: Optional[Resident] = field(default=None, repr=False, compare=False)
 
 
+def _small(pivot: float, column: np.ndarray) -> bool:
+    """Whether an update's pivot is too small a share of its column."""
+    return abs(pivot) < UPDATE_PIV_REL * float(np.abs(column).max(initial=0.0))
+
+
 def _pert_u(m: int) -> np.ndarray:
     """Per-row weights of the right-hand-side perturbation."""
     return (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 + 0.5
@@ -152,14 +191,23 @@ def _pert_u(m: int) -> np.ndarray:
 
 class _Tableau:
     """The simplex tableau in revised form: the data ``A_all`` and
-    ``b_active``, the basis, and the inverse of the basis's kernel, from
-    which every row, column, basic value and reduced cost a pivot rule reads
-    is computed.
+    ``b_active``, the basis, and the factors of the basis (see the module
+    docstring), from which every row, column, basic value and reduced cost a
+    pivot rule reads is computed.
 
     Rows are the problem's inequality rows, then its equality rows; columns
     the problem's variables, one surplus per inequality row in row order,
     then the artificials. Rows that ``extend`` appends, and their surplus
-    columns, come after all of these."""
+    columns, come after all of these.
+
+    The factors are held in slots. Kernel slot j is basis position
+    ``_kpos[j]``, free slot i is row ``_free[i]``, and row j of ``_Kinv`` is
+    kernel slot j over the free slots. Unit slot u is basis position
+    ``_upos[u]``, a unit column with sign ``_sign[u]`` on row ``_srows[u]``.
+    ``_slot[p]`` is position p's kernel or unit slot, ``_is_unit[p]`` says
+    which, and ``_rslot[row]`` is a free row's slot or -1. ``_AKT[j]`` is
+    kernel slot j's column of the data and ``_AF[i]`` free slot i's row, both
+    as long as the data's buffer ``_A``."""
 
     def __init__(self, prob: LpProblem):
         n = prob.n
@@ -196,7 +244,8 @@ class _Tableau:
         A_all[:, :n] = rows
         A_all[np.arange(m_ge), n + np.arange(m_ge)] = sur_sign[:m_ge]
         A_all[art_rows, n + m_ge + np.arange(k)] = 1.0
-        self.A_all = A_all
+        # A_all is the used corner of the buffer _A, which extend grows
+        self._A = self.A_all = A_all
         # the one row of each surplus or artificial (unit) column; -1 for
         # structural columns
         self.unit_row = np.concatenate([np.full(n, -1), np.arange(m_ge), art_rows])
@@ -211,52 +260,91 @@ class _Tableau:
         self.allowed = np.ones(N, dtype=bool)
         self.iters = 0
         self.max_iter = PIVOT_CAP_FACTOR * (N + m)
-        self._K = self._K_inv = np.zeros((0, 0))
+        self._k = 0
+        self._Kinv = None
+        # the basis the factors belong to, and the updates since they were
+        # last computed afresh
+        self._fb = None
+        self._updates = 0
 
     def refactor(self) -> float:
-        """Factorize the basis (see the module docstring) and compute its
-        basic values; a singular basis raises SolverStallError. Returns the
-        smallest basic value."""
-        basis = self.basis
-        unit_row = self.unit_row[basis]
-        is_unit = unit_row >= 0
-        self._unit = unit = is_unit.nonzero()[0]
-        self._kernel = kernel = (~is_unit).nonzero()[0]
-        self._srows = srows = unit_row[unit]
-        free = np.ones(self.m, dtype=bool)
-        free[srows] = False
-        self._free = free.nonzero()[0]
-        if self._free.size != kernel.size:
+        """Factorize the basis afresh (see the module docstring) and compute
+        its basic values; a singular basis raises SolverStallError. Returns
+        the smallest basic value."""
+        basis, m = self.basis, self.m
+        is_unit = self.unit_row[basis] >= 0
+        unit = is_unit.nonzero()[0]
+        kernel = (~is_unit).nonzero()[0]
+        srows = self.unit_row[basis[unit]]
+        rslot = np.zeros(m, dtype=int)
+        rslot[srows] = -1
+        free = (rslot == 0).nonzero()[0]
+        if free.size != kernel.size:
             raise SolverStallError("singular basis: two basic unit columns on one row")
-        kernel_cols = basis[kernel]
-        self._sign = self.A_all[srows, basis[unit]]
-        self._A_F = self.A_all[self._free]
-        A_K = self.A_all[:, kernel_cols]
-        self._A_SK = A_K[srows]
-        K = A_K[self._free]
-        # appending rows keeps the kernel, so its inverse is kept too
-        if not np.array_equal(K, self._K):
+        k, nu = kernel.size, unit.size
+        rslot[free] = np.arange(k)
+        slot = np.empty(m, dtype=int)
+        slot[kernel] = np.arange(k)
+        slot[unit] = np.arange(nu)
+        self._k = 0
+        self._reserve(k)
+        self._AKT[:k] = self._A[:, basis[kernel]].T
+        self._AF[:k] = self._A[free]
+        if k:
             try:
-                self._K_inv = np.linalg.inv(K)
+                self._Kinv[:k, :k] = np.linalg.inv(self._AKT[:k, free].T)
             except np.linalg.LinAlgError:
                 raise SolverStallError("singular basis: its kernel is singular") from None
-            self._K = K
+        self._k = k
+        self._kpos, self._free = np.empty(m, dtype=int), np.empty(m, dtype=int)
+        self._kpos[:k], self._free[:k] = kernel, free
+        self._upos, self._srows, self._sign = (np.empty(m, dtype=int), np.empty(m, dtype=int),
+                                               np.empty(m))
+        self._upos[:nu], self._srows[:nu] = unit, srows
+        self._sign[:nu] = self.A_all[srows, basis[unit]]
+        self._slot, self._is_unit, self._rslot = slot, is_unit, rslot
+        self._fb = basis.copy()
+        self._updates = 0
         self._rc = [None, None]
         return self._values()
 
+    def _reserve(self, k: int):
+        """Factor buffers for kernels of up to ``k`` columns (twice that,
+        within the row count, when they grow), as long as the data's buffer;
+        the current kernel's slots are kept."""
+        cap_m, cap_N = self._A.shape
+        old = self._Kinv
+        if (old is not None and old.shape[0] >= k and self._AKT.shape[1] == cap_m
+                and self._AF.shape[1] == cap_N):
+            return
+        cap = max(k, min(self.m, 2 * k))
+        Kinv, AKT, AF = np.empty((cap, cap)), np.zeros((cap, cap_m)), np.zeros((cap, cap_N))
+        j = self._k
+        if j:
+            Kinv[:j, :j] = old[:j, :j]
+            AKT[:j, : self._AKT.shape[1]] = self._AKT[:j]
+            AF[:j, : self._AF.shape[1]] = self._AF[:j]
+        self._Kinv, self._AKT, self._AF = Kinv, AKT, AF
+
     def _ftran(self, v_free: np.ndarray, v_unit: np.ndarray) -> np.ndarray:
-        """B^-1 v by basis position, from v's free rows and its unit rows
-        (in the order of ``_srows``): the kernel part, then each unit
-        position by substitution, times the unit's sign."""
-        z_kernel = self._K_inv @ v_free
-        sign = self._sign if v_free.ndim == 1 else self._sign[:, None]
-        z = np.empty((self.m,) + v_free.shape[1:])
-        z[self._kernel] = z_kernel
-        z[self._unit] = sign * (v_unit - self._A_SK @ z_kernel)
+        """B^-1 v by basis position, from v's free rows (in free-slot order)
+        and its unit rows (in unit-slot order): the kernel part, then each
+        unit position by substitution, times the unit's sign."""
+        k, m = self._k, self.m
+        nu = m - k
+        z_kernel = self._Kinv[:k, :k] @ v_free
+        z = np.empty((m,) + v_free.shape[1:])
+        z[self._kpos[:k]] = z_kernel
+        srows, sign = self._srows[:nu], self._sign[:nu]
+        if v_free.ndim == 1:
+            z[self._upos[:nu]] = sign * (v_unit - (z_kernel @ self._AKT[:k, :m])[srows])
+        else:
+            z[self._upos[:nu]] = sign[:, None] * (v_unit - (self._AKT[:k, :m].T @ z_kernel)[srows])
         return z
 
     def _values(self) -> float:
-        xb = self._ftran(self.b_active[self._free], self.b_active[self._srows])
+        nu = self.m - self._k
+        xb = self._ftran(self.b_active[self._free[: self._k]], self.b_active[self._srows[:nu]])
         xb[np.abs(xb) < 1e-11] = 0.0
         self.xb = xb
         return float(xb.min()) if self.m else 0.0
@@ -266,52 +354,79 @@ class _Tableau:
         y, a unit's from its own cost and the free rows' from the kernel,
         then d - y A_all, exactly 0 on the basic columns."""
         if self._rc[jo] is None:
+            k = self._k
+            nu = self.m - k
             d = (self.d2, self.d1)[jo]
             d_basic = d[self.basis]
-            y_unit = d_basic[self._unit] * self._sign
-            y_free = (d_basic[self._kernel] - y_unit @ self._A_SK) @ self._K_inv
-            rc = d - y_free @ self._A_F
+            y_unit = d_basic[self._upos[:nu]] * self._sign[:nu]
             priced = y_unit.nonzero()[0]
+            y_unit, on = y_unit[priced], self._srows[priced]
+            d_kernel = d_basic[self._kpos[:k]]
             if priced.size:
-                rc -= y_unit[priced] @ self.A_all[self._srows[priced]]
+                d_kernel = d_kernel - self._AKT[:k, on] @ y_unit
+            rc = d - (d_kernel @ self._Kinv[:k, :k]) @ self._AF[:k, : self.N]
+            if priced.size:
+                rc -= y_unit @ self.A_all[on]
             rc[self.basis] = 0.0
             self._rc[jo] = rc
         return self._rc[jo]
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
         """B^-1 A_all[:, cols]: rows by basis position."""
-        return self._ftran(self._A_F[:, cols], self.A_all[np.ix_(self._srows, cols)])
+        nu = self.m - self._k
+        return self._ftran(self._AF[: self._k, cols],
+                           self.A_all[np.ix_(self._srows[:nu], cols)])
+
+    def _binv_rows(self, positions: np.ndarray):
+        """Rows ``positions`` of B^-1 on the free rows (by free slot), which
+        of them are unit positions, and each position's slot. Row p of B^-1
+        is a row of K^-1 for a kernel position; for a unit position it is
+        -sign A_SK[p] K^-1, plus its sign on the unit's own row."""
+        k = self._k
+        is_unit = self._is_unit[positions]
+        slots = self._slot[positions]
+        at_unit = slots[is_unit]
+        rho = np.empty((positions.size, k))
+        rho[~is_unit] = self._Kinv[slots[~is_unit], :k]
+        rho[is_unit] = -(self._sign[at_unit, None] * self._AKT[:k, self._srows[at_unit]].T
+                         ) @ self._Kinv[:k, :k]
+        return rho, is_unit, slots
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
-        """Rows ``positions`` of B^-1 A_all. Row p of B^-1 is a row of K^-1
-        on the free rows for a kernel position; for a unit position it is
-        -sign A_SK[p] K^-1 there and its sign on the unit's own row."""
-        is_unit = self.unit_row[self.basis[positions]] >= 0
-        at_kernel, at_unit = (~is_unit).nonzero()[0], is_unit.nonzero()[0]
-        u = np.searchsorted(self._unit, positions[at_unit])
-        signs = self._sign[u][:, None]
-        rho = np.empty((positions.size, self._kernel.size))
-        rho[at_kernel] = self._K_inv[np.searchsorted(self._kernel, positions[at_kernel])]
-        rho[at_unit] = -(signs * self._A_SK[u]) @ self._K_inv
-        out = rho @ self._A_F
-        out[at_unit] += signs * self.A_all[self._srows[u]]
+        """Rows ``positions`` of B^-1 A_all."""
+        return self._rows_of(*self._binv_rows(positions))
+
+    def _rows_of(self, rho: np.ndarray, is_unit: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Rows of B^-1 A_all from their rows of B^-1 as ``_binv_rows``
+        gives them."""
+        out = rho @ self._AF[: self._k, : self.N]
+        at_unit = slots[is_unit]
+        out[is_unit] += self._sign[at_unit, None] * self.A_all[self._srows[at_unit]]
         return out
 
     def extend(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
         """Continue from this basis for the problem with rows ``a . x >= b``
         after the inequality rows and costs ``c``. The rows and their
-        surplus columns are appended to A_all. Each new row is flipped as
-        __init__ flips rows and enters with its surplus column basic, so a
-        negative rhs marks a violated row."""
+        surplus columns are appended to A_all, in the spare rows and columns
+        of its buffer when they fit. Each new row is flipped as __init__
+        flips rows and enters with its surplus column basic, so a negative
+        rhs marks a violated row. When the basis is still the one the
+        factors belong to, they gain the new unit rows; otherwise the basis
+        is factorized afresh, and a singular one is found here."""
         k, m, N = b.size, self.m, self.N
+        kept = self._fb is not None and np.array_equal(self._fb, self.basis)
         if k:
             new_rows, new_cols = m + np.arange(k), N + np.arange(k)
             sign = np.where(b <= 0, 1.0, -1.0)  # the surplus column's sign
-            A_all = np.zeros((m + k, N + k))
-            A_all[:m, :N] = self.A_all
-            A_all[m:, : self.n_struct] = a * -sign[:, None]
-            A_all[new_rows, new_cols] = sign
-            self.A_all = A_all
+            cap_m, cap_N = self._A.shape
+            if m + k > cap_m or N + k > cap_N:
+                spare = (m + k) // 2
+                A = np.zeros((m + k + spare, N + k + spare))
+                A[:m, :N] = self.A_all
+                self._A = A
+            self._A[m:m + k, : self.n_struct] = a * -sign[:, None]
+            self._A[new_rows, new_cols] = sign
+            self.A_all = self._A[:m + k, :N + k]
             self.m, self.m_ineq, self.N = m + k, self.m_ineq + k, N + k
             # the new surplus columns are basic at the new positions
             self.basis = np.concatenate((self.basis, new_cols))
@@ -321,21 +436,176 @@ class _Tableau:
             self.d1 = np.concatenate((self.d1, np.zeros(k)))
             self.d2 = np.concatenate((self.d2, np.zeros(k)))
             self.allowed = np.concatenate((self.allowed, np.ones(k, dtype=bool)))
+            if kept:
+                self._add_units(new_rows, new_cols, sign)
         self.d2[: self.n_struct] = -c
-        # a kept kernel keeps its inverse, so this recomputes little more
-        # than the basic values; a singular basis is found here
-        self.refactor()
+        if kept:
+            self._rc = [None, None]
+            self._values()
+        else:
+            self.refactor()
+
+    def _add_units(self, rows: np.ndarray, cols: np.ndarray, sign: np.ndarray):
+        """The factors after ``extend`` appended ``rows``, each with its unit
+        column ``cols`` basic at the position of its own number."""
+        kk, add = self._k, rows.size
+        m = self.m - add
+        nu = m - kk
+        self._reserve(kk)  # as long as a grown data buffer
+        self._AKT[:kk, rows] = self._A[np.ix_(rows, self.basis[self._kpos[:kk]])].T
+        spare = np.empty(add, dtype=int)
+        self._kpos = np.concatenate((self._kpos, spare))
+        self._free = np.concatenate((self._free, spare))
+        self._upos = np.concatenate((self._upos[:nu], rows, self._upos[nu:]))
+        self._srows = np.concatenate((self._srows[:nu], rows, self._srows[nu:]))
+        self._sign = np.concatenate((self._sign[:nu], sign, self._sign[nu:]))
+        self._slot = np.concatenate((self._slot, nu + np.arange(add)))
+        self._is_unit = np.concatenate((self._is_unit, np.ones(add, dtype=bool)))
+        self._rslot = np.concatenate((self._rslot, np.full(add, -1)))
+        self._fb = np.concatenate((self._fb, cols))
 
     def pivot_at(self, r: int, q: int):
-        """Column ``q`` replaces basis position ``r``; everything is then
-        computed afresh from the new basis."""
-        self.basis[r] = q
+        """Column ``q`` replaces basis position ``r``. The factors are
+        updated, or computed afresh when ``_update`` declines, and the basic
+        values follow from them."""
         self.iters += 1
         if self.iters > self.max_iter:
             raise SolverStallError(
                 f"simplex exceeded {self.max_iter} pivots without a verdict"
             )
+        updated = self._update(r, q)
+        self.basis[r] = q
+        if not updated:
+            self.refactor()
+            return
+        self._fb[r] = q
+        self._updates += 1
+        self._rc = [None, None]
+        self._values()
+
+    def _update(self, r: int, q: int) -> bool:
+        """Update the factors in O(k^2) for column ``q`` replacing position
+        ``r``, by the kind of pivot (see the module docstring). False, with
+        nothing changed, when the kernel is below UPDATE_MIN_KERNEL, after
+        UPDATE_LIMIT updates, when the pivot is below UPDATE_PIV_REL of its
+        column, or when the new basis would put two unit columns on a row."""
+        k = self._k
+        if k < UPDATE_MIN_KERNEL or self._updates >= UPDATE_LIMIT:
+            return False
+        A, Kinv = self._A, self._Kinv[:k, :k]
+        j, s_q = self._slot[r], self.unit_row[q]
+        if not self._is_unit[r] and s_q < 0:
+            # a kernel column replaced: product-form rank-one update
+            w = Kinv @ A[self._free[:k], q]
+            if _small(w[j], w):
+                return False
+            pivot_row = Kinv[j] / w[j]
+            Kinv -= np.outer(w, pivot_row)
+            Kinv[j] = pivot_row
+            self._AKT[j] = A[:, q]
+        elif not self._is_unit[r]:
+            # a unit enters on free row s_q: drop kernel slot j and free slot
+            # i from K^-1 by the Schur complement of K^-1[j, i]
+            i = self._rslot[s_q]
+            if i < 0:
+                return False
+            col = Kinv[:, i].copy()
+            if _small(col[j], col):
+                return False
+            Kinv -= np.outer(col, Kinv[j] / col[j])
+            self._drop_kernel_slot(j, i)
+            self._add_unit(r, s_q, A[s_q, q])
+        else:
+            s = self._srows[j]
+            c = self._AKT[:k, s]  # the leaving unit's row on the kernel columns
+            if s_q < 0:
+                # a structural column enters in the unit's place: border K
+                # with row s and column q
+                v = Kinv @ A[self._free[:k], q]
+                sigma = A[s, q] - c @ v
+                if _small(sigma, v):
+                    return False
+                w = c @ Kinv
+                self._reserve(k + 1)
+                grown = self._Kinv[:k + 1, :k + 1]
+                grown[:k, :k] += np.outer(v / sigma, w)
+                grown[:k, k] = -v / sigma
+                grown[k, :k] = -w / sigma
+                grown[k, k] = 1.0 / sigma
+                self._drop_unit_slot(j)
+                self._kpos[k], self._slot[r], self._is_unit[r] = r, k, False
+                self._free[k], self._rslot[s] = s, k
+                self._AKT[k], self._AF[k] = A[:, q], A[s]
+                self._k = k + 1
+            elif s_q != s:
+                # a unit on free row s_q replaces the unit on row s: K's row
+                # s_q becomes row s, a rank-one row replacement
+                i = self._rslot[s_q]
+                if i < 0:
+                    return False
+                w = c @ Kinv
+                col = Kinv[:, i].copy()
+                if _small(w[i], col):
+                    return False
+                g = w / w[i]
+                g[i] = 1.0 - 1.0 / w[i]
+                Kinv -= np.outer(col, g)
+                self._free[i], self._rslot[s], self._rslot[s_q] = s, i, -1
+                self._AF[i] = A[s]
+                self._srows[j], self._sign[j] = s_q, A[s_q, q]
+            else:
+                self._sign[j] = A[s, q]
+        return True
+
+    def _drop_kernel_slot(self, j: int, i: int):
+        """Remove kernel slot j and free slot i (zeroed in K^-1), moving the
+        last of each into their places."""
+        last = self._k - 1
+        Kinv = self._Kinv
+        if j != last:
+            Kinv[j, :last + 1] = Kinv[last, :last + 1]
+            self._kpos[j] = p = self._kpos[last]
+            self._slot[p] = j
+            self._AKT[j] = self._AKT[last]
+        if i != last:
+            Kinv[:last + 1, i] = Kinv[:last + 1, last]
+            self._free[i] = row = self._free[last]
+            self._rslot[row] = i
+            self._AF[i] = self._AF[last]
+        self._k = last
+
+    def _add_unit(self, r: int, row: int, sign: float):
+        u = self.m - self._k - 1
+        self._upos[u], self._srows[u], self._sign[u] = r, row, sign
+        self._slot[r], self._is_unit[r], self._rslot[row] = u, True, -1
+
+    def _drop_unit_slot(self, u: int):
+        last = self.m - self._k - 1
+        if u != last:
+            self._upos[u] = p = self._upos[last]
+            self._srows[u], self._sign[u] = self._srows[last], self._sign[last]
+            self._slot[p] = u
+
+    def _accurate(self) -> bool:
+        """The residual guard: K K^-1 - I and K (K^-1 b_F) - b_F within
+        RESIDUAL_TOL, the second relative to the largest |b_F|."""
+        k = self._k
+        if not k:
+            return True
+        free = self._free[:k]
+        K, Kinv, b_F = self._AKT[:k, free].T, self._Kinv[:k, :k], self.b_active[free]
+        scale = max(1.0, float(np.abs(b_F).max()))
+        return (np.abs(K @ Kinv - np.eye(k)).max() <= RESIDUAL_TOL
+                and np.abs(K @ (Kinv @ b_F) - b_F).max() <= RESIDUAL_TOL * scale)
+
+    def _trusted(self) -> bool:
+        """Whether a verdict may be drawn from the factors: true when they
+        are fresh or pass the residual guard; otherwise they are computed
+        afresh, and the caller looks again."""
+        if not self._updates or self._accurate():
+            return True
         self.refactor()
+        return False
 
     def entering(self, jo: int, bland: bool, phase: int) -> int:
         rc = self.reduced_costs(jo)
@@ -391,10 +661,14 @@ class _Tableau:
         while True:
             q = self.entering(jo, bland, phase)
             if q < 0:
-                return "optimal"
+                if self._trusted():
+                    return "optimal"
+                continue
             r, rmin = self.ratio_row(q, bland)
             if r < 0:
-                return "unbounded"
+                if self._trusted():
+                    return "unbounded"
+                continue
             self.pivot_at(r, q)
             if rmin <= 1e-12:
                 degen += 1
@@ -413,24 +687,29 @@ class _Tableau:
         """Dual simplex from a basis that is dual feasible for cost row
         ``jo`` (0 phase 2, 1 phase 1) until every basic value is at least
         ``-tol``. The leaving row has the largest infeasibility relative to
-        its norm (steepest edge in the dual), over one block of the
-        infeasible rows; the entering column passes a Harris ratio test (the
-        largest pivot among columns whose step is within ``OPT_TOL`` of the
-        shortest). True once primal feasible; False when a row blocks every
-        column. Only ``pivot_at``'s cap ends a run that does neither."""
+        the norm of its row of B^-1 (dual steepest edge, Forrest and Goldfarb
+        1992), and only that row of B^-1 A_all is formed; the entering column
+        passes a Harris ratio test (the largest pivot among columns whose
+        step is within ``OPT_TOL`` of the shortest). True once primal
+        feasible; False when the row blocks every column. Only
+        ``pivot_at``'s cap ends a run that does neither."""
         while True:
             xb = self.xb
             bad = (xb < -tol).nonzero()[0]
             if bad.size == 0:
-                return True
-            rows = self.rows(bad)
-            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+                if self._trusted():
+                    return True
+                continue
+            rho, is_unit, slots = self._binv_rows(bad)
+            norms = np.sqrt(np.einsum("ij,ij->i", rho, rho) + is_unit)
             i = int(np.argmin(xb[bad] / norms))
-            row = rows[i]
+            row = self._rows_of(rho[i:i + 1], is_unit[i:i + 1], slots[i:i + 1])[0]
             floor = max(PIV_ABS, PIV_REL * float(np.abs(row).max()))
             cand = (self.allowed & (row < -floor)).nonzero()[0]
             if cand.size == 0:
-                return False
+                if self._trusted():
+                    return False
+                continue
             alpha = -row[cand]
             rc = np.maximum(self.reduced_costs(jo)[cand], 0.0)
             within = rc / alpha <= ((rc + OPT_TOL) / alpha).min()
@@ -473,10 +752,20 @@ def _extends(old: LpProblem, new: LpProblem) -> bool:
     ``old``'s inequality rows as an exact prefix of its own."""
     m = old.ineq_coeffs.shape[0]
     return (new.n == old.n and new.ineq_coeffs.shape[0] >= m
-            and np.array_equal(new.eq_coeffs, old.eq_coeffs)
-            and np.array_equal(new.eq_rhs, old.eq_rhs)
-            and np.array_equal(new.ineq_coeffs[:m], old.ineq_coeffs)
-            and np.array_equal(new.ineq_rhs[:m], old.ineq_rhs))
+            and _same(new.eq_coeffs, old.eq_coeffs) and _same(new.eq_rhs, old.eq_rhs)
+            and _same(new.ineq_coeffs[:m], old.ineq_coeffs)
+            and _same(new.ineq_rhs[:m], old.ineq_rhs))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` equals ``b``: at once when both are the same memory (as
+    the rows a caller appends to a buffer keep their old prefix), else entry
+    by entry."""
+    if a is b:
+        return True
+    same_memory = (a.shape == b.shape and a.strides == b.strides
+                   and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
+    return same_memory or np.array_equal(a, b)
 
 
 def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
@@ -486,7 +775,9 @@ def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
     this one extends by trailing inequality rows, under any objective. It is
     tried first; when the attempt is abandoned (see the module docstring)
     the cold two-phase solve runs and the abandoned pivots are counted in
-    ``iterations``.
+    ``iterations``. Rows of ``problem`` held in the same memory as the
+    solved problem's are taken as unchanged, so a caller must not change a
+    solved problem's arrays in place and then pass its resident.
 
     Raises SolverStallError when the iteration cap is exceeded, a basis turns
     singular or the final basis cannot be certified; that is distinct from

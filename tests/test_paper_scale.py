@@ -116,6 +116,30 @@ def test_literal_commeq_five_points_exits_0(tmp_path):
     assert abs(result["welfare"] - 0.886333528882) <= 1e-8
 
 
+def test_canonical_commeq_three_points(tmp_path):
+    # 3 diagonal types at 25 levels: a master of 1,000 to 1,100 pivots, most
+    # of them dual, on kernels of 120 to 144 columns
+    path = tmp_path / "three_types.json"
+    path.write_text(json.dumps({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]},
+                                "types": {"points": 3}}))
+    out = tmp_path / "commeq.json"
+    assert cli.main(["-c", str(path), "commeq", "--formulation", "canonical",
+                     "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["max_violation"] <= 1e-8
+    assert abs(result["welfare"] - 0.8062630620248985) <= 1e-9
+
+
+def test_welfare_ce_fifty_levels():
+    # 2,500 profiles, 4,900 obedience rows; HiGHS on the full dense LP:
+    grid = build_power_grid(-20.0, 20.0, 50)
+    tensor = build_payoff_tensor(GameInstance(
+        ChannelMatrix.from_array([[1.0, 0.5], [0.5, 1.0]]), (grid, grid), 0.01, 1.0, 100))
+    rep = solve_welfare_ce(tensor)
+    assert rep.max_violation <= 1e-8
+    assert abs(rep.welfare - 0.7576779781656191) <= 1e-9
+
+
 def test_canonical_master_growth_exits_3(tmp_path, capsys):
     # 10 diagonal types at 25 levels: the master starts at 100 rows over
     # 62,500 columns, inside the budget, and its first cuts once grew it to a

@@ -1,8 +1,9 @@
 """Tableau internals: the basic values, reduced costs, rows and columns
-computed from the slack-aware kernel factorization, fresh and after rows are
-appended to a resident tableau, the dual-simplex repair after a dropped
-perturbation and the vectorized tableau set-up, each against a direct dense
-or loop reference written here."""
+and rows of B^-1 computed from the slack-aware kernel factorization, fresh,
+after each kind of kernel update and after rows are appended to a resident
+tableau; when the factors are computed afresh; the dual-simplex repair after
+a dropped perturbation and the vectorized tableau set-up, each against a
+direct dense or loop reference written here."""
 from dataclasses import replace
 
 import numpy as np
@@ -66,9 +67,21 @@ def assert_close(got, want):
     assert np.abs(got - want).max(initial=0.0) <= 1e-10 * scale
 
 
+def binv_rows(tab, positions):
+    """Rows ``positions`` of B^-1, spread over every row from the kernel's
+    free rows and the units' own rows."""
+    rho, is_unit, slots = tab._binv_rows(positions)
+    at_unit = slots[is_unit]
+    out = np.zeros((positions.size, tab.m))
+    out[:, tab._free[:tab._k]] = rho
+    out[np.flatnonzero(is_unit), tab._srows[at_unit]] = tab._sign[at_unit]
+    return out
+
+
 def assert_matches_dense(tab):
     """Basic values, both reduced-cost rows, every column and every row of
-    B^-1 A_all, as the kernel gives them, against the dense solve."""
+    B^-1 A_all, and every row of B^-1, as the kernel gives them, against the
+    dense solve."""
     t, rc = dense_reference(tab)
     xb = t[:, -1]
     xb[np.abs(xb) < 1e-11] = 0.0
@@ -77,6 +90,8 @@ def assert_matches_dense(tab):
         assert_close(tab.reduced_costs(jo), rc[jo])
     assert_close(tab.columns(np.arange(tab.N)), t[:, :-1])
     assert_close(tab.rows(np.arange(tab.m)), t[:, :-1])
+    assert_close(binv_rows(tab, np.arange(tab.m)),
+                 np.linalg.solve(tab.A_all[:, tab.basis], np.eye(tab.m)))
 
 
 def random_basis(rng, tab, unit_share):
@@ -114,35 +129,30 @@ class TestSlackAwareRefactor:
         tab = tableau(mixed_problem(np.random.default_rng(1)))
         assert (tab.unit_row[tab.basis] >= 0).all()
         tab.refactor()
-        assert tab._kernel.size == 0
+        assert tab._k == 0
         assert_matches_dense(tab)
 
     def test_one_solve_of_kernel_size(self, monkeypatch):
+        # one inversion of the kernel per refresh: at each refactor, none
+        # for an update
         rng = np.random.default_rng(8)
-        tab = tableau(mixed_problem(rng, n=14))
-        basis = random_basis(rng, tab, 0.4)
-        sizes = []
-        inv = np.linalg.inv
-
-        def counted(a):
-            sizes.append(a.shape)
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        tab, basis = big_kernel_tableau(rng)
+        sizes = counted_inversions(monkeypatch)
         refactored(tab, basis)
         kernel = int(np.count_nonzero(tab.unit_row[basis] < 0))
+        assert kernel >= simplex.UPDATE_MIN_KERNEL
         assert sizes == [(kernel, kernel)]
-        # the same kernel keeps its inverse; values and prices still follow
-        # the data
+        # a refresh inverts even an unchanged kernel; values and prices
+        # follow the data
         tab.b_active = tab.b_active + 1e-3
         tab.d2 = tab.d2 + 1.0
         tab.refactor()
-        assert len(sizes) == 1
-        assert_matches_dense(tab)
-        # a basis change that changes the kernel inverts the new one
-        nonbasic = np.setdiff1d(np.arange(tab.n_struct), tab.basis)
-        tab.pivot_at(int(tab._kernel[0]), int(nonbasic[0]))
         assert sizes == [(kernel, kernel)] * 2
+        assert_matches_dense(tab)
+        # pivots are updates, up to UPDATE_LIMIT of them
+        for _ in range(3):
+            tab.pivot_at(*pivot_of_kind(rng, tab, False, False))
+        assert len(sizes) == 2 and tab._updates == 3
         assert_matches_dense(tab)
 
     def test_singular_kernel(self):
@@ -173,6 +183,158 @@ class TestSlackAwareRefactor:
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(SolverStallError, match="singular basis"):
             solve_lp(mixed_problem(np.random.default_rng(2)))
+
+
+def big_kernel_tableau(rng):
+    """A tableau and a well-conditioned basis whose kernel has at least
+    UPDATE_MIN_KERNEL columns, so that pivots update it."""
+    tab = tableau(mixed_problem(rng, n=40, m_ge=18, m_eq=4))
+    return tab, random_basis(rng, tab, 0.2)
+
+
+def counted_inversions(monkeypatch):
+    """The shapes np.linalg.inv is called on from now on."""
+    sizes = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        sizes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return sizes
+
+
+def pivot_of_kind(rng, tab, unit_leaves, unit_enters):
+    """(position, column) of a pivot whose leaving and entering columns are
+    unit columns or not as asked, with a pivot of at least 0.1."""
+    leaves = (tab.unit_row[tab.basis] >= 0) == unit_leaves
+    nonbasic = np.setdiff1d(np.arange(tab.N), tab.basis)
+    for q in rng.permutation(nonbasic[(tab.unit_row[nonbasic] >= 0) == unit_enters]):
+        col = tab.columns(np.array([q]))[:, 0]
+        ok = np.flatnonzero(leaves & (np.abs(col) >= 0.1))
+        if ok.size:
+            return int(rng.choice(ok)), int(q)
+    raise AssertionError("no such pivot")
+
+
+class TestKernelUpdate:
+    """Each kind of pivot updates K^-1 in place (no inversion), and
+    everything computed from it matches a dense solve of the new basis."""
+
+    @pytest.mark.parametrize("unit_leaves, unit_enters", [
+        (False, False),  # a kernel column replaced
+        (True, False),   # a structural column takes a unit's place: K grows
+        (False, True),   # a unit takes a structural column's place: K shrinks
+        (True, True),    # a unit on another row replaces a unit: a row of K replaced
+    ])
+    def test_matches_dense_after_each_kind(self, monkeypatch, unit_leaves, unit_enters):
+        rng = np.random.default_rng(40 + 2 * unit_leaves + unit_enters)
+        for _ in range(5):
+            tab, basis = big_kernel_tableau(rng)
+            refactored(tab, basis)
+            sizes = counted_inversions(monkeypatch)
+            # three, as a kernel of 18 shrinks to 15 (UPDATE_MIN_KERNEL is 16)
+            for step in range(3):
+                k = tab._k
+                tab.pivot_at(*pivot_of_kind(rng, tab, unit_leaves, unit_enters))
+                assert tab._k == k + unit_leaves - unit_enters
+                assert tab._updates == step + 1 and sizes == []
+                assert_matches_dense(tab)
+            monkeypatch.undo()
+
+    def test_unit_of_the_same_row(self, monkeypatch):
+        # row 0 (x . a >= 1) starts on its artificial; its surplus replaces it
+        monkeypatch.setattr(simplex, "UPDATE_MIN_KERNEL", 0)
+        prob = make_problem(np.ones(3), [([1.0, 2.0, 1.0], 1.0), ([1.0, -1.0, 2.0], -2.0)],
+                            [([1.0, 1.0, 3.0], 3.0)])
+        tab = tableau(prob)
+        tab.refactor()
+        art, surplus = tab.basis[0], tab.n_struct
+        assert tab.unit_row[art] == tab.unit_row[surplus] == 0
+        tab.pivot_at(0, surplus)
+        assert tab._updates == 1 and tab._sign[tab._slot[0]] == -1.0
+        assert_matches_dense(tab)
+
+    def test_small_kernels_are_inverted(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        tab = tableau(mixed_problem(rng, n=14))
+        refactored(tab, random_basis(rng, tab, 0.4))
+        assert 0 < tab._k < simplex.UPDATE_MIN_KERNEL
+        sizes = counted_inversions(monkeypatch)
+        tab.pivot_at(*pivot_of_kind(rng, tab, False, False))
+        assert sizes == [(tab._k, tab._k)] and tab._updates == 0
+        assert_matches_dense(tab)
+
+    def test_refresh_after_update_limit(self, monkeypatch):
+        monkeypatch.setattr(simplex, "UPDATE_LIMIT", 3)
+        rng = np.random.default_rng(11)
+        tab, basis = big_kernel_tableau(rng)
+        refactored(tab, basis)
+        sizes = counted_inversions(monkeypatch)
+        for _ in range(3):
+            tab.pivot_at(*pivot_of_kind(rng, tab, False, False))
+        assert sizes == [] and tab._updates == 3
+        tab.pivot_at(*pivot_of_kind(rng, tab, False, False))
+        assert sizes == [(tab._k, tab._k)] and tab._updates == 0
+        assert_matches_dense(tab)
+
+    def test_small_update_pivot_refactors(self, monkeypatch):
+        # the column entering at kernel position r is B (1e-8 e_r + e_p): its
+        # pivot is 1e-8 of its largest entry
+        rng = np.random.default_rng(12)
+        tab, basis = big_kernel_tableau(rng)
+        kernel = np.flatnonzero(tab.unit_row[basis] < 0)
+        r, p = int(kernel[0]), int(kernel[1])
+        q = int(np.setdiff1d(np.arange(tab.n_struct), basis)[0])
+        tab.A_all[:, q] = tab.A_all[:, basis] @ (1e-8 * np.eye(tab.m)[r] + np.eye(tab.m)[p])
+        refactored(tab, basis)
+        sizes = counted_inversions(monkeypatch)
+        tab.pivot_at(r, q)
+        assert sizes == [(tab._k, tab._k)] and tab._updates == 0
+
+    def test_failed_residual_check_refactors(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        tab, basis = big_kernel_tableau(rng)
+        refactored(tab, basis)
+        tab.pivot_at(*pivot_of_kind(rng, tab, True, False))
+        assert tab._updates == 1 and tab._trusted()
+        tab._Kinv[0, 0] += 1e-6
+        sizes = counted_inversions(monkeypatch)
+        assert not tab._trusted()
+        assert sizes == [(tab._k, tab._k)] and tab._updates == 0
+        assert tab._trusted()
+        assert_matches_dense(tab)
+
+    def test_guard_precedes_every_verdict(self, monkeypatch):
+        # every update leaves an error of 1e-7 in K^-1, which the residual
+        # guard finds before a verdict: the solve refreshes its factors and
+        # ends on the clean solve's optimum
+        update, accurate = simplex._Tableau._update, simplex._Tableau._accurate
+        checks = []
+
+        def noisy(self, r, q):
+            done = update(self, r, q)
+            if done:
+                self._Kinv[0, : self._k] += 1e-7
+            return done
+
+        def recorded(self):
+            checks.append(accurate(self))
+            return checks[-1]
+
+        rng = np.random.default_rng(14)
+        dims = (6, 6)
+        prob = unit_max_rows(build_ce_constraints(
+            PayoffTensor(dims, random_tensor(rng, dims).copy())))
+        clean = solve_lp(prob)
+        monkeypatch.setattr(simplex, "UPDATE_MIN_KERNEL", 1)
+        monkeypatch.setattr(simplex._Tableau, "_update", noisy)
+        monkeypatch.setattr(simplex._Tableau, "_accurate", recorded)
+        noisy_sol = solve_lp(prob)
+        assert noisy_sol.status == clean.status == "optimal"
+        assert noisy_sol.objective_value == pytest.approx(clean.objective_value, abs=1e-9)
+        assert False in checks
 
 
 class TestDualRepair:
@@ -292,6 +454,20 @@ class TestAppendedRows:
             m = int(rng.integers(0, total - k + 1))
             assert_matches_dense(self.appended(full, m, k))
             assert_matches_dense(self.appended(full, m, k, rng.normal(size=full.n)))
+
+    def test_appending_keeps_the_factors(self, monkeypatch):
+        # rows appended to the basis the factors belong to add unit rows to
+        # them, with no inversion; the grown data keeps room for more rows
+        rng = np.random.default_rng(32)
+        full = unit_max_rows(build_ce_constraints(
+            PayoffTensor((6, 6), random_tensor(rng, (6, 6)).copy())))
+        bigger = first_rows(full, 20)
+        tab = solve_lp(first_rows(full, 12)).resident.take(bigger)
+        assert tab._k >= 1
+        sizes = counted_inversions(monkeypatch)
+        tab.extend(bigger.ineq_coeffs[12:], bigger.ineq_rhs[12:], bigger.objective)
+        assert sizes == [] and tab._A.shape[0] > tab.m
+        assert_matches_dense(tab)
 
     def test_literal_commeq_master(self):
         grid = build_power_grid(-20.0, 20.0, 4)
