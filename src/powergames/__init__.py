@@ -19,9 +19,9 @@ _EXPORTS = {
                 "solve_lp"),
     "nash": ("enumerate_pure_nash", "mixed_nash_2x2"),
     "correlated": ("CePolytopeSolver", "EquilibriumReport",
-                   "JointDistribution", "build_ce_constraints",
-                   "ce_payoff_region", "ce_violation", "mediator_sample",
-                   "solve_directional_ce", "solve_welfare_ce"),
+                   "JointDistribution", "ce_payoff_region", "ce_violation",
+                   "mediator_sample", "solve_directional_ce",
+                   "solve_welfare_ce"),
     "communication": ("CommDevice", "GameFamily", "TypeSpace",
                       "build_commeq_lp", "build_type_space",
                       "commeq_violation", "conditional_prior",

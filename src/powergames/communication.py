@@ -26,8 +26,10 @@ it.
 With one joint type the canonical family is the CE polytope, and CE is cut
 as that family by its oracle, ``correlated._canonical_cuts``. The literal LP
 is then the coarse-CE LP (no constant action pays more than obeying), which
-equals the CE LP only for binary actions. Every cut row of CE and of both
-families is assembled by ``correlated._reported``.
+equals the CE LP only for binary actions. Every row of CE and of both
+families is written in one profile layout, ``correlated._told_index``, and
+every deviation-map row (a lie's best map, the literal cuts' constant maps
+and the dense LP's) is built by ``correlated._map_rows``.
 """
 from __future__ import annotations
 
@@ -40,14 +42,13 @@ import numpy as np
 
 from .correlated import (
     ACCEPT_VIOLATION,
-    ROW_GEN_BATCH,
-    ROW_GEN_TOL,
     CePolytopeSolver,
     _canonical_cuts,
     _deviation_table,
     _draw,
-    _reported,
-    _told,
+    _map_rows,
+    _told_index,
+    _top,
 )
 from .errors import BudgetError, SolverStallError
 from .model import (
@@ -244,11 +245,11 @@ class CommEqResult:
     solver_iterations: int
 
 
-def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
+def _incentive_terms(space: TypeSpace, payoffs: list[np.ndarray], i: int,
                      t_i: int, t_rep: int):
     """Per-(t_-i) data for player i's incentive rows: posterior weight, the
-    true-type flat index, the reported-type flat index, and the player's
-    payoff array at the true type with its own action as axis 0."""
+    true-type flat index, the reported-type flat index, and ``payoffs`` at
+    the true type (player i's, laid out by ``correlated._told_index``)."""
     cond = conditional_prior(space, i, t_i)
     others_axes = [range(d) for j, d in enumerate(space.type_dims) if j != i]
     out = []
@@ -261,8 +262,7 @@ def _incentive_terms(space: TypeSpace, tensors: list[PayoffTensor], i: int,
         if w == 0.0:
             continue
         ft = space.encode(joint_true)
-        out.append((w, ft, space.encode(joint_rep),
-                    np.moveaxis(tensors[ft].player_payoffs(i), i, 0)))
+        out.append((w, ft, space.encode(joint_rep), payoffs[ft]))
     return out
 
 
@@ -293,8 +293,9 @@ def _check_tableau(formulation: str, n_rows: int, n_x: int):
 def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
     """Over p(a|t) (type-major): the prior-weighted welfare objective, the
     rows ``sum_a p(a|t) = 1``, and per incentive block ``(i, t_i, t_rep,
-    terms, truth)``: ``_incentive_terms`` and the row of player i's
-    posterior payoff of reporting t_i and obeying."""
+    terms, truth, told)``: ``_incentive_terms``, the row of player i's
+    posterior payoff of reporting t_i and obeying, and player i's
+    ``_told_index``."""
     s = tensors[0].profile_count
     n = space.joint_count * s
     objective = np.zeros(n)
@@ -306,22 +307,16 @@ def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
         eq_rows.append((row, 1.0))
     blocks = []
     for i in range(space.players):
+        told = _told_index(tensors[0].dims, i)
+        payoffs = [t.flat(i)[told] for t in tensors]
         for t_i in range(space.type_dims[i]):
             for t_rep in range(space.type_dims[i]):
-                terms = _incentive_terms(space, tensors, i, t_i, t_rep)
+                terms = _incentive_terms(space, payoffs, i, t_i, t_rep)
                 truth = np.zeros(n)
                 for w, ft, _, _ in terms:
                     truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
-                blocks.append((i, t_i, t_rep, terms, truth))
+                blocks.append((i, t_i, t_rep, terms, truth, told))
     return objective, eq_rows, blocks
-
-
-def _literal_row(terms, truth: np.ndarray, dims: tuple[int, ...], i: int,
-                 b: int) -> np.ndarray:
-    """Literal incentive row: reporting honestly and obeying is worth at
-    least reporting the block's type and then playing b whatever one is told."""
-    s = int(np.prod(dims))
-    return truth - _reported(terms, truth.size, s, lambda u: _told(u[b], dims, i))
 
 
 def build_commeq_lp(space: TypeSpace, family: GameFamily,
@@ -340,24 +335,29 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
     _check_tableau("literal", n_rows, n_x)
     if tensors is None:
         tensors = per_type_tensors(space, family)
-    dims = family.dims
     objective, eq_rows, blocks = _device_program(space, tensors)
-    ineq_rows = [(_literal_row(terms, truth, dims, i, b), 0.0)
-                 for i, _, _, terms, truth in blocks for b in range(dims[i])]
+    ineq_rows = []
+    for _, _, _, terms, truth, told in blocks:
+        # every constant map b, played whatever one is told
+        mi = told.shape[0]
+        devs = np.repeat(np.arange(mi)[:, None], mi, axis=1)
+        ineq_rows += [(row, 0.0) for row in truth - _map_rows(terms, told, devs, truth.size)]
     return make_problem(objective, ineq_rows=ineq_rows, eq_rows=eq_rows,
                         name="commeq-literal")
 
 
-def _literal_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
+def _literal_cuts(blocks, x: np.ndarray):
     """Separation for the literal family at the device ``x``. In each block
     the constant deviation b is worth sum_a D[a, b]; the ROW_GEN_BATCH
     largest gains over truth above ROW_GEN_TOL give rows."""
-    p = x.reshape(-1, int(np.prod(dims)))
-    for i, t_i, t_rep, terms, truth in blocks:
-        gains = _deviation_table(p, dims, i, terms).sum(axis=0) - truth @ x
-        for b in np.argsort(gains)[::-1][:ROW_GEN_BATCH]:
-            if gains[b] > ROW_GEN_TOL:
-                yield (i, t_i, t_rep, int(b)), _literal_row(terms, truth, dims, i, b)
+    for i, t_i, t_rep, terms, truth, told in blocks:
+        gains = _deviation_table(x, told, terms).sum(axis=0) - truth @ x
+        bs = _top(gains)
+        if bs.size:
+            # the constant maps b: played whatever one is told
+            devs = np.repeat(bs[:, None], told.shape[0], axis=1)
+            rows = truth - _map_rows(terms, told, devs, x.size)
+            yield from zip([(i, t_i, t_rep, int(b)) for b in bs], rows)
 
 
 def solve_commeq(space: TypeSpace, family: GameFamily,
@@ -374,7 +374,7 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
         tensors = per_type_tensors(space, family)
     objective, eq_rows, blocks = _device_program(space, tensors)
     cuts = _literal_cuts if formulation == "literal" else _canonical_cuts
-    master = CePolytopeSolver(eq_rows, partial(cuts, blocks, family.dims),
+    master = CePolytopeSolver(eq_rows, partial(cuts, blocks),
                               partial(_check_tableau, formulation))
     x, value, iters = master.maximize(objective)
     device = CommDevice.from_raw(space, family.dims, x.reshape(space.joint_count, -1))

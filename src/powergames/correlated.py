@@ -9,6 +9,11 @@ violated so far, scan the full deviation system, add the worst offenders,
 repeat until clean. This is exact (the final point is feasible for the full
 system and optimal for a relaxation of it) and keeps each LP at a size the
 dense simplex handles comfortably.
+
+Every master row, here and in ``communication``, is written in one profile
+layout: ``_told_index(dims, i)``, whose row a lists the profiles where
+player i is told a. Payoffs and the master's point are laid out by it once
+(``v[told]``), and ``_map_rows`` builds every deviation-map row from them.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import numpy as np
 from .errors import SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import PayoffTensor, _decode
-from .simplex import LpProblem, make_problem, solve_lp
+from .simplex import make_problem, solve_lp
 
 # a freshly solved report must verify at least this cleanly
 ACCEPT_VIOLATION = 1e-8
@@ -75,108 +80,64 @@ class EquilibriumReport:
     solver_iterations: int
 
 
-def build_ce_constraints(tensor: PayoffTensor, objective: np.ndarray | None = None) -> LpProblem:
-    """The full CE linear program: one row per (player, recommendation,
-    deviation) pair, the probability-simplex equality, and nonnegativity.
-
-    Default objective is social welfare.
-    """
-    n = tensor.profile_count
-    rows = []
-    for i, u in enumerate(_moved_payoffs(tensor)):
-        for a in range(tensor.dims[i]):
-            for b in range(tensor.dims[i]):
-                if b != a:
-                    rows.append((_told(u[a] - u[b], tensor.dims, i, a), 0.0))
-    if objective is None:
-        objective = tensor.welfare_flat()
-    return make_problem(objective, ineq_rows=rows,
-                        eq_rows=[(np.ones(n), 1.0)], name="ce")
+def _told_index(dims: tuple[int, ...], i: int) -> np.ndarray:
+    """The profile layout every master row is written in: row a holds the
+    flat indices of the profiles of ``dims`` where player i is told a, the
+    other players' actions in mixed-radix order. ``v[told]`` lays a flat
+    vector over profiles out by player i's action."""
+    return np.moveaxis(np.arange(int(np.prod(dims))).reshape(dims), i, 0).reshape(dims[i], -1)
 
 
-def _moved_payoffs(tensor: PayoffTensor) -> list[np.ndarray]:
-    """Each player's payoffs with the player's own action as axis 0."""
-    return [np.moveaxis(tensor.player_payoffs(i), i, 0) for i in range(tensor.players)]
-
-
-def _told(values: np.ndarray, dims: tuple[int, ...], i: int,
-          a: int | None = None) -> np.ndarray:
-    """Flat coefficients over the profiles of ``dims``: ``values`` (an array
-    over the other players' actions, e.g. u_i(b, a_-i)) on the profiles where
-    player i is told ``a``, or on every profile when ``a`` is None; zero
-    elsewhere. Every obedience and deviation row places its payoffs here."""
-    out = np.zeros(dims)
-    # index tuples, not np.moveaxis views: this runs once per LP row
-    lead = (slice(None),) * i
-    out[lead + (slice(None) if a is None else slice(a, a + 1),)] = values[lead + (None,)]
-    return out.reshape(-1)
-
-
-def _own_first(dims: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Axis order with player i's action first, the others after in order
-    (what np.moveaxis(_, i, 0) does, without its argument checks)."""
-    return (i,) + tuple(k for k in range(len(dims)) if k != i)
-
-
-def _deviation_table(p: np.ndarray, dims: tuple[int, ...], i: int, terms) -> np.ndarray:
-    """D[a, b]: what playing b when told a is worth to player i at ``p`` (one
-    row per joint type): per term (w, _, fr, u), w times the expectation under
-    row fr of u, player i's payoffs with its own action as axis 0."""
-    mi, order = dims[i], _own_first(dims, i)
-    d = np.zeros((mi, mi))
+def _deviation_table(x: np.ndarray, told: np.ndarray, terms) -> np.ndarray:
+    """D[a, b]: what playing b when told a is worth to player i at the point
+    ``x`` over p(a|t): per term (w, _, fr, u), w times the expectation under
+    reported-type block fr of u, player i's payoffs laid out by ``told``."""
+    d = np.zeros((told.shape[0],) * 2)
     for w, _, fr, u in terms:
-        pm = p[fr].reshape(dims).transpose(order).reshape(mi, -1)
-        d += w * (pm @ u.reshape(mi, -1).T)
+        d += w * (x[fr * told.size + told] @ u.T)
     return d
 
 
-def _most_violated(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of the ROW_GEN_BATCH largest gains, a != b, above ROW_GEN_TOL,
-    largest first."""
+def _top(gains: np.ndarray) -> np.ndarray:
+    """Flat indices of the ROW_GEN_BATCH largest ``gains`` above
+    ROW_GEN_TOL, largest first."""
     top = np.argsort(gains, axis=None)[::-1][:ROW_GEN_BATCH]
-    a, b = np.divmod(top, gains.shape[0])
-    keep = (a != b) & (gains.reshape(-1)[top] > ROW_GEN_TOL)
-    return a[keep], b[keep]
+    return top[gains.reshape(-1)[top] > ROW_GEN_TOL]
 
 
-def _reported(terms, n: int, s: int, place) -> np.ndarray:
-    """Row over p(a|t): ``w * place(u)`` in each term's reported-type block."""
-    row = np.zeros(n)
+def _map_rows(terms, told: np.ndarray, devs: np.ndarray, n: int) -> np.ndarray:
+    """One row over p(a|t) per row d of ``devs``, a deviation map (d[a] is
+    played when told a): the sum over the terms (w, _, fr, u) of w * u[d(a)]
+    on the profiles where player i is told a, in reported-type block fr."""
+    s = told.size
+    rows = np.zeros((len(devs), n))
     for w, _, fr, u in terms:
-        row[fr * s:(fr + 1) * s] += w * place(u)
-    return row
+        rows[:, fr * s + told] += w * u[devs]
+    return rows
 
 
-def _canonical_cuts(blocks, dims: tuple[int, ...], x: np.ndarray):
+def _canonical_cuts(blocks, x: np.ndarray):
     """Separation for the canonical family at the device ``x``. In each
     block, D[a, b] is what playing b when told a is worth after the report.
     An honest report (its ``truth`` unused) gets the most violated obedience
-    rows D[a, a] >= D[a, b], built in one array; a lie gets the cut of its
-    best deviation map, truth >= sum_a D[a, d(a)] with d(a) = argmax_b
-    D[a, b], which no other map violates more. A row places player i's
-    payoffs u[c] (over the others' actions) on the profiles where i is told
-    a, which are row a of ``told``."""
-    s = int(np.prod(dims))
-    p = x.reshape(-1, s)
-    for i, t_i, t_rep, terms, truth in blocks:
-        mi = dims[i]
-        told = np.arange(s).reshape(dims).transpose(_own_first(dims, i)).reshape(mi, -1)
-        d = _deviation_table(p, dims, i, terms)
+    rows D[a, a] >= D[a, b], built in one array (a diagonal gain is exactly
+    0, so never picked); a lie gets the cut of its best deviation map, truth
+    >= sum_a D[a, d(a)] with d(a) = argmax_b D[a, b], which no other map
+    violates more."""
+    for i, t_i, t_rep, terms, truth, told in blocks:
+        mi, s = told.shape[0], told.size
+        d = _deviation_table(x, told, terms)
         if t_rep == t_i:
-            a, b = _most_violated(d - np.diag(d)[:, None])
+            a, b = np.divmod(_top(d - np.diag(d)[:, None]), mi)
             if a.size:
                 rows = np.zeros((a.size, x.size))
                 for w, _, fr, u in terms:
-                    u = u.reshape(mi, -1)
                     rows[np.arange(a.size)[:, None], fr * s + told[a]] += w * (u[a] - u[b])
                 yield from zip([(i, t_i, int(ak), int(bk)) for ak, bk in zip(a, b)], rows)
             continue
         dev = d.argmax(axis=1)
         if d[np.arange(mi), dev].sum() - truth @ x > ROW_GEN_TOL:
-            row = np.zeros(x.size)
-            for w, _, fr, u in terms:
-                row[fr * s + told] += w * u.reshape(mi, -1)[dev]
-            yield (i, t_i, t_rep, tuple(dev)), truth - row
+            yield (i, t_i, t_rep, tuple(dev)), truth - _map_rows(terms, told, dev[None], x.size)[0]
 
 
 class CePolytopeSolver:
@@ -214,10 +175,10 @@ class CePolytopeSolver:
         """The CE polytope of ``tensor``: the profile simplex and obedience
         rows, cut as the canonical family at one joint type (one honest block
         per player, with one term)."""
-        blocks = [(i, 0, 0, [(1.0, 0, 0, u)], None)
-                  for i, u in enumerate(_moved_payoffs(tensor))]
-        return cls([(np.ones(tensor.profile_count), 1.0)],
-                   partial(_canonical_cuts, blocks, tensor.dims))
+        told = [_told_index(tensor.dims, i) for i in range(tensor.players)]
+        blocks = [(i, 0, 0, [(1.0, 0, 0, tensor.flat(i)[told[i]])], None, told[i])
+                  for i in range(tensor.players)]
+        return cls([(np.ones(tensor.profile_count), 1.0)], partial(_canonical_cuts, blocks))
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Maximize a linear objective over the polytope.

@@ -66,7 +66,9 @@ The attempt is abandoned for the cold two-phase solve when the start does
 not fit, its basis matrix is singular, it spends more than
 ``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
 certification. A start is only a hint: no answer depends on it being good.
-Every solve ends in ``_optimal``: a dual pass to ``CLEAN_TOL``, then certification.
+Every solve ends in ``_optimal``: a best-effort dual pass to ``CLEAN_TOL``
+(undone when it stalls, back to the optimal basis it started from), then
+certification.
 """
 from __future__ import annotations
 
@@ -831,7 +833,14 @@ def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None,
 
 def _optimal(problem: LpProblem, tab: _Tableau) -> LpSolution:
     """The finish of every solve, cold or warm, from an optimal basis."""
-    tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
+    basis = tab.basis.copy()
+    try:
+        tab.dual_simplex(CLEAN_TOL)  # best effort; certification judges
+    except SolverStallError:
+        # a cleanup pivot on noise can lead to a singular basis: certify the
+        # optimal basis it started from instead
+        tab.basis = basis
+        tab.refactor()
     y = np.zeros(tab.N)
     y[tab.basis] = np.maximum(tab.xb, 0.0)
     x = y[: tab.n_struct]

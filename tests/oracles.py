@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (enumeration,
 second implementations, high-precision arithmetic) and deliberately avoids
-the code paths under test.
+the code paths under test. ``build_ce_constraints``, the dense CE LP, places
+its rows with ``np.moveaxis``, not with the library's profile layout
+(``correlated._told_index``) or its row builder (``correlated._map_rows``).
 """
 from __future__ import annotations
 
@@ -135,6 +137,29 @@ def ce_gain_reference(values, probs):
                     )
                 worst = max(worst, gain)
     return worst
+
+
+def build_ce_constraints(tensor, objective=None):
+    """The full CE linear program: one row per (player, recommendation a,
+    deviation b != a), u_i(a, a_-i) - u_i(b, a_-i) on the profiles where
+    player i is told a, placed through ``np.moveaxis`` rather than the
+    library's profile layout; the probability-simplex equality; and
+    nonnegativity. The default objective is social welfare."""
+    from powergames.simplex import make_problem
+
+    rows = []
+    for i in range(tensor.players):
+        u = np.moveaxis(tensor.player_payoffs(i), i, 0)
+        for a in range(tensor.dims[i]):
+            for b in range(tensor.dims[i]):
+                if b != a:
+                    row = np.zeros(tensor.dims)
+                    np.moveaxis(row, i, 0)[a] = u[a] - u[b]
+                    rows.append((row.reshape(-1), 0.0))
+    if objective is None:
+        objective = tensor.welfare_flat()
+    return make_problem(objective, ineq_rows=rows,
+                        eq_rows=[(np.ones(tensor.profile_count), 1.0)], name="ce")
 
 
 def lp_vertex_reference(c, a_ge, b_ge, a_eq, b_eq, lo, hi, tol=1e-9):

@@ -20,6 +20,7 @@ from powergames.errors import BudgetError
 from powergames.experiments import device_payload
 from powergames.model import PayoffTensor, build_power_grid, grid_from_levels, nested_db_levels
 from powergames.simplex import make_problem, solve_lp
+from oracles import build_ce_constraints
 
 
 def family(levels=(1.0, 10.0), players=2, alpha=0.01, packet_len=10):
@@ -186,12 +187,16 @@ def reference_commeq_lp(space, tensors, formulation):
 
 # type spaces and action grids on which the solves are checked against LPs
 # written from the definitions
-DEFINITION_CASES = pytest.mark.parametrize("types, players, prior, levels", [
-    ([0.5, 2.0], 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
-    ([0.3, 1.0, 2.5], 2, np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3),
-     (0.5, 2.0, 5.0, 12.0)),
-    ([0.5, 2.0], 3, None, (0.5, 2.0, 8.0)),
-], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players"])
+DEFINITION_CASES = pytest.mark.parametrize("types, mode, players, prior, levels", [
+    ([0.5, 2.0], "diagonal", 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
+    ([0.3, 1.0, 2.5], "diagonal", 2,
+     np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3), (0.5, 2.0, 5.0, 12.0)),
+    ([0.5, 2.0], "diagonal", 3, None, (0.5, 2.0, 8.0)),
+    ([0.5, 2.0], "product", 2, None, (0.5, 2.0, 8.0)),
+    # its canonical reference LP once stalled in the solver's last dual pass
+    ([0.3, 2.5], "product", 2, None, (0.5, 2.0, 5.0, 12.0)),
+], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players",
+        "product-2-points", "product-4-actions"])
 
 
 class TestLpStructure:
@@ -211,11 +216,11 @@ class TestLpStructure:
         assert prob.n == 4 * 9
 
     @DEFINITION_CASES
-    def test_canonical_welfare_matches_definitions(self, types, players, prior, levels):
+    def test_canonical_welfare_matches_definitions(self, types, mode, players, prior, levels):
         # the lazily cut master against the auxiliary LP written from the
         # definitions, with one free z_a per (player, true type, report, told a),
         # written as z+ - z- over two nonnegative columns
-        space = build_type_space(types, players=players, prior=prior)
+        space = build_type_space(types, players=players, mode=mode, prior=prior)
         fam = family(levels=levels, players=players)
         tensors = per_type_tensors(space, fam)
         objective, rows, eq_rows = reference_commeq_lp(space, tensors, "canonical")
@@ -233,10 +238,10 @@ class TestLpStructure:
         assert res.max_violation <= 1e-8
 
     @DEFINITION_CASES
-    def test_literal_welfare_matches_definitions(self, types, players, prior, levels):
+    def test_literal_welfare_matches_definitions(self, types, mode, players, prior, levels):
         # the lazily cut master against every literal row written from the
         # definitions
-        space = build_type_space(types, players=players, prior=prior)
+        space = build_type_space(types, players=players, mode=mode, prior=prior)
         fam = family(levels=levels, players=players)
         tensors = per_type_tensors(space, fam)
         objective, rows, eq_rows = reference_commeq_lp(space, tensors, "literal")
@@ -260,8 +265,6 @@ class TestLpStructure:
         fam = family()
         prob = build_commeq_lp(space, fam)
         tensor = per_type_tensors(space, fam)[0]
-        from powergames.correlated import build_ce_constraints
-
         ce = build_ce_constraints(tensor)
         # binary actions: constant deviations coincide with obedience rows
         assert prob.ineq_coeffs.shape[0] == ce.ineq_coeffs.shape[0] == 4
@@ -438,8 +441,8 @@ class TestViolationOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("commeq_violation used a helper of the LP builders")
 
-        names = ("conditional_prior", "_incentive_terms", "_reported", "_told",
-                 "_deviation_table", "_literal_row", "_canonical_cuts")
+        names = ("conditional_prior", "_incentive_terms", "_told_index", "_map_rows",
+                 "_top", "_deviation_table", "_canonical_cuts", "_literal_cuts")
         for name in names:
             owners = [m for m in (communication, correlated) if hasattr(m, name)]
             assert owners, name

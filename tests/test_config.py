@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -347,3 +348,11 @@ class TestBlasThreads:
                 "print(*(os.environ[v] for v in %r))" % (self.BLAS_VARS,))
         assert self.probe(code) == ["1", "1", "1"]
         assert self.probe(code, OMP_NUM_THREADS="2") == ["1", "2", "1"]
+
+
+def test_every_exported_name_resolves():
+    import powergames
+
+    for name in powergames.__all__:
+        module = import_module(f"powergames.{powergames._HOME[name]}")
+        assert getattr(powergames, name) is getattr(module, name), name

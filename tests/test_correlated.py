@@ -4,7 +4,6 @@ import pytest
 from powergames.correlated import (
     CePolytopeSolver,
     JointDistribution,
-    build_ce_constraints,
     ce_payoff_region,
     ce_violation,
     mediator_sample,
@@ -20,7 +19,7 @@ from powergames.model import (
     build_power_grid,
 )
 from powergames.nash import enumerate_pure_nash
-from oracles import ce_gain_reference, polygon_contains, random_tensor
+from oracles import build_ce_constraints, ce_gain_reference, polygon_contains, random_tensor
 from test_nash import CHICKEN, DOMINANT, MATCHING_PENNIES, tensor_from
 
 
@@ -185,7 +184,9 @@ class TestViolationOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("ce_violation used a helper of the LP master")
 
-        for name in ("_deviation_table", "_told", "_canonical_cuts", "_reported"):
+        for name in ("_told_index", "_map_rows", "_top", "_deviation_table",
+                     "_canonical_cuts"):
+            assert hasattr(correlated, name), name
             monkeypatch.setattr(correlated, name, forbidden)
         assert ce_violation(t, dist) == expected
 

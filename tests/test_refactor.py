@@ -11,12 +11,11 @@ import pytest
 
 from powergames import simplex
 from powergames.communication import GameFamily, build_commeq_lp, build_type_space
-from powergames.correlated import build_ce_constraints
 from powergames.errors import SolverStallError
 from powergames.model import (ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor,
                               build_power_grid)
 from powergames.simplex import make_problem, solve_lp
-from oracles import first_rows, random_tensor, unit_max_rows
+from oracles import build_ce_constraints, first_rows, random_tensor, unit_max_rows
 
 
 def mixed_problem(rng, n=9, m_ge=5, m_eq=2, zero_col=None):

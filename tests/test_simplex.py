@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from powergames import simplex
-from powergames.correlated import build_ce_constraints
 from powergames.errors import SolverStallError
 from powergames.model import PayoffTensor
 from powergames.simplex import dump_problem, make_problem, solve_lp
-from oracles import lp_vertex_reference, random_bounded_lp, random_tensor, shifted_box_lp
+from oracles import (build_ce_constraints, lp_vertex_reference, random_bounded_lp, random_tensor,
+                     shifted_box_lp)
 
 
 def solve(objective, ineq=(), eq=()):
@@ -156,6 +156,29 @@ class TestStall:
         monkeypatch.setattr(simplex, "PIVOT_CAP_FACTOR", 0)  # no pivot allowed
         with pytest.raises(SolverStallError, match="exceeded 0 pivots"):
             solve(rng.normal(size=n), ineq=[(a[r], b[r]) for r in range(40)] + box)
+
+    def test_cleanup_stall_certifies_the_optimal_basis(self, monkeypatch):
+        """The last dual pass is best effort: when it ends in a stall, the
+        optimal basis it started from is restored, factorized afresh and
+        certified."""
+        prob = build_ce_constraints(PayoffTensor((4, 4), random_tensor(
+            np.random.default_rng(8), (4, 4))))
+        expected = solve_lp(prob)
+        dual = simplex._Tableau.dual_simplex
+
+        def stalls(tab, tol, jo=0):
+            if tol != simplex.CLEAN_TOL:
+                return dual(tab, tol, jo)
+            # pivots back to the starting basis, then values no basis has
+            tab.basis[:] = simplex._Tableau(prob).basis
+            tab.xb[:] = -1.0
+            raise SolverStallError("singular basis: its kernel is singular")
+
+        monkeypatch.setattr(simplex._Tableau, "dual_simplex", stalls)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == expected.x.tolist()
+        assert sol.objective_value == expected.objective_value
 
 
 class TestDump:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from powergames import correlated, simplex
-from powergames.correlated import CePolytopeSolver, build_ce_constraints, ce_payoff_region
+from powergames.correlated import CePolytopeSolver, ce_payoff_region
 from powergames.model import ChannelMatrix, GameInstance, PayoffTensor, build_payoff_tensor, build_power_grid
 from powergames.simplex import make_problem, solve_lp
-from oracles import first_rows, random_bounded_lp, random_tensor, shifted_box_lp, unit_max_rows
+from oracles import (build_ce_constraints, first_rows, random_bounded_lp, random_tensor,
+                     shifted_box_lp, unit_max_rows)
 
 
 def paper_game(gains, levels=25):
