@@ -23,6 +23,17 @@ Two incentive-constraint families are supported, each cut lazily on the
 reference for tests and for ``simplex.dump_problem``; the solve does not use
 it.
 
+The canonical master runs over the columns of p(a|t) that survive
+``correlated.dominance_support``: per player and type, iterated strict
+dominance by a pure action against the opponents' surviving actions at every
+opponent type of positive conditional prior. An honest player told a
+dominated action gains by disobeying, so no device of the family puts mass
+there. The literal family keeps every column: its deviator commits to one
+action before hearing the recommendation, as in a coarse equilibrium, and a
+coarse equilibrium can put weight on a dominated action (Moulin and Vial
+1978), so no such argument covers it. ``commeq_violation`` checks either
+family's device over every column.
+
 With one joint type the canonical family is the CE polytope, and CE is cut
 as that family by its oracle, ``correlated._canonical_cuts``. The literal LP
 is then the coarse-CE LP (no constant action pays more than obeying), which
@@ -49,6 +60,7 @@ from .correlated import (
     _map_rows,
     _told_index,
     _top,
+    dominance_support,
 )
 from .errors import BudgetError, SolverStallError
 from .model import (
@@ -373,8 +385,11 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
     if tensors is None:
         tensors = per_type_tensors(space, family)
     objective, eq_rows, blocks = _device_program(space, tensors)
-    cuts = _literal_cuts if formulation == "literal" else _canonical_cuts
-    master = CePolytopeSolver(eq_rows, partial(cuts, blocks),
+    if formulation == "literal":
+        cuts, support = _literal_cuts, np.arange(objective.size)
+    else:
+        cuts, support = _canonical_cuts, dominance_support(tensors, space.prior)
+    master = CePolytopeSolver(eq_rows, partial(cuts, blocks), support,
                               partial(_check_tableau, formulation))
     x, value, iters = master.maximize(objective)
     device = CommDevice.from_raw(space, family.dims, x.reshape(space.joint_count, -1))

@@ -10,6 +10,14 @@ repeat until clean. This is exact (the final point is feasible for the full
 system and optimal for a relaxation of it) and keeps each LP at a size the
 dense simplex handles comfortably.
 
+The master's columns are only the profiles of actions that survive iterated
+strict dominance by a pure action (``surviving_actions``): every CE puts
+probability 0 on the others (Brandenburger and Dekel 1987), so the master
+over the survivors has the CE polytope's points, padded with zeros. The
+separation still ranges over every deviation, ``maximize`` returns the point
+over every profile, and ``ce_violation`` checks it against the full tensor,
+sharing no code with the reduction.
+
 Every master row, here and in ``communication``, is written in one profile
 layout: ``_told_index(dims, i)``, whose row a lists the profiles where
 player i is told a. Payoffs and the master's point are laid out by it once
@@ -17,9 +25,11 @@ player i is told a. Payoffs and the master's point are laid out by it once
 """
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -35,6 +45,10 @@ ROW_GEN_TOL = 1e-10
 ROW_GEN_BATCH = 8
 # directions of a payoff-region trace
 REGION_DIRECTIONS = 64
+# payoff comparisons made at once by the dominance test, a bound on its scratch
+DOMINANCE_CHUNK = 1 << 22
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -140,11 +154,113 @@ def _canonical_cuts(blocks, x: np.ndarray):
             yield (i, t_i, t_rep, tuple(dev)), truth - _map_rows(terms, told, dev[None], x.size)[0]
 
 
+def _dominated(u: np.ndarray) -> np.ndarray:
+    """Which rows of ``u`` some other row beats strictly in every column,
+    compared at most DOMINANCE_CHUNK entries at a time."""
+    m, n = u.shape
+    step = max(1, DOMINANCE_CHUNK // (m * n))
+    return reduce(np.logical_or, [(u[c:c + step, None] > u).all(axis=2).any(axis=0)
+                                  for c in range(0, m, step)])
+
+
+def surviving_actions(tensors: list[PayoffTensor], prior: np.ndarray) -> list[list[np.ndarray]]:
+    """Iterated strict dominance by a pure action, per player and type.
+
+    ``tensors[t]`` is the game at joint type t, in the mixed-radix order of
+    ``prior``'s shape; a plain game is one joint type, ``prior`` of shape
+    (1,) * K. Returns ``alive[i][t_i]``, the ascending actions of player i
+    at type t_i that survive. Action a goes when some action c beats it,
+    ``u_i(c, a_-i) > u_i(a, a_-i)`` on the stored floats (no tolerance, and
+    a tie keeps both), at every joint type of positive prior where i has
+    type t_i and at every opponent profile that survives at those types.
+    Repeats until nothing goes.
+    """
+    k = prior.ndim
+    dims = tensors[0].dims
+    joints = list(itertools.product(*map(range, prior.shape)))
+    alive = [[np.ones(dims[i], dtype=bool) for _ in range(prior.shape[i])] for i in range(k)]
+    # per player i and type t_i with a joint type of positive prior: the
+    # joint types it meets, and i's payoffs there, a row per own action and
+    # the opponent profiles of each joint type side by side
+    blocks = []
+    for i in range(k):
+        own_first = [i] + [j for j in range(k) if j != i]
+        for t_i in range(prior.shape[i]):
+            meets = [t for t, joint in enumerate(joints) if joint[i] == t_i and prior[joint] > 0]
+            if meets:
+                u = np.concatenate([tensors[t].player_payoffs(i).transpose(own_first)
+                                    .reshape(dims[i], -1) for t in meets], axis=1)
+                blocks.append((i, alive[i][t_i], [[alive[j][joints[t][j]] for j in own_first[1:]]
+                                                 for t in meets], u))
+    # a block is checked again only after an opponent lost an action: what
+    # its own check removed leaves no survivor beaten by another
+    removals = [0] * k
+    seen = [-1] * len(blocks)
+    changed = True
+    while changed:
+        changed = False
+        for b, (i, own, opponents, u) in enumerate(blocks):
+            others = sum(removals) - removals[i]
+            if seen[b] == others or np.count_nonzero(own) < 2:
+                continue
+            seen[b] = others
+            # the surviving opponent profiles, joint type by joint type
+            cols = np.concatenate([reduce(np.multiply.outer, masks).reshape(-1)
+                                   for masks in opponents])
+            gone = _dominated(u[own][:, cols])
+            if gone.any():
+                own[np.flatnonzero(own)[gone]] = False
+                removals[i] += 1
+                changed = True
+    return [[np.flatnonzero(own) for own in per_type] for per_type in alive]
+
+
+def dominance_support(tensors: list[PayoffTensor], prior: np.ndarray) -> np.ndarray:
+    """The ascending columns of p(a|t) (type-major, ``tensors`` and ``prior``
+    as in ``surviving_actions``) that can carry mass: at a joint type of
+    positive prior, the profiles of surviving actions; at one of zero prior,
+    every profile, since no honest player's obedience binds there.
+
+    Every CE, and every device of the canonical family, puts no mass off
+    these columns: a player told an action that c beats everywhere it can
+    be told it gains by playing c (Brandenburger and Dekel 1987), and by
+    induction the same holds at each round of the elimination. So a master
+    over them has the full polytope's points, padded with zeros.
+    """
+    alive = surviving_actions(tensors, prior)
+    dims = tensors[0].dims
+    s = tensors[0].profile_count
+    profiles = np.arange(s).reshape(dims)
+    support = np.concatenate([
+        t * s + (profiles[np.ix_(*[alive[i][t_i] for i, t_i in enumerate(joint)])].reshape(-1)
+                 if prior[joint] > 0 else profiles.reshape(-1))
+        for t, joint in enumerate(itertools.product(*map(range, prior.shape)))])
+    if log.isEnabledFor(logging.DEBUG):
+        for i, per_type in enumerate(alive):
+            for t_i, own in enumerate(per_type):
+                log.debug("dominance: player %d type %d keeps %d of %d actions %s",
+                          i, t_i, own.size, dims[i], own.tolist())
+        log.debug("dominance: master keeps %d of %d columns", support.size, len(tensors) * s)
+    return support
+
+
 class CePolytopeSolver:
     """Cutting-plane master over {x >= 0 : ``eq_rows`` hold, and so does every
     row ``row . x >= 0`` that ``separate(x)`` yields as ``(key, row)`` when
-    x violates it}. Each key is added once. ``for_tensor`` is the CE polytope,
-    separated by ``_canonical_cuts`` as ``solve_commeq``'s canonical master is.
+    x violates it}, with x zero off the columns ``support``. Each key is
+    added once. ``for_tensor`` is the CE polytope, separated by
+    ``_canonical_cuts`` as ``solve_commeq``'s canonical master is.
+
+    Each equality row ``(row, rhs)`` has unit coefficients on a block of
+    columns, the blocks disjoint (the profile simplex of each joint type). The
+    master's own columns are ``support``: its objective, equality rows and
+    cut rows are restricted to them. ``separate`` sees the point padded with
+    zeros to full width, so deviations still range over every action;
+    ``maximize`` returns that padded point. Before its first cut the master
+    is a simplex per equality row, solved by each block's best column; when
+    ``separate`` cuts nothing off there, that point is returned with 0
+    pivots and no LP built. That covers a support of one column per block,
+    the only feasible point.
 
     Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
@@ -154,18 +270,22 @@ class CePolytopeSolver:
     surplus columns basic for the dual simplex to repair, or a new objective
     for primal phase 2 to follow. When ``solve_lp`` abandons that start it runs its cold
     two-phase solve, so the answers never depend on it. ``check_size(rows,
-    columns)``, when given, runs before each master solve and may raise to
-    refuse a master that has grown too large. Not safe for concurrent use;
-    make one per worker.
+    columns)``, when given, runs before each master solve with the master's
+    own size and may raise to refuse a master that has grown too large. Not
+    safe for concurrent use; make one per worker.
     """
 
-    def __init__(self, eq_rows, separate, check_size=None):
-        self.eq_rows = eq_rows
+    def __init__(self, eq_rows, separate, support: np.ndarray, check_size=None):
+        self.support = support
+        self.eq_rows = [(row[support], rhs) for row, rhs in eq_rows]
+        # the master's columns in each equality row
+        self._blocks = [(np.flatnonzero(row), rhs) for row, rhs in self.eq_rows]
         self.separate = separate
         self.check_size = check_size
-        # the generated rows, unit max each, are the first _m rows of _rows;
-        # a round's rows are appended and no row is changed once written
-        self._rows: np.ndarray | None = None
+        # the generated rows over the support, unit max each, are the first
+        # _m rows of _rows; a round's rows are appended and no row is
+        # changed once written
+        self._rows = np.empty((0, support.size))
         self._m = 0
         self._keys: set = set()
         self._start = None
@@ -174,25 +294,36 @@ class CePolytopeSolver:
     def for_tensor(cls, tensor: PayoffTensor):
         """The CE polytope of ``tensor``: the profile simplex and obedience
         rows, cut as the canonical family at one joint type (one honest block
-        per player, with one term)."""
+        per player, with one term), over the profiles of the actions that
+        survive iterated strict dominance."""
         told = [_told_index(tensor.dims, i) for i in range(tensor.players)]
         blocks = [(i, 0, 0, [(1.0, 0, 0, tensor.flat(i)[told[i]])], None, told[i])
                   for i in range(tensor.players)]
-        return cls([(np.ones(tensor.profile_count), 1.0)], partial(_canonical_cuts, blocks))
+        support = dominance_support([tensor], np.ones((1,) * tensor.players))
+        return cls([(np.ones(tensor.profile_count), 1.0)], partial(_canonical_cuts, blocks),
+                   support)
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
-        """Maximize a linear objective over the polytope.
+        """Maximize a linear objective, over every column, on the polytope.
 
-        Returns (point, objective value, simplex pivots).
+        Returns (point over every column, objective value, simplex pivots).
         """
-        base = make_problem(objective, eq_rows=self.eq_rows, name="master")
-        if self._rows is None:
-            self._rows = np.empty((0, base.n))
+        x = np.zeros(len(objective))
+        if not self._m:
+            # before its first cut the master is one simplex per equality
+            # row, whose optimum puts the row's mass on its best column; when
+            # no row cuts that point off, it is the optimum, and no LP is built
+            c = objective[self.support]
+            for block, rhs in self._blocks:
+                x[self.support[block[c[block].argmax()]]] = rhs
+            if next(self.separate(x), None) is None:
+                return x, float(objective @ x), 0
+        base = make_problem(objective[self.support], eq_rows=self.eq_rows, name="master")
         total_iters = 0
-        for _ in range(10 * len(objective) + 100):
+        for _ in range(10 * base.n + 100):
             m = self._m
             if self.check_size is not None:
-                self.check_size(m + len(self.eq_rows), len(objective))
+                self.check_size(m + len(self.eq_rows), base.n)
             # only this round's rows were checked; solve_lp sees the earlier
             # ones as the same memory as the last problem's
             prob = base._with_rows(self._rows[:m], np.zeros(m))
@@ -202,12 +333,13 @@ class CePolytopeSolver:
                 # the polytope is nonempty and bounded, so this is internal
                 raise SolverStallError(f"master LP reported {sol.status}")
             self._start = sol.resident
-            for key, row in self.separate(sol.x):
+            x[self.support] = sol.x
+            for key, row in self.separate(x):
                 if key not in self._keys:
                     self._keys.add(key)
-                    self._append(row)
+                    self._append(row[self.support])
             if self._m == m:
-                return sol.x, float(sol.objective_value), total_iters
+                return x, float(sol.objective_value), total_iters
             # scaled to unit max coefficient: payoff differences span orders
             # of magnitude, and unscaled rows give bases ill-conditioned
             # enough that pricing cycles on noise

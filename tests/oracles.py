@@ -9,6 +9,7 @@ its rows with ``np.moveaxis``, not with the library's profile layout
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 from decimal import Decimal, getcontext
 
@@ -137,6 +138,48 @@ def ce_gain_reference(values, probs):
                     )
                 worst = max(worst, gain)
     return worst
+
+
+def reference_survivors(values, prior):
+    """Iterated strict dominance by a pure action, by explicit loops, one
+    action removed at a time. ``values[t]`` has shape (K, *dims) at joint
+    type t, joint types in C order over ``prior``'s shape. Action a of player
+    i at type t_i goes when another surviving action c pays strictly more
+    at every joint type of positive prior with that t_i and every profile of
+    the others' surviving actions at their types there. Returns
+    ``alive[i][t_i]`` as sorted lists."""
+    type_dims = prior.shape
+    k = len(type_dims)
+    dims = values[0].shape[1:]
+    joints = list(itertools.product(*[range(d) for d in type_dims]))
+    alive = [[list(range(dims[i])) for _ in range(type_dims[i])] for i in range(k)]
+
+    def beats(i, t_i, c, a):
+        met = False
+        for idx, joint in enumerate(joints):
+            if joint[i] != t_i or prior[joint] <= 0:
+                continue
+            met = True
+            others = [alive[j][joint[j]] for j in range(k) if j != i]
+            for rest in itertools.product(*others):
+                prof_c, prof_a = list(rest), list(rest)
+                prof_c.insert(i, c)
+                prof_a.insert(i, a)
+                if not values[idx][(i,) + tuple(prof_c)] > values[idx][(i,) + tuple(prof_a)]:
+                    return False
+        return met
+
+    removed = True
+    while removed:
+        removed = False
+        for i in range(k):
+            for t_i in range(type_dims[i]):
+                for a in alive[i][t_i]:
+                    if any(beats(i, t_i, c, a) for c in alive[i][t_i] if c != a):
+                        alive[i][t_i].remove(a)
+                        removed = True
+                        break
+    return alive
 
 
 def build_ce_constraints(tensor, objective=None):
@@ -355,3 +398,10 @@ def reference_rm_run(tensor, steps, seed, mu=None, rule="conditional", trace=Tru
             welfare = float(dist.probs @ welfare_flat)
             out_trace.append((step, max_regret, gap, welfare))
     return RmRunResult(empirical_distribution(state), state, out_trace)
+
+
+def result_digest(res):
+    """sha256 of a communication result's conditionals and its (welfare,
+    violation, pivots), to pin a solve's bytes."""
+    return hashlib.sha256(res.device.conditionals.tobytes() + repr(
+        (res.welfare, res.max_violation, res.solver_iterations)).encode()).hexdigest()

@@ -15,12 +15,17 @@ from powergames.communication import (
     run_mediator_session,
     solve_commeq,
 )
-from powergames.correlated import JointDistribution, ce_violation, solve_welfare_ce
+from powergames.correlated import (
+    JointDistribution,
+    ce_violation,
+    dominance_support,
+    solve_welfare_ce,
+)
 from powergames.errors import BudgetError
 from powergames.experiments import device_payload
 from powergames.model import PayoffTensor, build_power_grid, grid_from_levels, nested_db_levels
 from powergames.simplex import make_problem, solve_lp
-from oracles import build_ce_constraints
+from oracles import build_ce_constraints, result_digest
 
 
 def family(levels=(1.0, 10.0), players=2, alpha=0.01, packet_len=10):
@@ -187,7 +192,7 @@ def reference_commeq_lp(space, tensors, formulation):
 
 # type spaces and action grids on which the solves are checked against LPs
 # written from the definitions
-DEFINITION_CASES = pytest.mark.parametrize("types, mode, players, prior, levels", [
+DEFINITION_PARAMS = [
     ([0.5, 2.0], "diagonal", 2, np.array([[0.4, 0.1], [0.2, 0.3]]), (0.5, 2.0, 8.0)),
     ([0.3, 1.0, 2.5], "diagonal", 2,
      np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3), (0.5, 2.0, 5.0, 12.0)),
@@ -195,8 +200,24 @@ DEFINITION_CASES = pytest.mark.parametrize("types, mode, players, prior, levels"
     ([0.5, 2.0], "product", 2, None, (0.5, 2.0, 8.0)),
     # its canonical reference LP once stalled in the solver's last dual pass
     ([0.3, 2.5], "product", 2, None, (0.5, 2.0, 5.0, 12.0)),
-], ids=["correlated-prior", "dirichlet-3-types-4-actions", "three-players",
-        "product-2-points", "product-4-actions"])
+]
+DEFINITION_IDS = ["correlated-prior", "dirichlet-3-types-4-actions", "three-players",
+                  "product-2-points", "product-4-actions"]
+DEFINITION_CASES = pytest.mark.parametrize("types, mode, players, prior, levels",
+                                           DEFINITION_PARAMS, ids=DEFINITION_IDS)
+# sha256 of each literal solve's conditionals and (welfare, violation,
+# pivots) from before the canonical family's dominance reduction: the literal
+# master runs over every column, so its bytes stay as they were. Taken with
+# numpy 2.4 and its bundled OpenBLAS on x86-64; a BLAS that rounds
+# differently moves them
+LITERAL_DIGESTS = [
+    "6b6b27f5047cd3653f356ffe03b8fdf57a6c70500767d5ce2a14b9f8c21efb71",
+    "fef58c51cc9c433d972636ab76bccbfc112972faebdc507e42e35ba145af5b34",
+    "79b2d290fd697c34ad2c6ae9b195eddf7e1604581dc82c10b1a743d8ef80be78",
+    "dd291fbe84c442cc014607bcce9449e4f1778b439115d1c50550b71749bea38a",
+    "a01f3cf94d991dc76e618097cc5475a69525b60ba52ef5b936ecb4dee3223f2e",
+]
+
 
 
 class TestLpStructure:
@@ -237,6 +258,32 @@ class TestLpStructure:
         assert abs(res.welfare - reference.objective_value) <= 1e-9
         assert res.max_violation <= 1e-8
 
+    @pytest.mark.parametrize("prior, alpha, packet_len", [
+        (None, 0.01, 100),
+        (np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0], [0.0, 0.1, 0.2]]), 0.05, 10),
+        (np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0], [0.0, 0.1, 0.2]]), 0.1, 100),
+    ], ids=["uniform", "zero-joint-types", "deep"])
+    def test_reduced_canonical_matches_definitions(self, prior, alpha, packet_len):
+        # games with dominated actions at every type: the master over the
+        # surviving columns against the auxiliary LP over every column
+        space = build_type_space([0.3, 1.0, 2.5], players=2, prior=prior)
+        fam = family(levels=(0.5, 2.0, 5.0, 12.0), alpha=alpha, packet_len=packet_len)
+        tensors = per_type_tensors(space, fam)
+        objective, rows, eq_rows = reference_commeq_lp(space, tensors, "canonical")
+        n_x = space.joint_count * tensors[0].profile_count
+        assert dominance_support(tensors, space.prior).size < n_x
+
+        def split(a):
+            return np.concatenate([a, -a[..., n_x:]], axis=-1)
+
+        reference = solve_lp(make_problem(
+            split(objective), ineq_rows=[(r, 0.0) for r in split(rows)],
+            eq_rows=[(r, 1.0) for r in split(eq_rows)]))
+        res = solve_commeq(space, fam, "canonical", tensors=tensors)
+        assert reference.status == "optimal"
+        assert abs(res.welfare - reference.objective_value) <= 1e-9
+        assert res.max_violation <= 1e-8
+
     @DEFINITION_CASES
     def test_literal_welfare_matches_definitions(self, types, mode, players, prior, levels):
         # the lazily cut master against every literal row written from the
@@ -251,6 +298,14 @@ class TestLpStructure:
         assert reference.status == "optimal"
         assert abs(res.welfare - reference.objective_value) <= 1e-9
         assert res.max_violation <= 1e-8
+
+    @pytest.mark.parametrize("case, digest", zip(DEFINITION_PARAMS, LITERAL_DIGESTS),
+                             ids=DEFINITION_IDS)
+    def test_literal_outputs_unchanged(self, case, digest):
+        types, mode, players, prior, levels = case
+        space = build_type_space(types, players=players, mode=mode, prior=prior)
+        res = solve_commeq(space, family(levels=levels, players=players), "literal")
+        assert result_digest(res) == digest
 
     def test_literal_row_count(self):
         space = build_type_space([0.5, 2.0], players=2)

@@ -222,6 +222,20 @@ class TestRegion:
             for v in region:
                 assert polygon_contains(feasible, v, tol=1e-7)
 
+    def test_hull_drops_a_point_within_rounding_of_an_edge(self):
+        # the support points of the fig2a_actions.json region at one commit:
+        # the first lies 2.9e-18 off the edge u1 = -0.0001 between the next
+        # and the last, so it once made a 4th vertex that the pivot path's
+        # low bits took away again
+        on_edge = (-0.00010000000000000289, 0.17029753716645352)
+        points = [on_edge, (-9.999999999999593e-05, -0.00010000000000006531),
+                  (0.8944916177316319, -0.0001), (-0.0001, 0.8944916177316319)]
+        hull = convex_hull_ccw(points)
+        assert on_edge not in hull and len(hull) == 3
+        # a point 1e-9 outside that edge is a vertex
+        outside = (-0.0001 - 1e-9, 0.17029753716645352)
+        assert outside in convex_hull_ccw(points[1:] + [outside])
+
     def test_chicken_region_beats_ne_hull(self):
         region = ce_payoff_region(CHICKEN, directions=32)
         welfare_vertex = max(v[0] + v[1] for v in region)

@@ -389,8 +389,14 @@ class TestCli:
 
         monkeypatch.setattr(importlib.import_module(f"powergames.{module}"), "solve_lp",
                             lambda *args, **kwargs: LpSolution("infeasible", None, None, 0))
+        game = {}
+        if command == ["ce"]:
+            # the default game is dominance solvable, and its one profile needs
+            # no LP; here all 9 profiles survive and the welfare-best is no CE
+            game = {"power": {"min_db": 0.0, "max_db": 20.0, "levels": 3},
+                    "channel": {"matrix": [[1.0, 1.0], [1.0, 1.0]]}}
         cfg = self.write_cfg(tmp_path, types={"mode": "diagonal", "points": 2,
-                                              "min": 0.5, "max": 1.0})
+                                              "min": 0.5, "max": 1.0}, **game)
         assert cli.main(["-c", cfg] + command) == 4
         err = capsys.readouterr().err
         assert "solver stall" in err and "infeasible" in err

@@ -3,6 +3,7 @@ pinned to reference optima computed with scipy's HiGHS or the earlier dense LP
 (hard-coded: scipy is not a dependency)."""
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from powergames.correlated import ce_payoff_region, solve_welfare_ce
 from powergames.experiments import channel_states, game_from_config, power_grids, types_from_config
 from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
 from powergames.simplex import solve_lp
+
+from oracles import result_digest
 
 PAPER_CONFIG = Path(__file__).parent.parent / "configs" / "paper_setup.json"
 
@@ -88,6 +91,11 @@ def test_literal_commeq_at_paper_scale():
     res = solve_commeq(types_from_config(cfg), family, "literal")
     assert res.max_violation <= 1e-8
     assert abs(res.welfare - 0.7185276765685309) <= 1e-12
+    # the literal master runs over every column, byte for byte as before the
+    # canonical family's dominance reduction (see test_communication's
+    # LITERAL_DIGESTS)
+    assert result_digest(res) == \
+        "e1df3223da7d5d86f1a860bfc258a20840dc380ffebc9518de7764375a8f8ea0"
 
 
 def test_literal_commeq_three_points_matches_dense_lp():
@@ -99,6 +107,8 @@ def test_literal_commeq_three_points_matches_dense_lp():
     res = solve_commeq(space, family, "literal")
     assert dense.status == "optimal"
     assert abs(res.welfare - dense.objective_value) <= 1e-9
+    assert result_digest(res) == \
+        "2daed08e4edd268654bbf69d367f713f9d47f63a4f06a648e53a6d7d3180837c"
 
 
 def test_literal_commeq_five_points_exits_0(tmp_path):
@@ -117,37 +127,77 @@ def test_literal_commeq_five_points_exits_0(tmp_path):
 
 
 def test_canonical_commeq_three_points(tmp_path):
-    # 3 diagonal types at 25 levels: a master of 1,000 to 1,100 pivots, most
-    # of them dual, on kernels of 120 to 144 columns
-    path = tmp_path / "three_types.json"
+    # 3 diagonal types at 25 levels: 576 of the 5,625 columns survive the
+    # dominance reduction; over all of them, a master of 1,000 to 1,100 pivots
+    assert canonical_diagonal_welfare(tmp_path, 3) == pytest.approx(
+        0.8062630620248985, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("points, welfare", [
+    # 1,225 of 10,000 columns survive; over all of them the master took 12 s
+    (4, 0.8406454261729976),
+    # 2,116 of 15,625 survive; over all of them the master grew to 817 rows
+    # and past the tableau budget, exit 3
+    (5, 0.8532140560838429),
+])
+def test_canonical_commeq_more_points(tmp_path, points, welfare):
+    # HiGHS on the reduced LP with auxiliaries, deviations over every action
+    assert canonical_diagonal_welfare(tmp_path, points) == pytest.approx(
+        welfare, rel=0, abs=1e-9)
+
+
+def canonical_diagonal_welfare(tmp_path, points):
+    """Welfare of ``commeq --formulation canonical`` at ``points`` diagonal
+    types and 25 levels, checked to exit 0 and verify."""
+    path = tmp_path / "types.json"
     path.write_text(json.dumps({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]},
-                                "types": {"points": 3}}))
+                                "types": {"points": points}}))
     out = tmp_path / "commeq.json"
     assert cli.main(["-c", str(path), "commeq", "--formulation", "canonical",
                      "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert result["max_violation"] <= 1e-8
-    assert abs(result["welfare"] - 0.8062630620248985) <= 1e-9
+    return result["welfare"]
 
 
 def test_welfare_ce_fifty_levels():
-    # 2,500 profiles, 4,900 obedience rows; HiGHS on the full dense LP:
-    grid = build_power_grid(-20.0, 20.0, 50)
+    # 2,500 profiles, 4,900 obedience rows, 19 x 19 actions survive; HiGHS on
+    # the full dense LP:
+    assert diagonal_channel_welfare_ce(50) == pytest.approx(
+        0.7576779781656191, rel=0, abs=1e-9)
+
+
+def test_welfare_ce_hundred_levels():
+    # 10,000 profiles, 38 x 38 actions survive; over every profile the master
+    # took about 2 minutes. HiGHS on the full dense LP:
+    assert diagonal_channel_welfare_ce(100) == pytest.approx(
+        0.7520475447430099, rel=0, abs=1e-9)
+
+
+def diagonal_channel_welfare_ce(levels):
+    """Welfare CE of the channel [[1, 0.5], [0.5, 1]] at ``levels`` levels,
+    checked to verify."""
+    grid = build_power_grid(-20.0, 20.0, levels)
     tensor = build_payoff_tensor(GameInstance(
         ChannelMatrix.from_array([[1.0, 0.5], [0.5, 1.0]]), (grid, grid), 0.01, 1.0, 100))
     rep = solve_welfare_ce(tensor)
     assert rep.max_violation <= 1e-8
-    assert abs(rep.welfare - 0.7576779781656191) <= 1e-9
+    return rep.welfare
 
 
 def test_canonical_master_growth_exits_3(tmp_path, capsys):
-    # 10 diagonal types at 25 levels: the master starts at 100 rows over
-    # 62,500 columns, inside the budget, and its first cuts once grew it to a
-    # (273, 62774) tableau that ran out of memory with a traceback
+    # 10 diagonal types at 25 levels: the master keeps 10,000 of the 62,500
+    # columns after the dominance reduction and starts at 100 rows, inside
+    # the budget; its cuts grow it to about 1,100 rows, past the budget (the
+    # count follows the pivot path, which the BLAS thread count moves). Over
+    # every column its first cuts once grew it to a (273, 62774) tableau that
+    # ran out of memory with a traceback
     path = tmp_path / "ten_types.json"
     path.write_text(json.dumps({"channel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]},
                                 "types": {"points": 10}}))
     assert cli.main(["-c", str(path), "commeq", "--formulation", "canonical"]) == 3
     err = capsys.readouterr().err
-    assert "budget error: canonical communication LP with 62500 variables" in err
+    grown = re.search(r"budget error: canonical communication LP with 10000 variables "
+                      r"and (\d+) rows", err)
+    assert grown and int(grown.group(1)) > 100
     assert "Traceback" not in err
