@@ -386,10 +386,10 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
         tensors = per_type_tensors(space, family)
     objective, eq_rows, blocks = _device_program(space, tensors)
     if formulation == "literal":
-        cuts, support = _literal_cuts, np.arange(objective.size)
+        cuts, reduction = _literal_cuts, None
     else:
-        cuts, support = _canonical_cuts, dominance_support(tensors, space.prior)
-    master = CePolytopeSolver(eq_rows, partial(cuts, blocks), support,
+        cuts, reduction = _canonical_cuts, partial(dominance_support, tensors, space.prior)
+    master = CePolytopeSolver(eq_rows, partial(cuts, blocks), reduction,
                               partial(_check_tableau, formulation))
     x, value, iters = master.maximize(objective)
     device = CommDevice.from_raw(space, family.dims, x.reshape(space.joint_count, -1))

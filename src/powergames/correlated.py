@@ -10,13 +10,19 @@ repeat until clean. This is exact (the final point is feasible for the full
 system and optimal for a relaxation of it) and keeps each LP at a size the
 dense simplex handles comfortably.
 
-The master's columns are only the profiles of actions that survive iterated
-strict dominance by a pure action (``surviving_actions``): every CE puts
-probability 0 on the others (Brandenburger and Dekel 1987), so the master
-over the survivors has the CE polytope's points, padded with zeros. The
-separation still ranges over every deviation, ``maximize`` returns the point
-over every profile, and ``ce_violation`` checks it against the full tensor,
-sharing no code with the reduction.
+An LP master's columns are only the profiles of actions that survive
+iterated strict dominance by a pure action (``surviving_actions``): every CE
+puts probability 0 on the others (Brandenburger and Dekel 1987), so the
+master over the survivors has the CE polytope's points, padded with zeros.
+The reduction runs only when a master needs an LP: the best profile for the
+objective is separated first over every profile, and when nothing cuts it
+off it is the answer, and the best over the survivors is that same profile
+(a CE has no mass off them, and both take the first index on a tie). A
+master with cuts answers a new objective from its resident basis when no
+column prices out under it. The separation still ranges over every
+deviation, ``maximize`` returns the point over every profile, and
+``ce_violation`` checks it against the full tensor, sharing no code with the
+reduction.
 
 Every master row, here and in ``communication``, is written in one profile
 layout: ``_told_index(dims, i)``, whose row a lists the profiles where
@@ -29,7 +35,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -47,6 +53,8 @@ ROW_GEN_BATCH = 8
 REGION_DIRECTIONS = 64
 # payoff comparisons made at once by the dominance test, a bound on its scratch
 DOMINANCE_CHUNK = 1 << 22
+# profile layouts kept by _told_index, one per game shape and player
+TOLD_CACHE = 16
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +102,16 @@ class EquilibriumReport:
     solver_iterations: int
 
 
+@lru_cache(maxsize=TOLD_CACHE)
 def _told_index(dims: tuple[int, ...], i: int) -> np.ndarray:
     """The profile layout every master row is written in: row a holds the
     flat indices of the profiles of ``dims`` where player i is told a, the
     other players' actions in mixed-radix order. ``v[told]`` lays a flat
-    vector over profiles out by player i's action."""
-    return np.moveaxis(np.arange(int(np.prod(dims))).reshape(dims), i, 0).reshape(dims[i], -1)
+    vector over profiles out by player i's action. Computed once per shape
+    and player while cached, and read-only."""
+    told = np.moveaxis(np.arange(int(np.prod(dims))).reshape(dims), i, 0).reshape(dims[i], -1)
+    told.setflags(write=False)
+    return told
 
 
 def _deviation_table(x: np.ndarray, told: np.ndarray, terms) -> np.ndarray:
@@ -247,20 +259,35 @@ def dominance_support(tensors: list[PayoffTensor], prior: np.ndarray) -> np.ndar
 class CePolytopeSolver:
     """Cutting-plane master over {x >= 0 : ``eq_rows`` hold, and so does every
     row ``row . x >= 0`` that ``separate(x)`` yields as ``(key, row)`` when
-    x violates it}, with x zero off the columns ``support``. Each key is
-    added once. ``for_tensor`` is the CE polytope, separated by
-    ``_canonical_cuts`` as ``solve_commeq``'s canonical master is.
+    x violates it}. Each key is added once. ``for_tensor`` is the CE
+    polytope, separated by ``_canonical_cuts`` as ``solve_commeq``'s
+    canonical master is.
 
     Each equality row ``(row, rhs)`` has unit coefficients on a block of
-    columns, the blocks disjoint (the profile simplex of each joint type). The
-    master's own columns are ``support``: its objective, equality rows and
-    cut rows are restricted to them. ``separate`` sees the point padded with
-    zeros to full width, so deviations still range over every action;
-    ``maximize`` returns that padded point. Before its first cut the master
-    is a simplex per equality row, solved by each block's best column; when
-    ``separate`` cuts nothing off there, that point is returned with 0
-    pivots and no LP built. That covers a support of one column per block,
-    the only feasible point.
+    columns, the blocks disjoint (the profile simplex of each joint type).
+    ``reduction()``, when given, returns the ascending columns that can
+    carry mass at any point of the polytope (``dominance_support``); without
+    it every column can. The master pays for it only when it needs an LP:
+
+    - Before its first cut the master is a simplex per equality row, whose
+      optimum puts each row's mass on the row's best column (the first, on
+      a tie). That point over every column is separated first, and when
+      nothing cuts it off it is returned with 0 pivots, ``reduction``
+      never run. This is the point the reduced master's first solve would give:
+      a point of the polytope has all its mass on columns ``reduction`` keeps,
+      so the best over those is the same column, the first index on a tie
+      in both.
+    - Otherwise ``reduction`` runs once, and the master's own columns are the
+      ones it returns: its objective, equality rows and cut rows are
+      restricted to them. When a kept column is not the full point's, the
+      best point over the kept columns is separated in turn and, when
+      uncut, returned with 0 pivots (one column per block is the only
+      feasible point). When it is the same point, it was just cut, so the
+      LP follows at once.
+
+    ``separate`` always sees a point padded with zeros to full width, so
+    deviations range over every action, and ``maximize`` returns that
+    padded point.
 
     Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
@@ -268,56 +295,74 @@ class CePolytopeSolver:
     and objectives: each solve starts from the last optimal one
     (``solve_lp``'s ``start``), which takes a round's new rows with their
     surplus columns basic for the dual simplex to repair, or a new objective
-    for primal phase 2 to follow. When ``solve_lp`` abandons that start it runs its cold
-    two-phase solve, so the answers never depend on it. ``check_size(rows,
-    columns)``, when given, runs before each master solve with the master's
-    own size and may raise to refuse a master that has grown too large. Not
-    safe for concurrent use; make one per worker.
+    for primal phase 2 to follow. When the last solve ended clean (its
+    point cut by nothing new) and a new objective prices no column out of
+    that basis (``Resident.optimal_under``), the warm solve would make no
+    pivot and end at the last point, so that point is returned with 0
+    pivots and no LP built, and the basis stays resident. When ``solve_lp``
+    abandons a start it runs its cold two-phase solve, so the answers never
+    depend on it. ``check_size(rows, columns)``, when given, runs before
+    each master solve with the master's own size and may raise to refuse a
+    master that has grown too large. Not safe for concurrent use; make one
+    per worker.
     """
 
-    def __init__(self, eq_rows, separate, support: np.ndarray, check_size=None):
-        self.support = support
-        self.eq_rows = [(row[support], rhs) for row, rhs in eq_rows]
-        # the master's columns in each equality row
-        self._blocks = [(np.flatnonzero(row), rhs) for row, rhs in self.eq_rows]
+    def __init__(self, eq_rows, separate, reduction=None, check_size=None):
+        self._eq_full = eq_rows
+        # each equality row's columns, before any reduction
+        self._blocks = [(np.flatnonzero(row), rhs) for row, rhs in eq_rows]
         self.separate = separate
+        self._reduction = reduction
         self.check_size = check_size
+        # the master's own columns, and the equality rows and blocks over
+        # them, set by _restrict when the first LP is needed
+        self.support = self.eq_rows = self._kept = None
         # the generated rows over the support, unit max each, are the first
         # _m rows of _rows; a round's rows are appended and no row is
         # changed once written
-        self._rows = np.empty((0, support.size))
+        self._rows = None
         self._m = 0
         self._keys: set = set()
         self._start = None
+        # the point of the last solve, while its basis is resident and no
+        # row has been added since
+        self._last = None
 
     @classmethod
     def for_tensor(cls, tensor: PayoffTensor):
         """The CE polytope of ``tensor``: the profile simplex and obedience
         rows, cut as the canonical family at one joint type (one honest block
-        per player, with one term), over the profiles of the actions that
-        survive iterated strict dominance."""
+        per player, with one term), reduced to the profiles of the actions
+        that survive iterated strict dominance when an LP is needed."""
         told = [_told_index(tensor.dims, i) for i in range(tensor.players)]
         blocks = [(i, 0, 0, [(1.0, 0, 0, tensor.flat(i)[told[i]])], None, told[i])
                   for i in range(tensor.players)]
-        support = dominance_support([tensor], np.ones((1,) * tensor.players))
         return cls([(np.ones(tensor.profile_count), 1.0)], partial(_canonical_cuts, blocks),
-                   support)
+                   partial(dominance_support, [tensor], np.ones((1,) * tensor.players)))
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Maximize a linear objective, over every column, on the polytope.
 
         Returns (point over every column, objective value, simplex pivots).
         """
-        x = np.zeros(len(objective))
         if not self._m:
-            # before its first cut the master is one simplex per equality
-            # row, whose optimum puts the row's mass on its best column; when
-            # no row cuts that point off, it is the optimum, and no LP is built
-            c = objective[self.support]
-            for block, rhs in self._blocks:
-                x[self.support[block[c[block].argmax()]]] = rhs
-            if next(self.separate(x), None) is None:
+            full = self._peak(objective, self._blocks)
+            if next(self.separate(full), None) is None:
+                if self.support is None and self._reduction is not None:
+                    log.debug("master: best point uncut; dominance reduction skipped")
+                return full, float(objective @ full), 0
+            if self.support is None:
+                self._restrict()
+            x = self._peak(objective, self._kept)
+            if not np.array_equal(x, full) and next(self.separate(x), None) is None:
                 return x, float(objective @ x), 0
+        elif self._last is not None and self._start.optimal_under(objective[self.support]):
+            log.debug("master: no column prices out of the resident basis; "
+                      "last point kept, no LP built")
+            x = self._last.copy()
+            return x, float(objective[self.support] @ x[self.support]), 0
+        self._last = None
+        x = np.zeros(len(objective))
         base = make_problem(objective[self.support], eq_rows=self.eq_rows, name="master")
         total_iters = 0
         for _ in range(10 * base.n + 100):
@@ -339,6 +384,7 @@ class CePolytopeSolver:
                     self._keys.add(key)
                     self._append(row[self.support])
             if self._m == m:
+                self._last = x.copy()
                 return x, float(sol.objective_value), total_iters
             # scaled to unit max coefficient: payoff differences span orders
             # of magnitude, and unscaled rows give bases ill-conditioned
@@ -348,6 +394,24 @@ class CePolytopeSolver:
             if not np.isfinite(new).all():
                 raise ValueError("coefficients must be finite")
         raise SolverStallError("row generation failed to converge")
+
+    @staticmethod
+    def _peak(objective: np.ndarray, blocks) -> np.ndarray:
+        """The point with each equality row's mass on its block's best
+        column, the first on a tie."""
+        x = np.zeros(len(objective))
+        for block, rhs in blocks:
+            x[block[objective[block].argmax()]] = rhs
+        return x
+
+    def _restrict(self):
+        """Run the reduction, and restrict the equality rows and the blocks
+        to the columns it keeps."""
+        n = len(self._eq_full[0][0])
+        self.support = support = np.arange(n) if self._reduction is None else self._reduction()
+        self.eq_rows = [(row[support], rhs) for row, rhs in self._eq_full]
+        self._kept = [(support[np.flatnonzero(row)], rhs) for row, rhs in self.eq_rows]
+        self._rows = np.empty((0, support.size))
 
     def _append(self, row: np.ndarray):
         """Write ``row`` after the others, in a buffer grown to twice the
@@ -402,11 +466,13 @@ def ce_violation(tensor: PayoffTensor, dist: JointDistribution) -> float:
     if tuple(dist.dims) != tuple(tensor.dims):
         raise ValueError("distribution dims do not match tensor")
     p = dist.as_array()
+    k = tensor.players
     worst = 0.0
-    for i in range(tensor.players):
+    for i in range(k):
         mi = tensor.dims[i]
-        pm = np.moveaxis(p, i, 0).reshape(mi, -1)
-        um = np.moveaxis(tensor.player_payoffs(i), i, 0).reshape(mi, -1)
+        own_first = (i, *range(i), *range(i + 1, k))
+        pm = p.transpose(own_first).reshape(mi, -1)
+        um = tensor.player_payoffs(i).transpose(own_first).reshape(mi, -1)
         s = pm @ um.T  # s[a, b]: expected payoff of playing b when told a
         # the diagonal gains are exactly 0, no more than the floor ``worst`` starts at
         worst = max(worst, float((s - np.diag(s)[:, None]).max()))

@@ -66,6 +66,9 @@ The attempt is abandoned for the cold two-phase solve when the start does
 not fit, its basis matrix is singular, it spends more than
 ``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
 certification. A start is only a hint: no answer depends on it being good.
+``Resident.optimal_under`` asks a start, without using it, whether its basis
+is still optimal under a new objective, by the test the pivot loop applies;
+a caller that gets yes keeps the solved point and builds no problem.
 Every solve ends in ``_optimal``: a best-effort dual pass to ``CLEAN_TOL``
 (undone when it stalls, back to the optimal basis it started from), then
 certification.
@@ -352,26 +355,30 @@ class _Tableau:
         return float(xb.min()) if self.m else 0.0
 
     def reduced_costs(self, jo: int) -> np.ndarray:
-        """Reduced costs of cost row ``jo`` (0 phase 2, 1 phase 1): the duals
-        y, a unit's from its own cost and the free rows' from the kernel,
-        then d - y A_all, exactly 0 on the basic columns."""
+        """Reduced costs of cost row ``jo`` (0 phase 2, 1 phase 1), computed
+        once per basis."""
         if self._rc[jo] is None:
-            k = self._k
-            nu = self.m - k
-            d = (self.d2, self.d1)[jo]
-            d_basic = d[self.basis]
-            y_unit = d_basic[self._upos[:nu]] * self._sign[:nu]
-            priced = y_unit.nonzero()[0]
-            y_unit, on = y_unit[priced], self._srows[priced]
-            d_kernel = d_basic[self._kpos[:k]]
-            if priced.size:
-                d_kernel = d_kernel - self._AKT[:k, on] @ y_unit
-            rc = d - (d_kernel @ self._Kinv[:k, :k]) @ self._AF[:k, : self.N]
-            if priced.size:
-                rc -= y_unit @ self.A_all[on]
-            rc[self.basis] = 0.0
-            self._rc[jo] = rc
+            self._rc[jo] = self._price((self.d2, self.d1)[jo])
         return self._rc[jo]
+
+    def _price(self, d: np.ndarray) -> np.ndarray:
+        """Reduced costs of the cost row ``d``: the duals y, a unit's from
+        its own cost and the free rows' from the kernel, then d - y A_all,
+        exactly 0 on the basic columns."""
+        k = self._k
+        nu = self.m - k
+        d_basic = d[self.basis]
+        y_unit = d_basic[self._upos[:nu]] * self._sign[:nu]
+        priced = y_unit.nonzero()[0]
+        y_unit, on = y_unit[priced], self._srows[priced]
+        d_kernel = d_basic[self._kpos[:k]]
+        if priced.size:
+            d_kernel = d_kernel - self._AKT[:k, on] @ y_unit
+        rc = d - (d_kernel @ self._Kinv[:k, :k]) @ self._AF[:k, : self.N]
+        if priced.size:
+            rc -= y_unit @ self.A_all[on]
+        rc[self.basis] = 0.0
+        return rc
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
         """B^-1 A_all[:, cols]: rows by basis position."""
@@ -736,10 +743,32 @@ class Resident:
     """The final basis of an optimal solve, with its data (a ``_Tableau``),
     and the problem it solved, kept for one later ``solve_lp(..., start=)``
     to continue from (see the module docstring). ``take`` hands the tableau
-    over, or drops it."""
+    over, or drops it; ``optimal_under`` asks the basis about a new
+    objective and leaves it resident.
+
+    Under a new objective the basis stays primal feasible, so it is still
+    optimal when no column prices out (Gass and Saaty 1955): then the warm
+    solve would make no pivot and end at the same point, and a caller that
+    asks first can keep that point and skip the solve."""
 
     def __init__(self, problem: LpProblem, tab: _Tableau):
         self._problem, self._tab = problem, tab
+
+    def optimal_under(self, objective: np.ndarray) -> bool:
+        """Whether the basis is optimal for the solved problem with
+        ``objective`` in place of its own, as ``pivot_loop`` finds it: every
+        basic value at least -CLEAN_TOL (so the last dual pass makes no
+        pivot either) and no allowed column with a reduced cost below
+        -OPT_TOL, priced from factors that are fresh or pass the residual
+        guard. False when any of that fails or the start was used. Changes
+        nothing: the resident can still be taken."""
+        tab = self._tab
+        if (tab is None or (tab.m and tab.xb.min() < -CLEAN_TOL)
+                or (tab._updates and not tab._accurate())):
+            return False
+        d = np.zeros(tab.N)
+        d[: tab.n_struct] = -objective
+        return not (tab.allowed & (tab._price(d) < -OPT_TOL)).any()
 
     def take(self, problem: LpProblem) -> _Tableau | None:
         """The tableau when ``problem`` extends the solved one, else None.
