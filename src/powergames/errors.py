@@ -20,6 +20,7 @@ class BudgetError(PowergamesError):
 
 class SolverStallError(PowergamesError):
     """An LP-based solve produced no certified answer: the simplex hit its
-    iteration cap or failed to certify a verdict, an LP known to have an
-    optimum reported another status, row generation did not converge, or an
-    answer failed its independent verification."""
+    iteration cap, met a singular basis or could not certify its optimal
+    point, an LP known to have an optimum reported another status, row
+    generation did not converge, or an answer failed its independent
+    verification."""

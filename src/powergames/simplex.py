@@ -8,11 +8,13 @@ an identity column, and starts in two phases.
 Pivoting: the entering column has the most negative reduced cost (Dantzig's
 rule; in phase 1, ties go to the best phase-2 reduced cost), and a
 Harris-style ratio test picks its row (largest pivot among near-tied rows,
-relative pivot floor). Long runs of degenerate pivots
-trigger a deterministic right-hand-side perturbation in the current basis
-frame and, as a last resort, Bland's rule. Dropping the perturbation is
-followed by a dual simplex repair, the same dual simplex that warm starts
-use. Identical inputs take identical pivot sequences.
+relative pivot floor). Every run of ``STALL_THRESHOLD`` degenerate pivots
+adds a deterministic right-hand-side perturbation in the current basis
+frame; that is the one response to a stall. A phase drops the perturbation
+when no column prices out, so phase 1's verdict reads the true right-hand
+side; basic values the drop leaves negative are repaired by the last dual
+pass of every solve (see ``_optimal`` below). Identical inputs take
+identical pivot sequences.
 
 No tableau is kept. Only the data ``[A_all | b]``, the basis and a
 factorization of the basis are stored, and after every basis change each
@@ -69,9 +71,9 @@ certification. A start is only a hint: no answer depends on it being good.
 ``Resident.optimal_under`` asks a start, without using it, whether its basis
 is still optimal under a new objective, by the test the pivot loop applies;
 a caller that gets yes keeps the solved point and builds no problem.
-Every solve ends in ``_optimal``: a best-effort dual pass to ``CLEAN_TOL``
-(undone when it stalls, back to the optimal basis it started from), then
-certification.
+Every solve ends in ``_optimal``: a best-effort dual pass to ``CLEAN_TOL``,
+which is also the repair after a dropped perturbation (undone when it
+stalls, back to the optimal basis it started from), then certification.
 """
 from __future__ import annotations
 
@@ -82,7 +84,9 @@ import numpy as np
 
 from .errors import SolverStallError
 
-# a warm start is abandoned after (rows + this many) pivots
+# a warm start is abandoned after (rows + this many) pivots, or at a singular
+# basis, and the cold solve runs: canonical commeq at 6 diagonal type points
+# abandons two warm starts at this cap and one at a singular kernel
 WARM_PIVOT_SLACK = 100
 # every solve's last dual pass lifts basic values below -CLEAN_TOL; clipping
 # several within FEAS_TOL to zero can break an equality row by over FEAS_TOL
@@ -93,12 +97,15 @@ OPT_TOL = 1e-9
 # pivot magnitude floors: absolute, and relative to the column's largest entry
 PIV_ABS = 1e-11
 PIV_REL = 1e-9
-# consecutive degenerate pivots before perturbing (and, later, Bland's rule)
+# consecutive degenerate pivots before each perturbation
 STALL_THRESHOLD = 64
 # a solve stops after this many pivots per column and row of A_all
 PIVOT_CAP_FACTOR = 50
 # the kernel inverse is updated across at most this many pivots, then
-# computed afresh
+# computed afresh. The update pays on the large masters (one BLAS thread, 2
+# cores): without it, canonical commeq at 5 diagonal type points takes 12.5 s
+# instead of 3.5 s; with only the product-form kind, the 64-direction region
+# at 100 levels takes 11.5 s instead of 5.5 s
 UPDATE_LIMIT = 32
 # kernels with fewer columns are inverted afresh on every pivot: there an
 # inversion costs no more than an update
@@ -616,13 +623,11 @@ class _Tableau:
         self.refactor()
         return False
 
-    def entering(self, jo: int, bland: bool, phase: int) -> int:
-        rc = self.reduced_costs(jo)
+    def entering(self, phase: int) -> int:
+        rc = self.reduced_costs(0 if phase == 2 else 1)
         cand = (self.allowed & (rc < -OPT_TOL)).nonzero()[0]
         if cand.size == 0:
             return -1
-        if bland:
-            return int(cand[0])
         score = rc[cand]
         best = score.min()
         # best itself is within: best * (1 - 1e-12) >= best, as best < 0
@@ -633,7 +638,7 @@ class _Tableau:
             i = near[np.argmin(self.reduced_costs(0)[cand[near]])]
         return int(cand[i])
 
-    def ratio_row(self, q: int, bland: bool) -> tuple[int, float]:
+    def ratio_row(self, q: int) -> tuple[int, float]:
         col = self.columns(np.array([q]))[:, 0]
         floor = max(PIV_ABS, PIV_REL * float(np.abs(col).max(initial=0.0)))
         pos = col > floor
@@ -645,35 +650,34 @@ class _Tableau:
         rmin = float(ratios.min())
         window = rmin + max(1e-12, 1e-9 * rmin)
         ties = np.where(ratios <= window)[0]
-        if bland:
-            r = ties[np.argmin(self.basis[ties])]
-        else:
-            r = ties[np.argmax(col[ties])]
+        r = ties[np.argmax(col[ties])]
         return int(r), rmin
 
     def perturb(self):
+        """Shift the basic values by a deterministic right-hand-side
+        perturbation in the current basis frame, which breaks a run of
+        degenerate pivots. Canonical commeq at 6 diagonal type points needs
+        it: without it, a cold solve there ends in a singular kernel."""
         eps = 1e-8 * (1.0 + float(np.abs(self.b_true).max(initial=0.0))) * _pert_u(self.m)
         self.b_active = self.b_active + self.A_all[:, self.basis] @ eps
         self._values()
 
-    def drop_perturbation(self) -> float:
-        if self.b_active is not self.b_true:
-            self.b_active = self.b_true
-            self._values()
-        return float(self.xb.min()) if self.m else 0.0
-
     def pivot_loop(self, phase: int) -> str:
-        jo = 0 if phase == 2 else 1
+        """Primal simplex on the phase's cost row until no column prices out
+        ("optimal", with any perturbation dropped, so the basic values are
+        the true ones and may be slightly negative) or a column meets no
+        blocking row ("unbounded")."""
         degen = 0
-        bland = False
-        perturbs = 0
         while True:
-            q = self.entering(jo, bland, phase)
+            q = self.entering(phase)
             if q < 0:
                 if self._trusted():
+                    if self.b_active is not self.b_true:
+                        self.b_active = self.b_true
+                        self._values()
                     return "optimal"
                 continue
-            r, rmin = self.ratio_row(q, bland)
+            r, rmin = self.ratio_row(q)
             if r < 0:
                 if self._trusted():
                     return "unbounded"
@@ -683,25 +687,20 @@ class _Tableau:
                 degen += 1
             else:
                 degen = 0
-                bland = False
             if degen >= STALL_THRESHOLD:
                 degen = 0
-                if perturbs < 8:
-                    self.perturb()
-                    perturbs += 1
-                else:
-                    bland = True
+                self.perturb()
 
-    def dual_simplex(self, tol: float, jo: int = 0) -> bool:
-        """Dual simplex from a basis that is dual feasible for cost row
-        ``jo`` (0 phase 2, 1 phase 1) until every basic value is at least
-        ``-tol``. The leaving row has the largest infeasibility relative to
-        the norm of its row of B^-1 (dual steepest edge, Forrest and Goldfarb
-        1992), and only that row of B^-1 A_all is formed; the entering column
-        passes a Harris ratio test (the largest pivot among columns whose
-        step is within ``OPT_TOL`` of the shortest). True once primal
-        feasible; False when the row blocks every column. Only
-        ``pivot_at``'s cap ends a run that does neither."""
+    def dual_simplex(self, tol: float) -> bool:
+        """Dual simplex from a basis that is dual feasible for the phase-2
+        costs until every basic value is at least ``-tol``. The leaving row
+        has the largest infeasibility relative to the norm of its row of
+        B^-1 (dual steepest edge, Forrest and Goldfarb 1992), and only that
+        row of B^-1 A_all is formed; the entering column passes a Harris
+        ratio test (the largest pivot among columns whose step is within
+        ``OPT_TOL`` of the shortest). True once primal feasible; False when
+        the row blocks every column. Only ``pivot_at``'s cap ends a run that
+        does neither."""
         while True:
             xb = self.xb
             bad = (xb < -tol).nonzero()[0]
@@ -720,23 +719,9 @@ class _Tableau:
                     return False
                 continue
             alpha = -row[cand]
-            rc = np.maximum(self.reduced_costs(jo)[cand], 0.0)
+            rc = np.maximum(self.reduced_costs(0)[cand], 0.0)
             within = rc / alpha <= ((rc + OPT_TOL) / alpha).min()
             self.pivot_at(int(bad[i]), int(cand[within][np.argmax(alpha[within])]))
-
-    def run_phase(self, phase: int) -> str:
-        jo = 0 if phase == 2 else 1
-        for _ in range(6):
-            st = self.pivot_loop(phase)
-            if st == "unbounded":
-                return "unbounded"
-            worst = self.drop_perturbation()
-            if worst < -FEAS_TOL:
-                self.dual_simplex(FEAS_TOL, jo)
-                worst = float(self.xb.min()) if self.m else 0.0
-            if worst >= -FEAS_TOL and self.entering(jo, False, phase) < 0:
-                return "optimal"
-        raise SolverStallError(f"phase {phase} failed to certify a verdict")
 
 
 class Resident:
@@ -827,7 +812,7 @@ def _solve_cold(problem: LpProblem) -> LpSolution:
     tab = _Tableau(problem)
     tab.refactor()
     if tab.n_art:
-        st = tab.run_phase(1)
+        tab.pivot_loop(1)
         if tab.d1[tab.basis] @ tab.xb > 1e-7:  # the basic artificials' sum
             return LpSolution("infeasible", None, None, tab.iters)
         tab.allowed[tab.n_struct + tab.m_ge:] = False  # the artificials
@@ -837,8 +822,7 @@ def _solve_cold(problem: LpProblem) -> LpSolution:
                 nz = (tab.allowed & (np.abs(row) > 1e-9)).nonzero()[0]
                 if nz.size:
                     tab.pivot_at(r, int(nz[0]))
-    st = tab.run_phase(2)
-    if st == "unbounded":
+    if tab.pivot_loop(2) == "unbounded":
         return LpSolution("unbounded", None, None, tab.iters)
     return _optimal(problem, tab)
 
@@ -853,7 +837,7 @@ def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None,
         tab.extend(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:],
                    problem.objective)
         tab.max_iter = tab.m + WARM_PIVOT_SLACK
-        if tab.dual_simplex(FEAS_TOL) and tab.run_phase(2) == "optimal":
+        if tab.dual_simplex(FEAS_TOL) and tab.pivot_loop(2) == "optimal":
             return _optimal(problem, tab), tab.iters
     except SolverStallError:
         pass

@@ -308,14 +308,14 @@ class TestCli:
         def stall_third(tensor):
             calls.append(1)
             if len(calls) == 3:
-                raise SolverStallError("phase 2 failed to certify a verdict")
+                raise SolverStallError("singular basis: its kernel is singular")
             return solve_welfare_ce(tensor)
 
         monkeypatch.setattr(experiments, "solve_welfare_ce", stall_third)
         assert cli.main(["-c", str(path), "sweep"]) == 4
         err = capsys.readouterr().err
         assert (f"solver stall: sweep state 2, gains {stalled}: "
-                "phase 2 failed to certify a verdict") in err
+                "singular basis: its kernel is singular") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides, command, message", [

@@ -1,8 +1,8 @@
 """Tableau internals: the basic values, reduced costs, rows and columns
 and rows of B^-1 computed from the slack-aware kernel factorization, fresh,
 after each kind of kernel update and after rows are appended to a resident
-tableau; when the factors are computed afresh; the dual-simplex repair after
-a dropped perturbation and the vectorized tableau set-up, each against a
+tableau; when the factors are computed afresh; the last dual pass's repair
+after a dropped perturbation and the vectorized tableau set-up, each against a
 direct dense or loop reference written here."""
 from dataclasses import replace
 
@@ -339,17 +339,22 @@ class TestKernelUpdate:
 class TestDualRepair:
     def test_dropped_perturbation_repair(self, monkeypatch):
         """With a perturbation after every degenerate pivot, dropping it
-        leaves some basic values negative; the dual simplex repair restores
-        feasibility without moving the optimum."""
-        calls = []
-        dual_simplex = simplex._Tableau.dual_simplex
+        leaves some basic values negative; the last dual pass of the solve
+        repairs them without moving the optimum."""
+        perturbs, finish_pivots = [], []
+        perturb, dual_simplex = simplex._Tableau.perturb, simplex._Tableau.dual_simplex
 
-        def counted(self, tol, jo=0):
-            if tol != simplex.CLEAN_TOL:  # not the finish every solve runs
-                calls.append(jo)
-            return dual_simplex(self, tol, jo)
+        def counted_perturb(self):
+            perturbs.append(self.iters)
+            return perturb(self)
 
-        monkeypatch.setattr(simplex._Tableau, "dual_simplex", counted)
+        def counted_finish(self, tol):
+            before = self.iters
+            feasible = dual_simplex(self, tol)
+            if tol == simplex.CLEAN_TOL:  # the finish every solve runs
+                finish_pivots.append(self.iters - before)
+            return feasible
+
         rng = np.random.default_rng(5)
         for k in range(30):
             grid = build_power_grid(-20.0, 20.0, int(rng.integers(3, 7)))
@@ -359,10 +364,13 @@ class TestDualRepair:
             default = solve_lp(prob)
             with monkeypatch.context() as patch:
                 patch.setattr(simplex, "STALL_THRESHOLD", 1)
+                patch.setattr(simplex._Tableau, "perturb", counted_perturb)
+                patch.setattr(simplex._Tableau, "dual_simplex", counted_finish)
                 stalled = solve_lp(prob)
             assert stalled.status == default.status == "optimal", f"game {k}"
             assert stalled.objective_value == pytest.approx(default.objective_value, abs=1e-9)
-        assert len(calls) >= 1
+        assert perturbs
+        assert sum(finish_pivots) >= 1
 
 
 def tableau_reference(prob):

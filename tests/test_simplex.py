@@ -74,9 +74,14 @@ class TestAgainstVertexEnumeration:
             assert sol.objective_value + c @ lo == pytest.approx(float(c @ x), rel=1e-9, abs=1e-12)
 
 
+# the default stall threshold, and a perturbation after every degenerate pivot
+@pytest.mark.parametrize("stall", [simplex.STALL_THRESHOLD, 1], ids=["default", "stall_1"])
 class TestDegeneracy:
-    def test_beale_cycling_instance(self):
-        # classic degenerate LP that cycles under naive Dantzig pivoting
+    def test_beale_cycling_instance(self, stall, monkeypatch):
+        # Beale's LP cycles under Dantzig pricing with a smallest-index ratio
+        # tie-break; with the largest-pivot Harris ratio test it solves with
+        # no stall response at the default threshold
+        monkeypatch.setattr(simplex, "STALL_THRESHOLD", stall)
         c = [0.75, -150.0, 0.02, -6.0]
         rows = [
             ([-0.25, 60.0, 1.0 / 25.0, -9.0], 0.0),
@@ -87,8 +92,9 @@ class TestDegeneracy:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.05, abs=1e-9)
 
-    def test_highly_degenerate_cone(self):
+    def test_highly_degenerate_cone(self, stall, monkeypatch):
         # many tight rows at the origin plus a simplex equality
+        monkeypatch.setattr(simplex, "STALL_THRESHOLD", stall)
         rng = np.random.default_rng(1)
         n = 30
         a = rng.normal(size=(200, n))
