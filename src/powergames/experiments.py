@@ -31,6 +31,7 @@ from .communication import (
 from .config import ExperimentConfig
 from .correlated import (
     ce_payoff_region,
+    ce_violation,
     solve_directional_ce,
     solve_welfare_ce,
 )
@@ -327,6 +328,7 @@ def _state_result(args):
         except MuTooSmallError as exc:
             raise ConfigError(f"learning.mu: sweep state {idx}: {exc}") from None
         row["regret_welfare"] = float(res.empirical.probs @ tensor.welfare_flat())
+        row["regret_ce_gap"] = ce_violation(tensor, res.empirical)
     return row
 
 
@@ -416,7 +418,7 @@ def run_equilibrium_sweep(cfg: ExperimentConfig, force_enumerate: bool = False,
     if "channel_sweep" in report:
         columns = ["state", "n_pure_ne", "best_ne_welfare", "ce_welfare", "ce_violation"]
         if cfg.sweep.include_regret:
-            columns.append("regret_welfare")
+            columns += ["regret_welfare", "regret_ce_gap"]
         k = cfg.players
         gains = [f"g{j + 1}{i + 1}" for j in range(k) for i in range(k)]
         write_csv(out / "sweep_states.csv", report["meta"], columns + gains,

@@ -11,11 +11,14 @@ from powergames.errors import SolverStallError
 from powergames.experiments import (
     channel_states,
     export_regions,
+    game_from_config,
     run_channel_sweep,
     run_equilibrium_sweep,
     single_game_tensor,
 )
-from oracles import polygon_contains
+from powergames.model import build_payoff_tensor
+from powergames.regret import rm_run
+from oracles import ce_gain_reference, polygon_contains
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -116,6 +119,23 @@ class TestSweep:
         lines = csv_path.read_text().splitlines()
         header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_at] == "levels,ce_per_state_avg,ce_average_game,commeq_literal,commeq_canonical"
+
+    def test_regret_ce_gap_column(self, tmp_path):
+        # the gap of each state's regret-matching play, recomputed by loops
+        cfg = load_config(small_sweep_config(tmp_path, include_regret=True))
+        report = run_equilibrium_sweep(cfg, workers=1)
+        lines = [l for l in (Path(cfg.output_dir) / "sweep_states.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        assert header[header.index("regret_welfare") + 1] == "regret_ce_gap"
+        col = header.index("regret_ce_gap")
+        for line, row in zip(lines[1:], report["channel_sweep"]["states"]):
+            tensor = build_payoff_tensor(game_from_config(cfg, row["gains"]))
+            res = rm_run(tensor, cfg.learning.steps, cfg.learning.seed + row["state"],
+                         mu=cfg.learning.mu, rule=cfg.learning.rule, trace=False)
+            want = ce_gain_reference(tensor.values, res.empirical.probs)
+            assert row["regret_ce_gap"] == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert float(line.split(",")[col]) == row["regret_ce_gap"]
 
     def test_csv_floats_round_trip(self, tmp_path):
         path = small_sweep_config(tmp_path)

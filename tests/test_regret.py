@@ -1,11 +1,18 @@
+import copy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from powergames.config import load_config
 from powergames.correlated import ce_violation, solve_welfare_ce
 from powergames.errors import MuTooSmallError
-from powergames.model import PayoffTensor
+from powergames.experiments import channel_states, game_from_config
+from powergames.model import PayoffTensor, build_payoff_tensor
 from powergames.regret import (
     _BLOCK,
+    _CHUNK,
+    _advance,
     default_mu,
     empirical_distribution,
     rm_init,
@@ -275,6 +282,18 @@ class TestBlockKernel:
                 step(state, tensor, mu)
         assert _state_bytes(states[0]) == _state_bytes(states[1])
 
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    def test_paper_scale_blocks(self, rule):
+        # a 25-level state of the paper sweep, over several screened blocks
+        # with switches among them; with the trace, blocks stop at checkpoints
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "paper_setup.json")
+        tensor = build_payoff_tensor(game_from_config(cfg, channel_states(cfg)[0][5]))
+        for trace in (False, True):
+            args = (tensor, 3 * _BLOCK + 5, 5)
+            kwargs = dict(rule=rule, trace=trace)
+            assert _outcome(rm_run, *args, **kwargs) == \
+                _outcome(reference_rm_run, *args, **kwargs), trace
+
     def test_mu_too_small_leaves_the_state(self):
         state = rm_init(DOMINANT, seed=0)
         rm_step(state, DOMINANT, mu=10.0)
@@ -283,6 +302,145 @@ class TestBlockKernel:
         with pytest.raises(MuTooSmallError):
             rm_step(state, DOMINANT, mu=1e-6)
         assert _state_bytes(state)[:4] == before
+
+
+def _rule_sums(state, tensor, mu, i):
+    """The exact rule's cumulative sums before and through player i's held
+    action, as ``reference_rm_step`` computes them."""
+    h = state.last[i]
+    switch = state.regrets()[i][h] / mu
+    switch[h] = 0.0
+    total = float(switch.sum())
+    before = 0.0
+    for b in range(h):
+        before += float(switch[b])
+    return before, before + (1.0 - total)
+
+
+class _Placed:
+    """A generator for ``reference_rm_step`` whose uniforms come from
+    ``pick(period, player, before, through)``, on the exact rule's sums in
+    the state the draw is made in. Keeps what it drew."""
+
+    def __init__(self, state, tensor, mu, pick):
+        self.state, self.tensor, self.mu, self.pick = state, tensor, mu, pick
+        self.drawn = []
+
+    def random(self):
+        period, i = divmod(len(self.drawn), self.tensor.players)
+        before, through = _rule_sums(self.state, self.tensor, self.mu, i)
+        self.drawn.append(self.pick(period, i, before, through))
+        return self.drawn[-1]
+
+
+def _safe(before, through):
+    """A uniform well inside the held action's interval, where there is one."""
+    mid = 0.5 * (before + through)
+    return mid if 0.0 <= before < mid < through else 0.5
+
+
+def _raised(play):
+    """The message of the MuTooSmallError ``play()`` raised, or None."""
+    try:
+        play()
+    except MuTooSmallError as exc:
+        return str(exc)
+    return None
+
+
+def _advance_parity(tensor, state, mu, periods, pick):
+    """Plays ``periods`` periods from a hand-set state with the uniforms
+    ``pick`` places: one period at a time by ``reference_rm_step``, and in
+    blocks by ``_advance``. Both must end in the same bytes, or raise the
+    same error from the same state."""
+    ref, blk = copy.deepcopy(state), copy.deepcopy(state)
+    ref.rng = _Placed(ref, tensor, mu, pick)
+    ref_error = _raised(lambda: [reference_rm_step(ref, tensor, mu) for _ in range(periods)])
+    k = tensor.players
+    drawn = ref.rng.drawn
+    if ref_error is not None:
+        # the period it raised in drew only the uniforms of the players
+        # before the one that raised
+        drawn = drawn + [0.5] * (k - len(drawn) % k)
+    u = np.array(drawn).reshape(-1, k)
+
+    def play():
+        pos = 0
+        while pos < len(u):
+            pos += _advance(blk, tensor, mu, u[pos:])
+
+    blk_error = _raised(play)
+    return [(tuple(d.tobytes() for d in st.diffs), st.counts.tobytes(), st.last, st.t, error)
+            for st, error in ((ref, ref_error), (blk, blk_error))]
+
+
+def _hand_set(dims, rule, seed, t=1000):
+    """A state at period ``t`` whose held rows give switch totals of up to
+    about 0.35, most entries positive, so screened periods and boundaries
+    sit side by side."""
+    rng = np.random.default_rng(seed)
+    tensor = PayoffTensor(dims, random_tensor(rng, dims))
+    state = rm_init(tensor, seed=0, rule=rule)
+    mu = default_mu(tensor)
+    state.t = t
+    state.last = tuple(int(rng.integers(m)) for m in dims)
+    state.counts[state.last] = t
+    spread = float(tensor.values.max() - tensor.values.min())
+    state.diffs = [rng.uniform(-0.3, 1.0, (m, m)) * t * spread * max(dims) / m
+                   for m in dims]
+    return tensor, state, mu
+
+
+class TestScreenBoundaries:
+    """Uniforms at, and one ulp either side of, each boundary the exact rule
+    reads, late and early in a block: the screen may clear only periods the
+    rule surely keeps, so block play still matches the reference."""
+
+    PERIODS = 96
+
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 4)])
+    @pytest.mark.parametrize("which", ["before", "through"])
+    def test_cumulative_sums(self, rule, dims, which):
+        for seed in range(4):
+            tensor, state, mu = _hand_set(dims, rule, seed)
+            for i in range(len(dims)):
+                for at in (0, self.PERIODS // 2, self.PERIODS - 1):
+                    for side in (-np.inf, None, np.inf):
+                        def pick(period, j, before, through):
+                            if (period, j) != (at, i):
+                                return _safe(before, through)
+                            x = before if which == "before" else through
+                            x = x if side is None else float(np.nextafter(x, side))
+                            # a generator draws in [0, 1)
+                            return x if 0.0 <= x < 1.0 else _safe(before, through)
+                        ref, blk = _advance_parity(tensor, state, mu, self.PERIODS, pick)
+                        assert ref == blk, (seed, i, at, side)
+
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 3)])
+    def test_total_at_the_limit(self, rule, dims):
+        # player i's held row has one positive entry, which play leaves alone,
+        # so at t = 1 and mu = 1 its switch total is that entry: 1 + 1e-12
+        # and one ulp either side. At or below the limit player i switches
+        # (to a row of -1000s); the other players never do
+        limit = 1.0 + 1e-12
+        for i in range(len(dims)):
+            for total in (float(np.nextafter(limit, 0.0)), limit, float(np.nextafter(limit, 2.0))):
+                tensor, state, _ = _hand_set(dims, rule, seed=i)
+                h = state.last[i]
+                own = list(state.last)
+                own[i] = slice(None)
+                values = tensor.values.copy()
+                values[(i, *own)] = values[(i, *state.last)]
+                tensor = PayoffTensor(dims, values)
+                state.t = 1
+                for d in state.diffs:
+                    d[...] = -1000.0
+                state.diffs[i][h, (h + 1) % dims[i]] = total
+                ref, blk = _advance_parity(tensor, state, 1.0, 8, lambda p, j, b, th: _safe(b, th))
+                assert ref == blk, (i, total)
+                assert (ref[-1] is not None) == (total > limit)
 
 
 class TestNumpyFacts:
@@ -295,6 +453,22 @@ class TestNumpyFacts:
             x = rng.standard_normal((257, m)) * 10.0 ** rng.integers(-8, 8, size=(257, m))
             rows = np.add.reduce(x, axis=1)
             assert rows.tobytes() == np.array([np.add.reduce(r) for r in x]).tobytes(), m
+
+    def test_chunked_accumulate_matches_one_accumulate(self):
+        # a commit accumulates in chunks, each starting from the last row of
+        # the one before; the rows are single rows and whole matrices
+        rng = np.random.default_rng(3)
+        for shape in ((7,), (25,), (4, 4)):
+            for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17):
+                rows = np.empty((n + 1,) + shape)
+                rows[0] = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 6, size=shape)
+                rows[1:] = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2, size=shape)
+                whole = np.add.accumulate(rows, axis=0)
+                last = rows[0].copy()
+                for start in range(0, n, _CHUNK):
+                    chunk = np.concatenate((last[None], rows[1 + start:1 + start + _CHUNK]))
+                    last = np.add.accumulate(chunk, axis=0)[-1]
+                assert last.tobytes() == whole[-1].tobytes(), (shape, n)
 
     def test_uniform_block_matches_single_draws(self):
         one, block = np.random.default_rng(17), np.random.default_rng(17)
