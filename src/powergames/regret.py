@@ -16,27 +16,28 @@ Two update rules exist:
 
 Play is very inertial: at paper scale the joint profile changes a few dozen
 times in 100,000 periods. So periods are played in blocks of up to 4,096
-that guess the held profile repeats. A closed-form screen bounds, for every
-period of the block at once, each player's switch probability mass before
-the held action and in total, from O(M) sums over the held regret row and
-its change per period (O(n + M) a block, not O(n M)), with a rounding
-slack. A period whose uniforms fall inside the held action's interval by
-those bounds surely repeats, and runs of such periods are committed by a
-sequential ``np.add.accumulate`` (the same rounding as one ``+=`` a
-period). The other periods go to the exact rule, which builds the held rows
-the same way for up to 256 periods, turns them into switch probabilities
-and cumulative sums in whole-array passes, compares them with the uniforms,
-and alone decides switches and ``MuTooSmallError``. A block that follows a
-switch within 256 periods is played by the exact rule alone: where play
-switches that often, a screen costs more than it saves. Each period still
-draws one uniform per player, in order, so the state, the trace and the
-generator's final state are byte-identical to stepping one period and one
-action at a time (``tests/oracles.py`` keeps that rule as the reference).
-At paper scale a period costs about 0.25 µs under the conditional rule
-(0.95 µs by the exact rule alone, 30 µs one action at a time) and about
-4.5 µs under the paper-literal rule, which folds every row (one core of a
-2-core Xeon, numpy 2.4). ``rm_step`` plays its one period by the exact
-rule, about 44 µs a call.
+that guess the held profile repeats. The exact rule plays the first 256
+periods of a block: it builds their held rows by a sequential
+``np.add.accumulate`` (the same rounding as one ``+=`` a period), turns them
+into switch probabilities and cumulative sums in whole-array passes,
+compares them with the uniforms, and alone decides switches and
+``MuTooSmallError``. If the profile holds through them, a closed-form screen
+bounds, for every later period of the block at once, each player's switch
+probability mass before the held action and in total, from O(M) sums over
+the held regret row and its change per period (O(n + M) a block, not
+O(n M)), with a rounding slack. A period whose uniforms fall inside the held
+action's interval by those bounds surely repeats, and runs of such periods
+are committed by the same accumulate; the other periods go to the exact
+rule. Play that switches within 256 periods of a block's start so never
+pays for a screen. Each period still draws one uniform per player, in
+order, so the state, the trace and the generator's final state are
+byte-identical to stepping one period and one action at a time
+(``tests/oracles.py`` keeps that rule as the reference). At paper scale a
+period costs about 0.3 µs under the conditional rule (0.7 to 1.0 µs by the
+exact rule alone, 30 µs one action at a time) and about 4.2 to 4.9 µs under
+the paper-literal rule, which folds every row (one core of a 2-core Xeon,
+numpy 2.4). ``rm_step`` plays its one period by the exact rule, about 34 to
+39 µs a call.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .errors import MuTooSmallError
 from .model import PayoffTensor
 
 RULES = ("conditional", "paper-literal")
-_BLOCK = 4096   # most periods one screened pass covers
+_BLOCK = 4096   # most periods one block covers: an exact pass, then the screen
 _CHUNK = 256    # most periods one pass of the exact rule, or of a commit, holds
 
 
@@ -140,28 +141,31 @@ def _commit(state: RegretState, steps: list[np.ndarray], n: int) -> None:
     state.t += n
 
 
-def _exact(state: RegretState, tensor: PayoffTensor, mu: float, u: np.ndarray) -> int:
+def _exact(state: RegretState, tensor: PayoffTensor, steps: list[np.ndarray], mu: float,
+           u: np.ndarray) -> int:
     """Play up to ``len(u)`` periods from the held profile by the exact rule,
-    row j of ``u`` holding period j's uniforms, one per player. Guesses that
-    the held profile repeats, computes every player's switch probabilities
-    for all the periods at once, and commits the periods before the first
-    one where someone switches, which it then plays. Returns the periods
-    played."""
+    row j of ``u`` holding period j's uniforms, one per player; ``steps`` is
+    ``_steps`` at that profile. Guesses that the held profile repeats,
+    computes every player's switch probabilities for all the periods at
+    once, and commits the periods before the first one where someone
+    switches, which it then plays. Returns the periods played."""
     held = state.last
     n = len(u)
-    steps = _steps(tensor, held)
     t = np.arange(state.t, state.t + n, dtype=float)[:, None]
     end, kind, culprit = n, None, None   # the first period the guess fails
-    choices = []
+    rows, choices = [], []
     for i in range(tensor.players):
         h = held[i]
         # periods past an earlier player's failure cannot matter
         m = min(end + 1, n)
-        row = np.empty((m, tensor.dims[i]))
+        # the held rows through period m, whose last row a commit of the
+        # conditional rule stores
+        row = np.empty((m + 1, tensor.dims[i]))
         row[0] = state.diffs[i][h]
         row[1:] = steps[i]
         np.add.accumulate(row, axis=0, out=row)
-        switch = np.maximum(row / t[:m], 0.0) / mu
+        rows.append(row)
+        switch = np.maximum(row[:m] / t[:m], 0.0) / mu
         switch[:, h] = 0.0
         # sums each row as the 1-D sum of one period does (TestNumpyFacts)
         total = np.add.reduce(switch, axis=1)
@@ -177,7 +181,12 @@ def _exact(state: RegretState, tensor: PayoffTensor, mu: float, u: np.ndarray) -
             end, kind, culprit = int(over[0]), "mu", float(total[over[0]])
         if moved.size and moved[0] < end:
             end, kind = int(moved[0]), "switch"
-    if end:
+    if end and state.rule == "conditional":
+        for d, h, row in zip(state.diffs, held, rows):
+            d[h] = row[end]
+        state.counts[held] += end
+        state.t += end
+    elif end:
         _commit(state, steps, end)
     if kind == "mu":
         spread = float(tensor.values.max() - tensor.values.min())
@@ -247,15 +256,25 @@ def _screen(state: RegretState, steps: list[np.ndarray], mu: float, u: np.ndarra
 def _advance(state: RegretState, tensor: PayoffTensor, mu: float, u: np.ndarray) -> int:
     """Play up to ``len(u)`` periods from the held profile, row j of ``u``
     holding period j's uniforms, one per player, and stop after the first
-    switch. Periods the screen clears are committed without computing their
-    probabilities. The others go to the exact rule, which alone decides
-    switches and ``MuTooSmallError``: one pass from the first of them to
-    the last within ``_CHUNK`` periods of it. Returns the periods played."""
+    switch. The exact rule plays the first ``_CHUNK`` periods. Only if the
+    profile holds through them does the screen bound the rest: periods it
+    clears are committed without computing their probabilities, and the
+    others go to the exact rule, which alone decides switches and
+    ``MuTooSmallError``, in one pass from the first of them to the last
+    within ``_CHUNK`` periods of it. Returns the periods played.
+
+    A block that switches early so costs one exact pass and no screen: the
+    screen's fixed cost (about 0.1 ms, whatever the block length) pays off
+    only over a long hold, and play that switches every few dozen periods
+    would pay it at every switch."""
     held = state.last
     n = len(u)
     steps = _steps(tensor, held)
-    cleared = _screen(state, steps, mu, u)
-    pos = 0
+    pos = _exact(state, tensor, steps, mu, u[:_CHUNK])
+    if pos == n or state.last != held:
+        return pos
+    cleared = np.zeros(n, dtype=bool)
+    cleared[pos:] = _screen(state, steps, mu, u[pos:])
     while pos < n:
         left = pos + np.flatnonzero(~cleared[pos:])   # the periods left to the exact rule
         first = int(left[0]) if left.size else n
@@ -264,7 +283,7 @@ def _advance(state: RegretState, tensor: PayoffTensor, mu: float, u: np.ndarray)
         if first == n:
             return n
         stop = int(left[left < first + _CHUNK][-1]) + 1
-        pos = first + _exact(state, tensor, mu, u[first:stop])
+        pos = first + _exact(state, tensor, steps, mu, u[first:stop])
         if state.last != held:
             break
     return pos
@@ -278,7 +297,8 @@ def rm_step(state: RegretState, tensor: PayoffTensor, mu: float) -> tuple[int, .
     if state.last is None:
         _play(state, tensor, tuple(int(state.rng.integers(m)) for m in tensor.dims))
     else:
-        _exact(state, tensor, mu, state.rng.random((1, tensor.players)))
+        _exact(state, tensor, _steps(tensor, state.last), mu,
+               state.rng.random((1, tensor.players)))
     return state.last
 
 
@@ -320,20 +340,14 @@ def rm_run(tensor: PayoffTensor, steps: int, seed: int, mu: float | None = None,
     rm_step(state, tensor, mu)
     # row j holds the uniforms of period state.t + 1 + j
     uniforms = np.empty((0, tensor.players))
-    quick = False   # whether the last block switched within _CHUNK periods
     for checkpoint in _trace_schedule(steps) if trace else [steps]:
         # blocks stop at every checkpoint, so the trace sees the exact state
         while state.t < checkpoint:
-            # after a quick switch the next one is likely quick too, and the
-            # exact rule alone finds it for less than a screen costs
-            n = min(checkpoint - state.t, _CHUNK if quick else _BLOCK)
+            n = min(checkpoint - state.t, _BLOCK)
             if len(uniforms) < n:
                 fresh = state.rng.random((n - len(uniforms), tensor.players))
                 uniforms = np.concatenate((uniforms, fresh))
-            held = state.last
-            played = (_exact if quick else _advance)(state, tensor, mu, uniforms[:n])
-            quick = state.last != held and played <= _CHUNK
-            uniforms = uniforms[played:]
+            uniforms = uniforms[_advance(state, tensor, mu, uniforms[:n]):]
         if trace:
             dist = empirical_distribution(state)
             max_regret = max(float(r.max()) for r in state.regrets())

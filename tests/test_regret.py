@@ -222,8 +222,9 @@ def _mu_bound(tensor):
 
 # unequal dims, with a 1-action player among 2 and among 3 players
 ORACLE_DIMS = [(3, 4), (1, 5), (2, 1, 3), (4, 3, 2)]
-# around the block cap and around the trace checkpoint 512
-ORACLE_STEPS = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 511, 513, 5000]
+# around the exact pass of a block, the block cap and the trace checkpoint 512
+ORACLE_STEPS = [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                511, 513, 5000]
 
 
 class TestBlockKernel:
@@ -374,6 +375,16 @@ def _advance_parity(tensor, state, mu, periods, pick):
             for st, error in ((ref, ref_error), (blk, blk_error))]
 
 
+def _rising_start(total, at):
+    """The start x of a regret that rises by 2 a period from t = 1 and whose
+    value over t at period ``at`` is ``total``. Every x + 2 k is exact: x is
+    a multiple of 2**-44 below 512 in size."""
+    x = total * (at + 1) - 2.0 * at
+    while (got := (x + 2.0 * at) / (at + 1)) != total:
+        x = float(np.nextafter(x, np.inf if got < total else -np.inf))
+    return x
+
+
 def _hand_set(dims, rule, seed, t=1000):
     """A state at period ``t`` whose held rows give switch totals of up to
     about 0.35, most entries positive, so screened periods and boundaries
@@ -393,10 +404,12 @@ def _hand_set(dims, rule, seed, t=1000):
 
 class TestScreenBoundaries:
     """Uniforms at, and one ulp either side of, each boundary the exact rule
-    reads, late and early in a block: the screen may clear only periods the
+    reads, at the last period of a block's exact pass and early, midway and
+    late among the periods the screen bounds: it may clear only periods the
     rule surely keeps, so block play still matches the reference."""
 
-    PERIODS = 96
+    PERIODS = _CHUNK + 96
+    AT = (_CHUNK - 1, _CHUNK, _CHUNK + 48, _CHUNK + 95)
 
     @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
     @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 4)])
@@ -405,7 +418,7 @@ class TestScreenBoundaries:
         for seed in range(4):
             tensor, state, mu = _hand_set(dims, rule, seed)
             for i in range(len(dims)):
-                for at in (0, self.PERIODS // 2, self.PERIODS - 1):
+                for at in self.AT:
                     for side in (-np.inf, None, np.inf):
                         def pick(period, j, before, through):
                             if (period, j) != (at, i):
@@ -420,25 +433,29 @@ class TestScreenBoundaries:
     @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
     @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 3)])
     def test_total_at_the_limit(self, rule, dims):
-        # player i's held row has one positive entry, which play leaves alone,
-        # so at t = 1 and mu = 1 its switch total is that entry: 1 + 1e-12
-        # and one ulp either side. At or below the limit player i switches
-        # (to a row of -1000s); the other players never do
+        # from t = 1 at mu = 1, one entry of player i's held row starts
+        # negative and rises by 2 a period, so its switch total first reaches
+        # 1 + 1e-12, or one ulp either side, at period `at`, which the screen
+        # bounds. At or below the limit player i switches there (to a row of
+        # -1000s); the other players never do
         limit = 1.0 + 1e-12
+        at = _CHUNK + 40
         for i in range(len(dims)):
             for total in (float(np.nextafter(limit, 0.0)), limit, float(np.nextafter(limit, 2.0))):
                 tensor, state, _ = _hand_set(dims, rule, seed=i)
                 h = state.last[i]
                 own = list(state.last)
-                own[i] = slice(None)
+                own[i] = (h + 1) % dims[i]
                 values = tensor.values.copy()
-                values[(i, *own)] = values[(i, *state.last)]
+                values[(i, *state.last)] = 0.0
+                values[(i, *own)] = 2.0
                 tensor = PayoffTensor(dims, values)
                 state.t = 1
                 for d in state.diffs:
                     d[...] = -1000.0
-                state.diffs[i][h, (h + 1) % dims[i]] = total
-                ref, blk = _advance_parity(tensor, state, 1.0, 8, lambda p, j, b, th: _safe(b, th))
+                state.diffs[i][h, own[i]] = _rising_start(total, at)
+                ref, blk = _advance_parity(tensor, state, 1.0, at + 8,
+                                           lambda p, j, b, th: _safe(b, th))
                 assert ref == blk, (i, total)
                 assert (ref[-1] is not None) == (total > limit)
 
