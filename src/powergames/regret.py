@@ -27,17 +27,24 @@ probability mass before the held action and in total, from O(M) sums over
 the held regret row and its change per period (O(n + M) a block, not
 O(n M)), with a rounding slack. A period whose uniforms fall inside the held
 action's interval by those bounds surely repeats, and runs of such periods
-are committed by the same accumulate; the other periods go to the exact
+are committed without one add a period: a commit makes up to 256 real adds
+of every folded entry in one accumulate, then moves each entry by one
+multiply-add to just short of the edge of its binade (its sign and
+exponent), where every add after the first adds the same amount, and
+repeats, so n periods cost O(M log n) adds, not O(n M), with the same bits
+(the proof is next to ``_repeat``). The other periods go to the exact
 rule. Play that switches within 256 periods of a block's start so never
 pays for a screen. Each period still draws one uniform per player, in
 order, so the state, the trace and the generator's final state are
 byte-identical to stepping one period and one action at a time
 (``tests/oracles.py`` keeps that rule as the reference). At paper scale a
-period costs about 0.3 µs under the conditional rule (0.7 to 1.0 µs by the
-exact rule alone, 30 µs one action at a time) and about 4.2 to 4.9 µs under
-the paper-literal rule, which folds every row (one core of a 2-core Xeon,
-numpy 2.4). ``rm_step`` plays its one period by the exact rule, about 34 to
-39 µs a call.
+period costs about 0.15 to 0.25 µs under the conditional rule (0.7 to 1.0
+µs by the exact rule alone, 30 µs one action at a time) and about 1.0 to
+1.1 µs under the paper-literal rule, which folds every row (medians over 20
+paper states of 100,000 periods, one core of a 2-core Xeon, numpy 2.4).
+``rm_step`` plays its one period by the exact rule, about 39 to 42 µs a
+call under the conditional rule and 64 to 67 µs under the paper-literal
+rule.
 """
 from __future__ import annotations
 
@@ -51,7 +58,8 @@ from .model import PayoffTensor
 
 RULES = ("conditional", "paper-literal")
 _BLOCK = 4096   # most periods one block covers: an exact pass, then the screen
-_CHUNK = 256    # most periods one pass of the exact rule, or of a commit, holds
+_CHUNK = 256    # most periods one pass of the exact rule holds, and most real adds
+                # an entry makes in one round of a commit before its binade jump
 
 
 @dataclass
@@ -115,28 +123,115 @@ def _play(state: RegretState, tensor: PayoffTensor, profile: tuple[int, ...]) ->
     state.last = profile
 
 
+# A commit's n adds of ``delta``, by jumping through each binade. Let y be a
+# float of magnitude in [2**e, 2**(e+1)), where floats are u = 2**(e-52)
+# apart, and d = |delta|. The floats of y's sign in the closed range
+# [2**e, 2**(e+1)] are exactly the multiples of u there, and 2**e / u is even.
+# So if the exact y + delta lies in that range, fl(y + delta) = y + r u, with
+# r the integer nearest delta / u; at a tie, ties-to-even picks the r that
+# leaves (y + r u) / u even, so r depends on y's parity. Hence:
+# - The result of such an add is even wherever a tie can arise, so every
+#   later add inside the range adds the same r u: only the first add inside
+#   a binade can differ, and y + j r u is a float.
+# - If the last three rows x0, x1, x2 of a round's accumulate share sign and
+#   exponent, x1 came from such an add (or is 2**e, which is even), and the
+#   add from x1 to x2 adds r u. The one exception, x2 = 2**e rounded up from
+#   an exact sum just below the range, arises only as |y| shrinks, and then
+#   dist below is 0 < d and there is no jump. So inc = x2 - x1 (exact, as
+#   both share the binade) is that r u; let c = |inc|.
+# - From y = x2, let dist be the distance from |y| to the edge it moves
+#   toward: 2**(e+1) - |y| when delta has y's sign, else |y| - 2**e, both
+#   exact. Add i after y (from 0) has its exact sum in the range while
+#   i c + d <= dist, so the j = floor((dist - d) / c) adds after y, one short
+#   of the most allowed, leave y + j inc. j inc is exact, as j c <= dist is a
+#   multiple of u, and so is the sum. A c of 0 (d <= u/2) is a stall that
+#   lasts to the end of the commit when d <= dist (the quotient is inf, or
+#   nan at d = dist, which fmin with the adds left drops); d > dist gives
+#   -inf, no jump.
+# - Rounding: dist - d and its division by c each round by a factor of at
+#   most 1 + 2**-53, which lifts the quotient past an integer by less than
+#   1 while it is below 2**51: the floor is at most the exact floor plus 1,
+#   the most adds allowed. A larger quotient is capped by the adds left.
+# Zero, subnormal, top-binade (whose upper edge overflows) and non-finite
+# rows take no jump, and an entry whose last three rows straddle a binade
+# waits a round; the real adds of the next round take every entry across
+# its edge. A delta of 0 changes nothing after one add, which turns -0 into
+# +0. Each round so makes at most ``_CHUNK`` real adds an entry, and n adds
+# take about as many rounds as binades crossed, O(log n), not n / _CHUNK.
+# Jumps are tried only while some entry has more than ``_CHUNK`` adds left,
+# when they can save a round. TestRepeat compares it with one whole
+# accumulate.
+def _adds(y: np.ndarray, delta: np.ndarray, m: int) -> np.ndarray:
+    """Row k is ``y`` after k sequential ``+= delta``, for k up to ``m``, by
+    ``np.add.accumulate``: the same rounding as the adds one by one."""
+    rows = np.empty((m + 1, y.size))
+    rows[0] = y
+    rows[1:] = delta
+    np.add.accumulate(rows, axis=0, out=rows)
+    return rows
+
+
 def _repeat(x: np.ndarray, delta: np.ndarray, n: int) -> np.ndarray:
-    """``x`` after ``n`` more sequential ``+= delta``, by ``np.add.accumulate``:
-    the same rounding as the adds one by one, which ``n * delta`` would not
-    give. It accumulates ``_CHUNK`` adds at a time, each chunk starting from
-    the last row of the one before, for the same bits (``TestNumpyFacts``)."""
-    rows = np.empty((min(n, _CHUNK) + 1,) + x.shape)
-    rows[0] = x
-    for done in range(0, n, _CHUNK):
-        m = min(n - done, _CHUNK)
-        rows[1:m + 1] = delta
-        np.add.accumulate(rows[:m + 1], axis=0, out=rows[:m + 1])
-        rows[0] = rows[m]
-    return rows[0]
+    """``x`` after ``n`` more sequential ``+= delta``, both 1-D: the same bits
+    as the adds one by one, which ``n * delta`` would not give, in
+    O(x.size log n) adds by jumping through each binade."""
+    rows = _adds(x, delta, min(n, _CHUNK))
+    if n <= _CHUNK:
+        return rows[-1]
+    if n <= 2 * _CHUNK:   # a jump would save no round of real adds
+        return _adds(rows[-1], delta, n - _CHUNK)[-1]
+    y = rows[-1]
+    out = y.copy()
+    idx = np.arange(out.size)   # the entries with adds left, and how many
+    left = np.full(out.size, n - _CHUNK)
+    left[delta == 0.0] = 0
+    while True:
+        if left.max() > _CHUNK:   # then every entry with adds left took _CHUNK
+            bits = rows[-3:].view(np.uint64) >> np.uint64(52)   # sign, exponent
+            expo = bits[2] & np.uint64(0x7FF)
+            jump = ((left > 0) & (bits[0] == bits[2]) & (bits[1] == bits[2])
+                    & (expo > 0) & (expo < 0x7FE))
+            low = (expo << np.uint64(52)).view(np.float64)   # 2**e
+            with np.errstate(all="ignore"):   # rows that take no jump
+                inc = y - rows[-2]
+                a = np.abs(y)
+                dist = np.where((y > 0) == (delta > 0), 2.0 * low - a, a - low)
+                j = np.floor((dist - np.abs(delta)) / np.abs(inc))
+                j = np.where(jump, np.maximum(np.fmin(j, left), 0.0), 0.0)
+                y = np.where(jump, y + j * inc, y)
+            left -= j.astype(np.int64)
+        out[idx] = y
+        keep = left > 0
+        if not keep.any():
+            return out
+        idx, left, delta = idx[keep], left[keep], delta[keep]
+        m = min(int(left.max()), _CHUNK)
+        rows = _adds(out[idx], delta, m)
+        took = np.minimum(left, m)
+        y = rows[took, np.arange(idx.size)]
+        left -= took
 
 
 def _commit(state: RegretState, steps: list[np.ndarray], n: int) -> None:
     """Play ``n`` periods of the held profile, none with a switch; ``steps``
-    is ``_steps`` at that profile."""
+    is ``_steps`` at that profile. Every player's folded entries go through
+    one ``_repeat``."""
     held = state.last
-    for i, d in enumerate(state.diffs):
-        folded = d[held[i]] if state.rule == "conditional" else d
-        folded[...] = _repeat(folded, steps[i], n)
+    if state.rule == "conditional":
+        folded = [d[h] for d, h in zip(state.diffs, held)]
+    else:
+        folded = state.diffs
+    x = np.concatenate([f.ravel() for f in folded])
+    delta = np.empty_like(x)
+    start = 0
+    for f, s in zip(folded, steps):
+        delta[start:start + f.size].reshape(f.shape)[...] = s
+        start += f.size
+    x = _repeat(x, delta, n)
+    start = 0
+    for f in folded:
+        f[...] = x[start:start + f.size].reshape(f.shape)
+        start += f.size
     state.counts[held] += n
     state.t += n
 

@@ -13,6 +13,8 @@ from powergames.regret import (
     _BLOCK,
     _CHUNK,
     _advance,
+    _repeat,
+    _steps,
     default_mu,
     empirical_distribution,
     rm_init,
@@ -458,6 +460,106 @@ class TestScreenBoundaries:
                                            lambda p, j, b, th: _safe(b, th))
                 assert ref == blk, (i, total)
                 assert (ref[-1] is not None) == (total > limit)
+
+
+def _far_hand_set(dims, rule, seed):
+    """A state at period 10**6 whose regret entries are about 10**6 times
+    their step, of either sign, except some up to a block's length of steps
+    from 0 on the side that crosses it, some exact multiples of the step and
+    some -0, so a block's commit crosses many binades."""
+    rng = np.random.default_rng(seed)
+    tensor = PayoffTensor(dims, random_tensor(rng, dims))
+    state = rm_init(tensor, seed=0, rule=rule)
+    t = 10 ** 6
+    state.t = t
+    state.last = tuple(int(rng.integers(m)) for m in dims)
+    state.counts[state.last] = t
+    state.diffs = []
+    for i, delta in enumerate(_steps(tensor, state.last)):
+        m = dims[i]
+        far = delta * rng.uniform(-1.0, 0.3, (m, m)) * t
+        near = -delta * rng.uniform(0.0, _BLOCK, (m, m))
+        exact = -delta * rng.integers(0, _BLOCK, (m, m))
+        pick = rng.integers(4, size=(m, m))
+        state.diffs.append(np.select([pick == 0, pick == 1, pick == 2], [far, near, exact], -0.0))
+    return tensor, state, default_mu(tensor)
+
+
+class TestLongCommits:
+    """Whole blocks that hold the profile, from states whose commits cross
+    zero and many binades, match the one-period rule bit for bit."""
+
+    @pytest.mark.parametrize("rule", ["conditional", "paper-literal"])
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 4)])
+    def test_matches_reference(self, rule, dims):
+        for seed in range(2):
+            tensor, state, mu = _far_hand_set(dims, rule, seed)
+            ref, blk = _advance_parity(tensor, state, mu, _BLOCK,
+                                       lambda p, j, b, th: _safe(b, th))
+            assert ref == blk, seed
+            # the profile held through the block
+            assert ref[2:] == (state.last, state.t + _BLOCK, None), seed
+
+
+def _accumulated(x, delta, n):
+    """``x`` after ``n`` sequential ``+= delta``, by one whole accumulate."""
+    rows = np.empty((n + 1,) + x.shape)
+    rows[0] = x
+    rows[1:] = delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.accumulate(rows, axis=0, out=rows)
+    return rows[-1]
+
+
+def _repeat_cases(rng, shape, n):
+    """(x, delta) pairs of the given shape of x, delta one entry per column."""
+    m = shape[-1]
+    sign = lambda size: rng.choice([-1.0, 1.0], size)
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, m)
+    delta = sign(m) * scale
+    # magnitudes from 1e-300 to 1e300, up to 1e9 steps from 0
+    yield sign(shape) * scale * 10.0 ** rng.uniform(-1.0, 9.0, shape), delta
+    # rows that cross 0 within the run, some from an exact multiple of the step
+    yield -delta * rng.uniform(0.0, n, shape), delta
+    yield -delta * rng.integers(0, n + 1, shape), delta
+    # exact half-ulp ties and steps of a few ulps, growing and shrinking,
+    # from anywhere in a binade and from near either edge
+    low = 2.0 ** rng.integers(-1000, 1000, m)
+    ulp = low * 2.0 ** -52
+    for frac in (rng.integers(0, 5, m) + 0.5, rng.uniform(0.2, 6.0, m)):
+        step = sign(m) * ulp * frac
+        for x in (low * rng.uniform(1.0, 2.0, shape),
+                  low + ulp * rng.integers(0, 3 * n + 2, shape),
+                  2.0 * low - ulp * rng.integers(1, 3 * n + 2, shape)):
+            yield sign(m) * x, step
+    # delta 0 on +0, -0 and any value, with some +-0 among other rows
+    zero = rng.choice([0.0, -0.0], shape)
+    yield zero, np.zeros(m)
+    yield np.where(rng.random(shape) < 0.5, zero, delta * 10.0), np.where(rng.random(m) < 0.5, 0.0, delta)
+    # subnormal steps from +-0
+    yield zero, 5e-324 * rng.integers(-3, 4, m)
+    yield zero, sign(m) * 2.0 ** rng.uniform(-1070.0, -1022.0, m)
+    # sums that overflow to inf
+    yield sign(m) * 1.7e308 * rng.uniform(0.5, 1.0, shape), sign(m) * 10.0 ** rng.uniform(303.0, 306.0, m)
+
+
+class TestRepeat:
+    """A commit's binade jumps give the bits of its adds one by one."""
+
+    NS = [1, 2, 3, *range(_CHUNK - 1, _CHUNK + 3), 4095]
+
+    @pytest.mark.parametrize("shape", [(25,), (7, 7)])
+    def test_matches_one_accumulate(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for n in self.NS:
+            for trial in range(3):
+                for k, (x, delta) in enumerate(_repeat_cases(rng, shape, n)):
+                    # a commit folds a step into a held row, or into every
+                    # row of a matrix, laid out flat
+                    flat = np.broadcast_to(delta, shape).ravel()
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got = _repeat(x.ravel(), flat, n)
+                    assert got.tobytes() == _accumulated(x, delta, n).tobytes(), (n, trial, k)
 
 
 class TestNumpyFacts:
