@@ -23,6 +23,11 @@ Two incentive-constraint families are supported, each cut lazily on the
 reference for tests and for ``simplex.dump_problem``; the solve does not use
 it.
 
+Either family's master has one probability simplex per joint type and the
+one size budget of every master, ``correlated.check_master_size``, which
+``solve_commeq`` also checks at the starting size before any payoff tensor
+is built, and ``build_commeq_lp`` at its dense size.
+
 The canonical master runs over the columns of p(a|t) that survive
 ``correlated.dominance_support``: per player and type, iterated strict
 dominance by a pure action against the opponents' surviving actions at every
@@ -60,9 +65,10 @@ from .correlated import (
     _map_rows,
     _told_index,
     _top,
+    check_master_size,
     dominance_support,
 )
-from .errors import BudgetError, SolverStallError
+from .errors import SolverStallError
 from .model import (
     DEFAULT_ALPHA,
     DEFAULT_NOISE,
@@ -77,9 +83,6 @@ from .model import (
 )
 from .simplex import LpProblem, make_problem
 
-# cap on the entries of the simplex data A_all, rows * (vars + rows) with a
-# surplus or artificial column per row; 12e6 float64 entries are 96 MB
-COMMEQ_TABLEAU_BUDGET = 12 * 10**6
 FORMULATIONS = ("literal", "canonical")   # incentive-constraint families
 TYPE_MODES = ("diagonal", "product")      # see build_type_space
 
@@ -278,45 +281,17 @@ def _incentive_terms(space: TypeSpace, payoffs: list[np.ndarray], i: int,
     return out
 
 
-def _check_budget(space: TypeSpace, family: GameFamily, formulation: str):
-    """BudgetError when the master, before its first cut (one row per joint
-    type), needs too large a simplex data ``A_all``."""
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}")
-    n_x = space.joint_count * int(np.prod(family.dims))
-    _check_tableau(formulation, space.joint_count, n_x)
-
-
-def _check_tableau(formulation: str, n_rows: int, n_x: int):
-    """BudgetError when an LP of ``n_rows`` rows over ``n_x`` variables has
-    more entries in its simplex data ``A_all``, rows x (columns + rows), than
-    COMMEQ_TABLEAU_BUDGET; the master runs this before each solve, as its
-    cuts grow it."""
-    work = n_rows * (n_x + n_rows)
-    if work > COMMEQ_TABLEAU_BUDGET:
-        raise BudgetError(
-            f"{formulation} communication LP with {n_x} variables and {n_rows} rows "
-            f"needs {work} entries of simplex data, rows x (columns + rows) "
-            f"(budget {COMMEQ_TABLEAU_BUDGET}); "
-            "shrink the action grid or the type space"
-        )
-
-
 def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
-    """Over p(a|t) (type-major): the prior-weighted welfare objective, the
-    rows ``sum_a p(a|t) = 1``, and per incentive block ``(i, t_i, t_rep,
-    terms, truth, told)``: ``_incentive_terms``, the row of player i's
-    posterior payoff of reporting t_i and obeying, and player i's
+    """Over p(a|t) (type-major, one block of profiles per joint type): the
+    prior-weighted welfare objective, and per incentive block ``(i, t_i,
+    t_rep, terms, truth, told)``: ``_incentive_terms``, the row of player
+    i's posterior payoff of reporting t_i and obeying, and player i's
     ``_told_index``."""
     s = tensors[0].profile_count
     n = space.joint_count * s
     objective = np.zeros(n)
-    eq_rows = []
     for t, q in enumerate(space.prior.reshape(-1)):
         objective[t * s:(t + 1) * s] = q * tensors[t].welfare_flat()
-        row = np.zeros(n)
-        row[t * s:(t + 1) * s] = 1.0
-        eq_rows.append((row, 1.0))
     blocks = []
     for i in range(space.players):
         told = _told_index(tensors[0].dims, i)
@@ -328,7 +303,7 @@ def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
                 for w, ft, _, _ in terms:
                     truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
                 blocks.append((i, t_i, t_rep, terms, truth, told))
-    return objective, eq_rows, blocks
+    return objective, blocks
 
 
 def build_commeq_lp(space: TypeSpace, family: GameFamily,
@@ -344,18 +319,20 @@ def build_commeq_lp(space: TypeSpace, family: GameFamily,
     n_x = space.joint_count * int(np.prod(family.dims))
     # one row per joint type, plus M_i rows per (player, true type, report)
     n_rows = space.joint_count + sum(t * t * m for t, m in zip(space.type_dims, family.dims))
-    _check_tableau("literal", n_rows, n_x)
+    check_master_size(n_rows, n_x)
     if tensors is None:
         tensors = per_type_tensors(space, family)
-    objective, eq_rows, blocks = _device_program(space, tensors)
+    objective, blocks = _device_program(space, tensors)
+    # sum_a p(a|t) = 1 on each joint type's block of profiles
+    simplices = np.repeat(np.eye(space.joint_count), tensors[0].profile_count, axis=1)
     ineq_rows = []
     for _, _, _, terms, truth, told in blocks:
         # every constant map b, played whatever one is told
         mi = told.shape[0]
         devs = np.repeat(np.arange(mi)[:, None], mi, axis=1)
         ineq_rows += [(row, 0.0) for row in truth - _map_rows(terms, told, devs, truth.size)]
-    return make_problem(objective, ineq_rows=ineq_rows, eq_rows=eq_rows,
-                        name="commeq-literal")
+    return make_problem(objective, ineq_rows=ineq_rows,
+                        eq_rows=[(row, 1.0) for row in simplices], name="commeq-literal")
 
 
 def _literal_cuts(blocks, x: np.ndarray):
@@ -381,16 +358,19 @@ def solve_commeq(space: TypeSpace, family: GameFamily,
     ``tensors`` is ``per_type_tensors(space, family)`` when the caller
     already has it; it is built once here otherwise, after the budget check.
     """
-    _check_budget(space, family, formulation)
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
+    n_x = space.joint_count * int(np.prod(family.dims))
+    # the master before its first cut: one row per joint type, every column
+    check_master_size(space.joint_count, n_x)
     if tensors is None:
         tensors = per_type_tensors(space, family)
-    objective, eq_rows, blocks = _device_program(space, tensors)
+    objective, blocks = _device_program(space, tensors)
     if formulation == "literal":
         cuts, reduction = _literal_cuts, None
     else:
         cuts, reduction = _canonical_cuts, partial(dominance_support, tensors, space.prior)
-    master = CePolytopeSolver(eq_rows, partial(cuts, blocks), reduction,
-                              partial(_check_tableau, formulation))
+    master = CePolytopeSolver(n_x, space.joint_count, partial(cuts, blocks), reduction)
     x, value, iters = master.maximize(objective)
     device = CommDevice.from_raw(space, family.dims, x.reshape(space.joint_count, -1))
     violation = commeq_violation(device, family, formulation, tensors)

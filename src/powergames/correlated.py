@@ -39,10 +39,10 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .errors import SolverStallError
+from .errors import BudgetError, SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import PayoffTensor, _decode
-from .simplex import make_problem, solve_lp
+from .simplex import LpProblem, solve_lp
 
 # a freshly solved report must verify at least this cleanly
 ACCEPT_VIOLATION = 1e-8
@@ -55,6 +55,9 @@ REGION_DIRECTIONS = 64
 DOMINANCE_CHUNK = 1 << 22
 # profile layouts kept by _told_index, one per game shape and player
 TOLD_CACHE = 16
+# cap on the entries of an LP's simplex data A_all, rows * (columns + rows)
+# with a surplus or artificial column per row; 12e6 float64 entries are 96 MB
+MASTER_BUDGET = 12 * 10**6
 
 log = logging.getLogger(__name__)
 
@@ -256,27 +259,39 @@ def dominance_support(tensors: list[PayoffTensor], prior: np.ndarray) -> np.ndar
     return support
 
 
-class CePolytopeSolver:
-    """Cutting-plane master over {x >= 0 : ``eq_rows`` hold, and so does every
-    row ``row . x >= 0`` that ``separate(x)`` yields as ``(key, row)`` when
-    x violates it}. Each key is added once. ``for_tensor`` is the CE
-    polytope, separated by ``_canonical_cuts`` as ``solve_commeq``'s
-    canonical master is.
+def check_master_size(rows: int, columns: int):
+    """BudgetError when an LP of ``rows`` rows over ``columns`` columns has
+    more entries in its simplex data ``A_all``, rows x (columns + rows), than
+    MASTER_BUDGET. Every master runs this before each solve, as its cuts grow
+    it."""
+    work = rows * (columns + rows)
+    if work > MASTER_BUDGET:
+        raise BudgetError(
+            f"LP with {columns} columns and {rows} rows needs {work} entries of "
+            f"simplex data, rows x (columns + rows) (budget {MASTER_BUDGET}); "
+            "shrink the action grid or the type space"
+        )
 
-    Each equality row ``(row, rhs)`` has unit coefficients on a block of
-    columns, the blocks disjoint (the profile simplex of each joint type).
+
+class CePolytopeSolver:
+    """Cutting-plane master over {x >= 0 : each of ``simplices`` equal,
+    contiguous blocks of ``columns`` sums to 1, and every row ``row . x >=
+    0`` that ``separate(x)`` yields as ``(key, row)`` when x violates it
+    holds}. Each key is added once. ``for_tensor`` is the CE polytope, one
+    block over every profile, separated by ``_canonical_cuts`` as
+    ``solve_commeq``'s canonical master is, with a block per joint type.
+
     ``reduction()``, when given, returns the ascending columns that can
     carry mass at any point of the polytope (``dominance_support``); without
     it every column can. The master pays for it only when it needs an LP:
 
-    - Before its first cut the master is a simplex per equality row, whose
-      optimum puts each row's mass on the row's best column (the first, on
-      a tie). That point over every column is separated first, and when
-      nothing cuts it off it is returned with 0 pivots, ``reduction``
-      never run. This is the point the reduced master's first solve would give:
-      a point of the polytope has all its mass on columns ``reduction`` keeps,
-      so the best over those is the same column, the first index on a tie
-      in both.
+    - Before its first cut the master is a simplex per block, whose optimum
+      puts each block's mass on its best column (the first, on a tie). That
+      point over every column is separated first, and when nothing cuts it
+      off it is returned with 0 pivots, ``reduction`` never run. This is the
+      point the reduced master's first solve would give: a point of the
+      polytope has all its mass on columns ``reduction`` keeps, so the best
+      over those is the same column, the first index on a tie in both.
     - Otherwise ``reduction`` runs once, and the master's own columns are the
       ones it returns: its objective, equality rows and cut rows are
       restricted to them. When a kept column is not the full point's, the
@@ -301,22 +316,19 @@ class CePolytopeSolver:
     pivot and end at the last point, so that point is returned with 0
     pivots and no LP built, and the basis stays resident. When ``solve_lp``
     abandons a start it runs its cold two-phase solve, so the answers never
-    depend on it. ``check_size(rows, columns)``, when given, runs before
-    each master solve with the master's own size and may raise to refuse a
-    master that has grown too large. Not safe for concurrent use; make one
-    per worker.
+    depend on it. Before each solve ``check_master_size`` refuses a master
+    whose rows and kept columns have outgrown MASTER_BUDGET. Not safe for
+    concurrent use; make one per worker.
     """
 
-    def __init__(self, eq_rows, separate, reduction=None, check_size=None):
-        self._eq_full = eq_rows
-        # each equality row's columns, before any reduction
-        self._blocks = [(np.flatnonzero(row), rhs) for row, rhs in eq_rows]
+    def __init__(self, columns: int, simplices: int, separate, reduction=None):
+        # block t holds columns [t * width, (t + 1) * width)
+        self._full = np.arange(columns).reshape(simplices, -1)
         self.separate = separate
         self._reduction = reduction
-        self.check_size = check_size
-        # the master's own columns, and the equality rows and blocks over
-        # them, set by _restrict when the first LP is needed
-        self.support = self.eq_rows = self._kept = None
+        # the master's own columns, its equality rows over them and its
+        # blocks of them, set by _restrict when the first LP is needed
+        self.support = self._eq = self._kept = None
         # the generated rows over the support, unit max each, are the first
         # _m rows of _rows; a round's rows are appended and no row is
         # changed once written
@@ -337,7 +349,7 @@ class CePolytopeSolver:
         told = [_told_index(tensor.dims, i) for i in range(tensor.players)]
         blocks = [(i, 0, 0, [(1.0, 0, 0, tensor.flat(i)[told[i]])], None, told[i])
                   for i in range(tensor.players)]
-        return cls([(np.ones(tensor.profile_count), 1.0)], partial(_canonical_cuts, blocks),
+        return cls(tensor.profile_count, 1, partial(_canonical_cuts, blocks),
                    partial(dominance_support, [tensor], np.ones((1,) * tensor.players)))
 
     def maximize(self, objective: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -346,7 +358,7 @@ class CePolytopeSolver:
         Returns (point over every column, objective value, simplex pivots).
         """
         if not self._m:
-            full = self._peak(objective, self._blocks)
+            full = self._peak(objective, self._full)
             if next(self.separate(full), None) is None:
                 if self.support is None and self._reduction is not None:
                     log.debug("master: best point uncut; dominance reduction skipped")
@@ -363,12 +375,13 @@ class CePolytopeSolver:
             return x, float(objective[self.support] @ x[self.support]), 0
         self._last = None
         x = np.zeros(len(objective))
-        base = make_problem(objective[self.support], eq_rows=self.eq_rows, name="master")
+        n, k = self.support.size, len(self._eq)
+        base = LpProblem(n, objective[self.support], np.zeros((0, n)), np.zeros(0),
+                         self._eq, np.ones(k), "master")
         total_iters = 0
-        for _ in range(10 * base.n + 100):
+        for _ in range(10 * n + 100):
             m = self._m
-            if self.check_size is not None:
-                self.check_size(m + len(self.eq_rows), base.n)
+            check_master_size(m + k, n)
             # only this round's rows were checked; solve_lp sees the earlier
             # ones as the same memory as the last problem's
             prob = base._with_rows(self._rows[:m], np.zeros(m))
@@ -397,20 +410,23 @@ class CePolytopeSolver:
 
     @staticmethod
     def _peak(objective: np.ndarray, blocks) -> np.ndarray:
-        """The point with each equality row's mass on its block's best
-        column, the first on a tie."""
+        """The point with each block's mass on its best column, the first on
+        a tie."""
         x = np.zeros(len(objective))
-        for block, rhs in blocks:
-            x[block[objective[block].argmax()]] = rhs
+        for block in blocks:
+            x[block[objective[block].argmax()]] = 1.0
         return x
 
     def _restrict(self):
-        """Run the reduction, and restrict the equality rows and the blocks
-        to the columns it keeps."""
-        n = len(self._eq_full[0][0])
-        self.support = support = np.arange(n) if self._reduction is None else self._reduction()
-        self.eq_rows = [(row[support], rhs) for row, rhs in self._eq_full]
-        self._kept = [(support[np.flatnonzero(row)], rhs) for row, rhs in self.eq_rows]
+        """Run the reduction, and build the blocks of the columns it keeps
+        and the equality rows over them, a unit on each kept column of a
+        block."""
+        simplices, width = self._full.shape
+        self.support = support = (np.arange(self._full.size) if self._reduction is None
+                                  else self._reduction())
+        self._kept = np.split(support, np.searchsorted(support, width * np.arange(1, simplices)))
+        self._eq = np.zeros((simplices, support.size))
+        self._eq[support // width, np.arange(support.size)] = 1.0
         self._rows = np.empty((0, support.size))
 
     def _append(self, row: np.ndarray):

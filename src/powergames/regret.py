@@ -255,10 +255,7 @@ def _exact(state: RegretState, tensor: PayoffTensor, steps: list[np.ndarray], mu
         m = min(end + 1, n)
         # the held rows through period m, whose last row a commit of the
         # conditional rule stores
-        row = np.empty((m + 1, tensor.dims[i]))
-        row[0] = state.diffs[i][h]
-        row[1:] = steps[i]
-        np.add.accumulate(row, axis=0, out=row)
+        row = _adds(state.diffs[i][h], steps[i], m)
         rows.append(row)
         switch = np.maximum(row[:m] / t[:m], 0.0) / mu
         switch[:, h] = 0.0

@@ -111,7 +111,7 @@ class TestLazyReduction:
         tensor = PayoffTensor((2, 2), COORDINATION)
         solver = CePolytopeSolver.for_tensor(tensor)
         events = []
-        separate, problem = solver.separate, correlated.make_problem
+        separate, problem = solver.separate, correlated.LpProblem
 
         def separated(x):
             events.append("separate")
@@ -122,7 +122,7 @@ class TestLazyReduction:
             return problem(*args, **kwargs)
 
         solver.separate = separated
-        monkeypatch.setattr(correlated, "make_problem", made)
+        monkeypatch.setattr(correlated, "LpProblem", made)
         _, _, pivots = solver.maximize(-tensor.welfare_flat())
         assert pivots > 0 and events[:2] == ["separate", "lp"]
 
@@ -199,7 +199,7 @@ class TestRepricing:
         objective = 0.8 * tensor.flat(0) + 0.6 * tensor.flat(1)
         x, value, iters = solver.maximize(objective)
         assert iters > 0
-        problems = count_calls(monkeypatch, correlated, "make_problem")
+        problems = count_calls(monkeypatch, correlated, "LpProblem")
         # scaling the objective down scales every reduced cost down
         again, half, pivots = solver.maximize(0.5 * objective)
         assert problems == [] and pivots == 0
@@ -216,7 +216,7 @@ class TestRepricing:
     def test_region_directions_match_dense_lp(self, monkeypatch, gains, levels):
         tensor = paper_game(gains, levels=levels)
         solver = CePolytopeSolver.for_tensor(tensor)
-        problems = count_calls(monkeypatch, correlated, "make_problem")
+        problems = count_calls(monkeypatch, correlated, "LpProblem")
         directions = 64
         for k in range(directions):
             theta = 2.0 * math.pi * k / directions

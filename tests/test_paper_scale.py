@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from powergames import cli
+from powergames import cli, correlated
 from powergames.communication import GameFamily, build_commeq_lp, solve_commeq
 from powergames.config import load_config
 from powergames.correlated import ce_payoff_region, solve_welfare_ce
+from powergames.errors import BudgetError
 from powergames.experiments import channel_states, game_from_config, power_grids, types_from_config
 from powergames.model import ChannelMatrix, GameInstance, build_payoff_tensor, build_power_grid
 from powergames.simplex import solve_lp
@@ -197,7 +198,28 @@ def test_canonical_master_growth_exits_3(tmp_path, capsys):
                                 "types": {"points": 10}}))
     assert cli.main(["-c", str(path), "commeq", "--formulation", "canonical"]) == 3
     err = capsys.readouterr().err
-    grown = re.search(r"budget error: canonical communication LP with 10000 variables "
-                      r"and (\d+) rows", err)
+    grown = re.search(r"budget error: LP with 10000 columns and (\d+) rows", err)
     assert grown and int(grown.group(1)) > 100
     assert "Traceback" not in err
+
+
+def test_ce_master_growth_is_refused(monkeypatch):
+    # sweep state 17's welfare CE master over its 64 surviving profiles
+    # solves at 1, 2, 9 and 17 rows: 65, 132, 657 and 1,377 entries of
+    # simplex data. Under a budget of 1,000 its first rounds fit and its
+    # last is refused before it is solved
+    monkeypatch.setattr(correlated, "MASTER_BUDGET", 1000)
+    sizes = []
+    real = correlated.solve_lp
+
+    def solve(prob, start=None):
+        sizes.append(prob.row_count * (prob.n + prob.row_count))
+        return real(prob, start=start)
+
+    monkeypatch.setattr(correlated, "solve_lp", solve)
+    cfg = load_config(PAPER_CONFIG)
+    states, _ = channel_states(cfg)
+    tensor = build_payoff_tensor(game_from_config(cfg, states[17]))
+    with pytest.raises(BudgetError, match="entries of simplex data"):
+        solve_welfare_ce(tensor)
+    assert len(sizes) > 1 and max(sizes) <= 1000
