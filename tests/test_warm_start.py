@@ -11,6 +11,7 @@ from powergames.model import ChannelMatrix, GameInstance, PayoffTensor, build_pa
 from powergames.simplex import make_problem, solve_lp
 from oracles import (build_ce_constraints, first_rows, random_bounded_lp, random_tensor,
                      shifted_box_lp, unit_max_rows)
+from test_refactor import same_bytes
 
 
 def paper_game(gains, levels=25):
@@ -186,6 +187,45 @@ class TestStartThatDoesNotFit:
         assert stalls == ["singular basis: its kernel is singular"]
 
 
+class TestOpening:
+    """``Resident.at`` on the best column of each probability simplex: the
+    resident that a cold solve of the master with no cut leaves, without its
+    pivots."""
+
+    @pytest.mark.parametrize("blocks", [1, 5, simplex.UPDATE_MIN_KERNEL,
+                                        2 * simplex.UPDATE_MIN_KERNEL + 3])
+    def test_opened_resident_is_the_cold_one(self, blocks):
+        rng = np.random.default_rng(2900 + blocks)
+        for trial in range(4):
+            width = int(rng.integers(2, 6))
+            n = blocks * width
+            # a few distinct values: columns tie inside a block and across blocks
+            c = rng.integers(-2, 3, size=n).astype(float)
+            master = simplex.LpProblem(n, c, np.zeros((0, n)), np.zeros(0),
+                                       np.repeat(np.eye(blocks), width, axis=1), np.ones(blocks))
+            cold = solve_lp(master)
+            assert cold.iterations == blocks, f"trial {trial}"
+            best = np.arange(blocks) * width + c.reshape(blocks, width).argmax(axis=1)
+            opened = simplex.Resident.at(master, best)
+            tab, ref = opened._tab, cold.resident._tab
+            assert np.array_equal(tab.basis, ref.basis), f"trial {trial}"
+            point = np.zeros(tab.N)
+            point[tab.basis] = np.maximum(tab.xb, 0.0)
+            assert same_bytes(point[:n], cold.x), f"trial {trial}"
+            # the same factors, slot for slot
+            k = tab._k
+            assert (k, tab._updates) == (ref._k, ref._updates), f"trial {trial}"
+            assert np.array_equal(tab._kpos[:k], ref._kpos[:k])
+            assert np.array_equal(tab._free[:k], ref._free[:k])
+            assert same_bytes(tab._Kinv[:k, :k], ref._Kinv[:k, :k])
+            # so cuts added to either take the same pivots to the same point
+            rows = rng.normal(size=(3, n))
+            cut = replace(master, ineq_coeffs=rows, ineq_rhs=rows @ np.full(n, 1.0 / width) - 0.1)
+            warm, again = solve_lp(cut, start=opened), solve_lp(cut, start=cold.resident)
+            assert warm.iterations == again.iterations, f"trial {trial}"
+            assert same_bytes(warm.x, again.x), f"trial {trial}"
+
+
 class TestRowGeneration:
     def test_matches_cold_full_lp_on_criterion_2_games(self):
         # criterion 2's generator: 50 games with M in {2, 3, 4}, then its
@@ -203,7 +243,8 @@ class TestRowGeneration:
             assert abs(value - cold.objective_value) <= 1e-9, f"game {k}"
 
     def test_rounds_continue_warm(self, monkeypatch):
-        # only a master's first round is a cold solve, across objectives too
+        # no round of a master is a cold solve, across objectives too: the
+        # first opens at the best-column basis its cuts are added to
         tensor = paper_game([[2.33556, 0.67444], [3.0, 1.33889]], levels=10)
         solver = CePolytopeSolver.for_tensor(tensor)
         cold_solves = count_cold_solves(monkeypatch)
@@ -217,7 +258,7 @@ class TestRowGeneration:
         monkeypatch.setattr(correlated, "solve_lp", counted)
         for w in ([1.0, 1.0], [1.0, -0.5], [-0.3, 1.0]):
             solver.maximize(w[0] * tensor.flat(0) + w[1] * tensor.flat(1))
-        assert len(rounds) > 3 and len(cold_solves) == 1
+        assert len(rounds) > 3 and len(cold_solves) == 0
 
     def test_region_matches_cold_per_direction_optima(self):
         tensor = paper_game([[2.98931, 1.92230], [1.26254, 1.68242]], levels=8)
