@@ -263,8 +263,8 @@ def dominance_support(tensors: list[PayoffTensor], prior: np.ndarray) -> np.ndar
 def check_master_size(rows: int, columns: int):
     """BudgetError when an LP of ``rows`` rows over ``columns`` columns has
     more entries in its simplex data ``A_all``, rows x (columns + rows), than
-    MASTER_BUDGET. Every master runs this before its opening, with its first
-    cuts, and before each solve, as its cuts grow it."""
+    MASTER_BUDGET. Every master runs this before each solve, its first
+    included, as its cuts grow it."""
     work = rows * (columns + rows)
     if work > MASTER_BUDGET:
         raise BudgetError(
@@ -301,12 +301,11 @@ class CePolytopeSolver:
       feasible point). When it is the same point, it was just cut, so the
       LP follows at once.
     - The LP opens at that cut point, which is what a solve of the master
-      with no cut would return: its cuts are added, ``check_master_size``
-      refuses them before any tableau is built, and the first solve starts
-      warm from the point's basis, its column in each block
-      (``simplex.Resident.at``), the same basis and factors that cold solve
-      ends on, without its pivots. No master solves cold unless
-      ``solve_lp`` abandons a warm start.
+      with no cut would return: its cuts are added and, once the size check
+      below passes, the first solve starts warm from the point's basis, its
+      column in each block (``simplex.Resident.at``), the same basis and
+      factors that cold solve ends on, without its pivots. No master solves
+      cold unless ``solve_lp`` abandons a warm start.
 
     ``separate`` always sees a point padded with zeros to full width, so
     deviations range over every action, and ``maximize`` returns that
@@ -324,9 +323,10 @@ class CePolytopeSolver:
     pivot and end at the last point, so that point is returned with 0
     pivots and no LP built, and the basis stays resident. When ``solve_lp``
     abandons a start it runs its cold two-phase solve, so the answers never
-    depend on it. Before its opening and each solve ``check_master_size``
-    refuses a master whose rows and kept columns have outgrown
-    MASTER_BUDGET. Not safe for concurrent use; make one per worker.
+    depend on it. Before each solve ``check_master_size`` refuses a master
+    whose rows and kept columns have outgrown MASTER_BUDGET; as each round
+    returns or adds a row, that one check also bounds the rounds. Not safe
+    for concurrent use; make one per worker.
     """
 
     def __init__(self, columns: int, simplices: int, separate, reduction=None):
@@ -365,7 +365,7 @@ class CePolytopeSolver:
 
         Returns (point over every column, objective value, simplex pivots).
         """
-        opening = None
+        opening = False
         if not self._m:
             full = self._peak(objective, self._full)
             cuts = self.separate(full)
@@ -383,7 +383,8 @@ class CePolytopeSolver:
                 if first is None:
                     return x, float(objective @ x), 0
             # the rest of the separation only when the LP follows
-            opening = [first, *cuts]
+            self._add([first, *cuts])
+            opening = True
         elif self._last is not None and self._start.optimal_under(objective[self.support]):
             log.debug("master: no column prices out of the resident basis; "
                       "last point kept, no LP built")
@@ -393,16 +394,14 @@ class CePolytopeSolver:
         n, k = self.support.size, len(self._eq)
         base = LpProblem(n, objective[self.support], np.zeros((0, n)), np.zeros(0),
                          self._eq, np.ones(k), "master")
-        if opening is not None:
-            # the cuts of x, which is the point a solve of the uncut master
-            # would give: the master opens at x's basis, one column per block
-            self._add(opening)
-            check_master_size(self._m + k, n)
-            self._start = Resident.at(base, np.flatnonzero(x[self.support]))
         total_iters = 0
-        for _ in range(10 * n + 100):
+        # each round returns or adds a row, so the size check ends the loop
+        while True:
             m = self._m
             check_master_size(m + k, n)
+            if opening:
+                # x is what a solve of the uncut master gives: open at its basis
+                self._start, opening = Resident.at(base, np.flatnonzero(x[self.support])), False
             # only this round's rows were checked; solve_lp takes the earlier
             # ones, from the buffers of the last problem's, as unchanged
             prob = base._with_rows(self._rows, self._zeros, m)
@@ -418,7 +417,6 @@ class CePolytopeSolver:
             if self._m == m:
                 self._last = x.copy()
                 return x, float(sol.objective_value), total_iters
-        raise SolverStallError("row generation failed to converge")
 
     @staticmethod
     def _peak(objective: np.ndarray, blocks) -> np.ndarray:

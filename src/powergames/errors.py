@@ -21,6 +21,5 @@ class BudgetError(PowergamesError):
 class SolverStallError(PowergamesError):
     """An LP-based solve produced no certified answer: the simplex hit its
     iteration cap, met a singular basis or could not certify its optimal
-    point, an LP known to have an optimum reported another status, row
-    generation did not converge, or an answer failed its independent
-    verification."""
+    point, an LP known to have an optimum reported another status, or an
+    answer failed its independent verification."""

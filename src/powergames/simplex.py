@@ -72,10 +72,9 @@ equality rows, the old inequality rows an exact prefix of the new ones;
 the rows of problems that ``LpProblem._with_rows`` made from the same
 buffers count as a prefix, so a caller that appends rows to one buffer is
 not compared row by row).
-The attempt is abandoned for the cold two-phase solve when the start does
-not fit, its basis matrix is singular, it spends more than
-``WARM_PIVOT_SLACK`` pivots beyond the row count, or its point fails
-certification. A start is only a hint: no answer depends on it being good.
+The attempt is abandoned for the cold two-phase solve, with a DEBUG log
+line, in the four cases ``solve_lp`` lists. A start is only a hint: no
+answer depends on it being good.
 ``Resident.optimal_under`` asks a start, without using it, whether its basis
 is still optimal under a new objective, by the test the pivot loop applies;
 a caller that gets yes keeps the solved point and builds no problem.
@@ -85,6 +84,7 @@ stalls, back to the optimal basis it started from), then certification.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -92,10 +92,6 @@ import numpy as np
 
 from .errors import SolverStallError
 
-# a warm start is abandoned after (rows + this many) pivots, or at a singular
-# basis, and the cold solve runs: canonical commeq at 6 diagonal type points
-# abandons two warm starts at this cap and one at a singular kernel
-WARM_PIVOT_SLACK = 100
 # every solve's last dual pass lifts basic values below -CLEAN_TOL; clipping
 # several within FEAS_TOL to zero can break an equality row by over FEAS_TOL
 CLEAN_TOL = 1e-11
@@ -107,7 +103,7 @@ PIV_ABS = 1e-11
 PIV_REL = 1e-9
 # consecutive degenerate pivots before each perturbation
 STALL_THRESHOLD = 64
-# a solve stops after this many pivots per column and row of A_all
+# a solve stops after this many pivots per current column and row of A_all
 PIVOT_CAP_FACTOR = 50
 # the kernel inverse is updated across at most this many pivots, then
 # computed afresh. The update pays on the large masters (one BLAS thread, 2
@@ -123,6 +119,8 @@ UPDATE_MIN_KERNEL = 16
 UPDATE_PIV_REL = 1e-6
 # the residual guard on updated factors, K K^-1 - I and K (K^-1 b_F) - b_F
 RESIDUAL_TOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,6 @@ class _Tableau:
         # per array that extend grows, the buffer it is a prefix of
         self._spare = {}
         self.iters = 0
-        self.max_iter = PIVOT_CAP_FACTOR * (N + m)
         self._k = 0
         self._Kinv = None
         # the slot maps, made by the first refactor (see _maps)
@@ -530,10 +527,9 @@ class _Tableau:
         updated, or computed afresh when ``_update`` declines, and the basic
         values follow from them."""
         self.iters += 1
-        if self.iters > self.max_iter:
-            raise SolverStallError(
-                f"simplex exceeded {self.max_iter} pivots without a verdict"
-            )
+        cap = PIVOT_CAP_FACTOR * (self.N + self.m)
+        if self.iters > cap:
+            raise SolverStallError(f"simplex exceeded {cap} pivots without a verdict")
         updated = self._update(r, q)
         self.basis[r] = q
         if not updated:
@@ -701,8 +697,9 @@ class _Tableau:
     def perturb(self):
         """Shift the basic values by a deterministic right-hand-side
         perturbation in the current basis frame, which breaks a run of
-        degenerate pivots. Canonical commeq at 6 diagonal type points needs
-        it: without it, a cold solve there ends in a singular kernel."""
+        degenerate pivots: a guard against cycling (``TestDegeneracy``). Of
+        the stress cases only the 100-level region reaches it, which
+        finishes without it too, so no measured case needs it."""
         eps = 1e-8 * (1.0 + float(np.abs(self.b_true).max(initial=0.0))) * _pert_u(self.m)
         self.b_active = self.b_active + self.A_all[:, self.basis] @ eps
         self._values()
@@ -857,12 +854,14 @@ def solve_lp(problem: LpProblem, start: Resident | None = None) -> LpSolution:
 
     ``start`` is the ``resident`` of an optimal solution of a problem that
     this one extends by trailing inequality rows, under any objective. It is
-    tried first; when the attempt is abandoned (see the module docstring)
-    the cold two-phase solve runs and the abandoned pivots are counted in
-    ``iterations``. Rows of ``problem`` made from the buffers of the solved
-    problem's (``LpProblem._with_rows``) are taken as unchanged, so a
-    caller must not change a solved problem's arrays in place and then pass
-    its resident.
+    tried first and abandoned only when it does not fit, its basis is
+    singular, it reaches the pivot cap or its point fails certification;
+    then the cold two-phase solve runs (``TestStartThatDoesNotFit`` and
+    ``test_stalled_attempt_falls_back`` in tests/test_warm_start.py) and
+    counts the abandoned pivots in ``iterations``. Rows of ``problem`` made
+    from the buffers of the solved problem's (``LpProblem._with_rows``) are
+    taken as unchanged, so a caller must not change a solved problem's
+    arrays in place and then pass its resident.
 
     Raises SolverStallError when the iteration cap is exceeded, a basis turns
     singular or the final basis cannot be certified; that is distinct from
@@ -900,16 +899,18 @@ def _solve_warm(problem: LpProblem, start: Resident) -> tuple[LpSolution | None,
     """One attempt from ``start``: (certified optimum or None, pivots spent)."""
     tab = start.take(problem)
     if tab is None:
+        log.debug("warm start abandoned: it does not fit the problem")
         return None, 0
     tab.iters = 0
     try:
         tab.extend(problem.ineq_coeffs[tab.m_ineq:], problem.ineq_rhs[tab.m_ineq:],
                    problem.objective)
-        tab.max_iter = tab.m + WARM_PIVOT_SLACK
         if tab.dual_simplex(FEAS_TOL) and tab.pivot_loop(2) == "optimal":
             return _optimal(problem, tab), tab.iters
-    except SolverStallError:
-        pass
+        reason = "no optimum"
+    except SolverStallError as exc:
+        reason = exc
+    log.debug("warm start abandoned after %d pivots: %s", tab.iters, reason)
     return None, tab.iters
 
 

@@ -1,4 +1,5 @@
 """Warm-started simplex: a resident tableau is only a hint, never the answer's source."""
+import logging
 import math
 from dataclasses import replace
 
@@ -93,15 +94,77 @@ class TestRestart:
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
                 start = warm.resident
 
-    def test_attempt_past_pivot_budget_falls_back(self, monkeypatch):
-        base = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0)])
-        cut = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0), ([0.0, -1.0], -0.25)])
+    def test_stalled_attempt_falls_back(self, monkeypatch):
+        base, cut = one_cut()
         start = solve_lp(base).resident
         cold = solve_lp(cut)
-        monkeypatch.setattr(simplex, "WARM_PIVOT_SLACK", -cut.row_count)  # budget 0
+        fail_first_certification(monkeypatch)  # the warm attempt's, after its pivot
         warm = solve_lp(cut, start=start)
         assert np.array_equal(warm.x, cold.x)
         assert warm.iterations == cold.iterations + 1  # the abandoned pivot counts
+
+    def test_pivot_cap_follows_the_grown_tableau(self, monkeypatch):
+        base, _ = one_cut()
+        monkeypatch.setattr(simplex, "PIVOT_CAP_FACTOR", 3)
+
+        def grown(pivots_spent):
+            tab = solve_lp(base).resident._tab
+            size = tab.N + tab.m
+            # the cut adds a row and its surplus column
+            tab.extend(np.array([[0.0, -1.0]]), np.array([-0.25]), base.objective)
+            assert tab.N + tab.m == size + 2
+            tab.iters = pivots_spent(size)
+            return tab, size
+
+        # at the cap of the tableau before extend, the pivot is still allowed
+        tab, _ = grown(lambda size: 3 * size)
+        assert tab.dual_simplex(simplex.FEAS_TOL)
+        tab, size = grown(lambda size: 3 * (size + 2))
+        with pytest.raises(simplex.SolverStallError, match=f"exceeded {3 * (size + 2)} pivots"):
+            tab.dual_simplex(simplex.FEAS_TOL)
+
+    def test_abandoned_start_logged_at_debug_only(self, caplog, monkeypatch):
+        base, cut = one_cut()
+        solutions = []
+        for level in ("WARNING", "DEBUG"):
+            caplog.clear()
+            caplog.set_level(getattr(logging, level), logger="powergames")
+            start = solve_lp(base).resident
+            with monkeypatch.context() as patch:
+                fail_first_certification(patch)
+                solutions.append(solve_lp(cut, start=start))
+            solve_lp(cut, start=start)  # a start is used once: now it does not fit
+            messages = [r.getMessage() for r in caplog.records]
+            if level == "WARNING":
+                assert messages == []
+        assert messages == [
+            "warm start abandoned after 1 pivots: optimal point failed inequality certification",
+            "warm start abandoned: it does not fit the problem"]
+        quiet, verbose = solutions
+        assert np.array_equal(quiet.x, verbose.x) and quiet.iterations == verbose.iterations
+
+
+def one_cut():
+    """max x0 + 2 x1 over x0 + x1 <= 1, and the same with the cut x1 <= 0.25,
+    which a warm start repairs in one dual pivot."""
+    base = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0)])
+    cut = make_problem([1.0, 2.0], ineq_rows=[([-1.0, -1.0], -1.0), ([0.0, -1.0], -0.25)])
+    return base, cut
+
+
+def fail_first_certification(monkeypatch):
+    """The next certification fails, as a warm attempt's point can; the
+    ones after it run as usual."""
+    certify = simplex._certify
+    calls = []
+
+    def once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise simplex.SolverStallError("optimal point failed inequality certification")
+        return certify(*args)
+
+    monkeypatch.setattr(simplex, "_certify", once)
 
 
 def changed_n(prob):
