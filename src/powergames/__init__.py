@@ -20,12 +20,10 @@ _EXPORTS = {
     "nash": ("enumerate_pure_nash", "mixed_nash_2x2"),
     "correlated": ("CePolytopeSolver", "EquilibriumReport",
                    "JointDistribution", "ce_payoff_region", "ce_violation",
-                   "mediator_sample", "solve_directional_ce",
-                   "solve_welfare_ce"),
+                   "solve_directional_ce", "solve_welfare_ce"),
     "communication": ("CommDevice", "GameFamily", "TypeSpace",
                       "build_commeq_lp", "build_type_space",
-                      "commeq_violation", "conditional_prior",
-                      "run_mediator_session", "solve_commeq"),
+                      "commeq_violation", "conditional_prior", "solve_commeq"),
     "regret": ("RegretState", "empirical_distribution", "rm_init", "rm_run",
                "rm_step"),
 }

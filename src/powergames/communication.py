@@ -61,7 +61,6 @@ from .correlated import (
     CePolytopeSolver,
     _canonical_cuts,
     _deviation_table,
-    _draw,
     _map_rows,
     _told_index,
     _top,
@@ -431,19 +430,3 @@ def commeq_violation(device: CommDevice, family: GameFamily,
                     gap = float(dmat.max(axis=1).sum()) - truth
                 worst = max(worst, gap)
     return max(worst, 0.0)
-
-
-def run_mediator_session(device: CommDevice, reported_types=None,
-                         seed: int = 0) -> tuple[int, ...]:
-    """One mediation round: Nature draws a joint type (seeded), players
-    report (truthfully unless ``reported_types`` overrides), the mediator
-    samples a profile from the reported type's conditional."""
-    rng = np.random.default_rng(seed)
-    space = device.space
-    drawn = _draw(rng, space.prior.reshape(-1))
-    if reported_types is None:
-        reported = space.decode(drawn)
-    else:
-        reported = tuple(int(t) for t in reported_types)
-    row = device.conditionals[space.encode(reported)]
-    return _decode(_draw(rng, row), device.action_dims)

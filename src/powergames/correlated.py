@@ -1,5 +1,5 @@
 """Correlated equilibria: constraint systems, welfare/directional optima by LP,
-candidate verification, payoff-region tracing, and mediator sampling.
+candidate verification and payoff-region tracing.
 
 The CE polytope of a payoff tensor is ``{p on the profile simplex :
 sum_{a_-i} p(a_i, a_-i) (u_i(a_i, a_-i) - u_i(b, a_-i)) >= 0}`` for every
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetError, SolverStallError
 from .geometry import convex_hull_ccw, dedup_points
-from .model import PayoffTensor, _decode
+from .model import PayoffTensor
 from .simplex import LpProblem, Resident, solve_lp
 
 # a freshly solved report must verify at least this cleanly
@@ -481,12 +481,10 @@ def solve_welfare_ce(tensor: PayoffTensor) -> EquilibriumReport:
     return _report(tensor, flat, iters)
 
 
-def solve_directional_ce(tensor: PayoffTensor, weights,
-                         solver: CePolytopeSolver | None = None) -> EquilibriumReport:
+def solve_directional_ce(tensor: PayoffTensor, weights) -> EquilibriumReport:
     """CE maximizing a weighted sum of the players' expected utilities."""
     objective = _weighted(tensor, weights)
-    solver = solver or CePolytopeSolver.for_tensor(tensor)
-    flat, _, iters = solver.maximize(objective)
+    flat, _, iters = CePolytopeSolver.for_tensor(tensor).maximize(objective)
     return _report(tensor, flat, iters)
 
 
@@ -531,10 +529,10 @@ def ce_payoff_region(tensor: PayoffTensor,
     """Support-function trace of the 2-player CE payoff region.
 
     Solves one directional LP per angle 2*pi*k/directions, deduplicates the
-    resulting expected-payoff points (1e-7 metric) and returns them as a
-    convex polygon in counter-clockwise order. A point is verified once: a
-    direction whose point has the bytes of the last one (as when the
-    resident basis answers it) reuses that point's report.
+    resulting expected-payoff points (``geometry.DEDUP_TOL``) and returns
+    them as a convex polygon in counter-clockwise order. A point is
+    verified once: a direction whose point has the bytes of the last one
+    (as when the resident basis answers it) reuses that point's report.
     """
     if tensor.players != 2:
         raise ValueError("payoff-region export is 2-player only")
@@ -550,22 +548,4 @@ def ce_payoff_region(tensor: PayoffTensor,
         if point != last:
             rep, last = _report(tensor, flat, iters), point
         points.append(rep.per_player_value)
-    return convex_hull_ccw(dedup_points(points, tol=1e-7))
-
-
-def mediator_sample(dist: JointDistribution, seed: int) -> tuple[int, ...]:
-    """Draw one joint profile by inverse CDF in mixed-radix order.
-
-    The same seed always returns the same draw.
-    """
-    return _decode(_draw(np.random.default_rng(seed), dist.probs), dist.dims)
-
-
-def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Index drawn by inverse CDF from nonnegative weights ``probs`` (one
-    ``rng.random()`` call)."""
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("cannot sample from an all-zero distribution")
-    u = rng.random() * total
-    return min(int(np.searchsorted(np.cumsum(probs), u, side="left")), probs.size - 1)
+    return convex_hull_ccw(dedup_points(points))

@@ -7,14 +7,16 @@ import math
 # edge and is dropped; far below the LP tolerances, so it only absorbs the
 # rounding of support points that solve to the same edge
 EDGE_TOL = 1e-12
+# a point this close (Euclidean) to an already kept one is the same point
+DEDUP_TOL = 1e-7
 
 
-def dedup_points(points, tol: float = 1e-7) -> list[tuple[float, float]]:
-    """Drop points within ``tol`` (Euclidean) of an already kept one."""
+def dedup_points(points) -> list[tuple[float, float]]:
+    """Drop points within DEDUP_TOL of an already kept one."""
     kept: list[tuple[float, float]] = []
     for p in points:
         p = (float(p[0]), float(p[1]))
-        if all(_square_distance(p, q) > tol * tol for q in kept):
+        if all(_square_distance(p, q) > DEDUP_TOL * DEDUP_TOL for q in kept):
             kept.append(p)
     return kept
 

@@ -697,9 +697,13 @@ class _Tableau:
     def perturb(self):
         """Shift the basic values by a deterministic right-hand-side
         perturbation in the current basis frame, which breaks a run of
-        degenerate pivots: a guard against cycling (``TestDegeneracy``). Of
-        the stress cases only the 100-level region reaches it, which
-        finishes without it too, so no measured case needs it."""
+        degenerate pivots (``TestDegeneracy``). Of the commands' stress cases
+        only the 100-level region reaches it, and it finishes without it
+        too; cold solves need it. Without it, under one BLAS thread, the
+        dense auxiliary canonical LPs of product type spaces in
+        ``test_communication`` and ``test_lazy_master`` end in a singular
+        kernel, and random CE LPs of up to 3 players and 6 actions cycle to
+        the pivot cap, also with a pivot floor of 1e-6 of the column."""
         eps = 1e-8 * (1.0 + float(np.abs(self.b_true).max(initial=0.0))) * _pert_u(self.m)
         self.b_active = self.b_active + self.A_all[:, self.basis] @ eps
         self._values()

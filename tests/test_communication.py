@@ -12,7 +12,6 @@ from powergames.communication import (
     commeq_violation,
     conditional_prior,
     per_type_tensors,
-    run_mediator_session,
     solve_commeq,
 )
 from powergames.correlated import (
@@ -507,38 +506,6 @@ class TestViolationOracle:
             assert commeq_violation(device, fam, f, tensors) == value
         with pytest.raises(ValueError, match="zero-probability type"):
             commeq_violation(zero_type, fam, "literal", tensors)
-
-
-class TestMediatorSession:
-    def setup_method(self):
-        self.space = build_type_space([0.5, 2.0], players=2)
-        self.fam = family()
-        self.res = solve_commeq(self.space, self.fam, "literal")
-
-    def test_deterministic(self):
-        a = run_mediator_session(self.res.device, seed=123)
-        b = run_mediator_session(self.res.device, seed=123)
-        assert a == b
-
-    def test_point_mass_row(self):
-        probs = np.zeros((4, 4))
-        probs[:, 2] = 1.0
-        device = CommDevice(self.space, (2, 2), probs)
-        for seed in range(5):
-            assert run_mediator_session(device, seed=seed) == (1, 0)
-
-    def test_reported_type_frequencies(self):
-        conds = self.res.device.conditionals
-        target = conds[self.space.encode((0, 1))]
-        counts = np.zeros(4)
-        for seed in range(100_000):
-            prof = run_mediator_session(self.res.device, reported_types=(0, 1), seed=seed)
-            counts[prof[0] * 2 + prof[1]] += 1
-        assert counts / counts.sum() == pytest.approx(target, abs=0.01)
-
-    def test_bad_report(self):
-        with pytest.raises(ValueError):
-            run_mediator_session(self.res.device, reported_types=(0, 7), seed=0)
 
 
 class TestDeviceJson:

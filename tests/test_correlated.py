@@ -6,7 +6,6 @@ from powergames.correlated import (
     JointDistribution,
     ce_payoff_region,
     ce_violation,
-    mediator_sample,
     solve_directional_ce,
     solve_welfare_ce,
 )
@@ -258,32 +257,6 @@ class TestRegion:
         assert text.endswith("\nu1,u2\n0.5,0.25\n1.0,0.125\n")
 
 
-class TestMediatorSample:
-    def test_point_mass(self):
-        probs = np.zeros(4)
-        probs[2] = 1.0
-        dist = JointDistribution((2, 2), probs)
-        for seed in range(10):
-            assert mediator_sample(dist, seed) == (1, 0)
-
-    def test_frequencies(self):
-        dist = JointDistribution((2, 2), np.full(4, 0.25))
-        counts = np.zeros(4)
-        for seed in range(100_000):
-            prof = mediator_sample(dist, seed)
-            counts[prof[0] * 2 + prof[1]] += 1
-        freqs = counts / counts.sum()
-        assert freqs == pytest.approx([0.25] * 4, abs=0.01)
-
-    def test_deterministic(self):
-        dist = JointDistribution((2, 2), np.array([0.1, 0.2, 0.3, 0.4]))
-        assert mediator_sample(dist, 77) == mediator_sample(dist, 77)
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ValueError):
-            JointDistribution((2, 2), np.zeros(4))
-
-
 class TestDistribution:
     def test_clamps_dust(self):
         raw = np.array([0.5, 0.5, -5e-13, 1e-13])
@@ -294,3 +267,7 @@ class TestDistribution:
     def test_rejects_real_negatives(self):
         with pytest.raises(ValueError):
             JointDistribution.from_raw((2, 2), np.array([0.6, 0.5, -1e-6, 0.0]))
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(ValueError):
+            JointDistribution((2, 2), np.zeros(4))

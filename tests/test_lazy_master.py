@@ -31,6 +31,13 @@ COORDINATION = np.array([[[2.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
 CUT_GAINS = [[1.0, 0.5], [0.5, 1.0]]
 
 
+def verified_max(tensor, solver, objective):
+    """The master's best point for ``objective``, verified and reported as
+    ``solve_directional_ce`` reports it."""
+    flat, _, iters = solver.maximize(objective)
+    return correlated._report(tensor, flat, iters)
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """A list that grows by one on every call of ``module.name``."""
     calls = []
@@ -97,7 +104,7 @@ class TestLazyReduction:
         solver = CePolytopeSolver.for_tensor(tensor)
         for k in range(16):
             theta = 2.0 * math.pi * k / 16
-            solve_directional_ce(tensor, (math.cos(theta), math.sin(theta)), solver=solver)
+            solver.maximize(math.cos(theta) * tensor.flat(0) + math.sin(theta) * tensor.flat(1))
         assert len(reductions) == 1
         reductions = count_calls(monkeypatch, communication, "dominance_support")
         types, mode, players, prior, levels = DEFINITION_PARAMS[0]
@@ -205,7 +212,7 @@ class TestRepricing:
         assert problems == [] and pivots == 0
         assert np.array_equal(again, x) and half == pytest.approx(0.5 * value, rel=1e-12)
         # the opposite direction prices columns out, and the LP runs
-        rep = solve_directional_ce(tensor, (-0.8, -0.6), solver=solver)
+        rep = verified_max(tensor, solver, -0.8 * tensor.flat(0) - 0.6 * tensor.flat(1))
         assert len(problems) == 1 and rep.solver_iterations > 0
 
     @pytest.mark.parametrize("gains, levels", [
@@ -221,9 +228,9 @@ class TestRepricing:
         for k in range(directions):
             theta = 2.0 * math.pi * k / directions
             w = np.array([math.cos(theta), math.sin(theta)])
-            rep = solve_directional_ce(tensor, w, solver=solver)
-            dense = solve_lp(build_ce_constraints(tensor, w[0] * tensor.flat(0)
-                                                  + w[1] * tensor.flat(1)))
+            objective = w[0] * tensor.flat(0) + w[1] * tensor.flat(1)
+            rep = verified_max(tensor, solver, objective)
+            dense = solve_lp(build_ce_constraints(tensor, objective))
             assert abs(float(w @ rep.per_player_value) - dense.objective_value) <= 1e-9, \
                 f"direction {k}"
         # some directions were answered by the resident basis alone
